@@ -1,17 +1,19 @@
-"""Flip-graph enumeration, the higher Bruhat poset, and the slice map from
-cubillages to cyclic-polytope triangulations."""
+"""Higher Bruhat enumeration over inversion-set bitmasks, the higher Bruhat
+poset, and the slice map from cubillages to cyclic-polytope triangulations."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, colorset, is_peripheral, is_r_separated, subsets
-from .cubillage import Cubillage, CubillageError, standard
+from .colors import Colors, add, colorset, is_even, is_peripheral, is_r_separated, packet, subsets
+from .cubillage import Cubillage, CubillageError
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
-from .order import apply_flip, find_flips
+# unused here, but bench/test_bench.py reaches it as bruhat.find_flips
+from .order import find_flips  # noqa: F401
 from .systems import _count_cliques, inversions
 
 
@@ -19,36 +21,108 @@ class ScaleGuardError(RuntimeError):
     """The requested enumeration exceeds the configured desk-scale caps."""
 
 
+@functools.lru_cache(maxsize=None)
+def _bits(n: int, d: int) -> dict[Colors, int]:
+    """Bit k of an inversion mask stands for the k-th (d+1)-subset of [n] in lex order."""
+    return {k: i for i, k in enumerate(subsets(range(1, n + 1), d + 1))}
+
+
+@functools.lru_cache(maxsize=None)
+def _packets(n: int, d: int) -> tuple[tuple[tuple[int, frozenset[int]], ...], ...]:
+    """Per bit K, one (packet mask, its prefixes and suffixes) for each
+    (d+2)-superset of K."""
+    bit = _bits(n, d)
+    packets: list[list[tuple[int, frozenset[int]]]] = [[] for _ in bit]
+    for p in subsets(range(1, n + 1), d + 2):
+        members = [bit[k] for k in packet(p, d + 1)]
+        masks = [1 << i for i in members]
+        intervals = frozenset(sum(masks[:i]) for i in range(len(masks) + 1)) | \
+            frozenset(sum(masks[i:]) for i in range(len(masks) + 1))
+        for i in members:
+            packets[i].append((sum(masks), intervals))
+    return tuple(tuple(ps) for ps in packets)
+
+
+@functools.lru_cache(maxsize=None)
+def _roots(n: int, d: int) -> tuple[tuple[Colors, tuple[tuple[int, int, bool], ...]], ...]:
+    """Per type T, the triples (c, mask bit of T ∪ {c}, is_even(c, T)) for
+    the colors c outside T."""
+    bit = _bits(n, d)
+    colors = range(1, n + 1)
+    return tuple(
+        (t, tuple((c, 1 << bit[add(t, c)], is_even(c, t)) for c in colors if c not in t))
+        for t in subsets(colors, d))
+
+
+def _steps(n: int, d: int, inv: int, raising: bool = True):
+    """Bits whose addition (raising) or removal (lowering) keeps the
+    inversion mask consistent: every packet through the bit still meets the
+    enlarged or reduced set in a prefix or a suffix."""
+    for k, through in enumerate(_packets(n, d)):
+        b = 1 << k
+        if bool(inv & b) == raising:
+            continue
+        new = inv ^ b
+        for whole, intervals in through:
+            if new & whole not in intervals:
+                break
+        else:
+            yield k
+
+
+def _cubillage_of_mask(n: int, d: int, inv: int) -> Cubillage:
+    """The cubillage of Z(n,d) with the given inversion mask.
+
+    For a type T and a color c outside it, c is in root(T) exactly when
+    (T ∪ {c} is an inversion) == is_even(c, T).
+    """
+    cubes = [(tuple(c for c, b, even in row if bool(inv & b) == even), t)
+             for t, row in _roots(n, d)]
+    return Cubillage(range(1, n + 1), d, cubes)
+
+
+def _inversion_mask(n: int, d: int, q: Cubillage) -> int:
+    bit = _bits(n, d)
+    return sum(1 << bit[k] for k in inversions(q))
+
+
 def enumerate_cubillages(n: int, d: int, max_types: int = 70,
                          max_states: int = 200000) -> tuple[Cubillage, ...]:
-    """All cubillages of Z(n,d), grown from the standard one by raising flips.
+    """All cubillages of Z(n,d), as the elements of the higher Bruhat order B(n,d).
 
-    Complete because every non-standard cubillage admits a lowering flip.
+    A cubillage is determined by its inversion set, and the inversion sets
+    are exactly the consistent families of (d+1)-subsets of [n]: those that
+    meet the lex-ordered packet of every (d+2)-subset in a prefix or a
+    suffix (Manin-Schechtman 1989; Ziegler, "Higher Bruhat orders and cyclic
+    hyperplane arrangements", Topology 1993).  The search runs over these
+    families as bitmasks, from the empty one (the standard cubillage) by
+    single additions that keep every packet consistent; each addition is a
+    raising flip.  Complete because every non-standard cubillage admits a
+    lowering flip.  Each result is then built once by the root rule: for a
+    type T and a color c outside T, c lies in root(T) exactly when
+    (T ∪ {c} is an inversion) == is_even(c, T).
+
     Refuses when C(n,d) exceeds max_types or the state count passes
     max_states.  The result is sorted canonically.
     """
-    colors = tuple(range(1, n + 1))
     if d < 1 or n < d:
         raise ValueError(f"need n >= d >= 1, got ({n},{d})")
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, got {max_states}")
     if comb(n, d) > max_types:
         raise ScaleGuardError(f"C({n},{d}) = {comb(n, d)} exceeds the cap {max_types}")
-    start = standard(colors, d)
-    seen = {start.key(): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for parent, direction in find_flips(q):
-                if direction != "raising":
-                    continue
-                q2 = apply_flip(q, parent)
-                if q2.key() not in seen:
-                    seen[q2.key()] = q2
-                    nxt.append(q2)
-                    if len(seen) > max_states:
-                        raise ScaleGuardError(f"state count passed the cap {max_states}")
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda q: q.key()))
+    seen = {0}
+    todo = [0]
+    while todo:
+        inv = todo.pop()
+        for k in _steps(n, d, inv):
+            up = inv | 1 << k
+            if up not in seen:
+                seen.add(up)
+                todo.append(up)
+                if len(seen) > max_states:
+                    raise ScaleGuardError(f"state count passed the cap {max_states}")
+    return tuple(sorted((_cubillage_of_mask(n, d, inv) for inv in seen), key=Cubillage.key))
 
 
 def separated_system_count(n: int, d: int) -> int:
@@ -72,25 +146,33 @@ def separated_system_count(n: int, d: int) -> int:
 
 
 class BruhatPoset:
-    """The flip order on all cubillages of one zonotope.
+    """The higher Bruhat order B(n,d) on all cubillages of Z(n,d).
 
-    Elements are indexed in (rank, canonical key) order, covers are raising
-    flips, rank is the inversion count.  Graded with the standard cubillage
-    as unique minimum and the antistandard as unique maximum.
+    Each element is read as its inversion mask, the consistent family of
+    (d+1)-subsets of [n] from enumerate_cubillages.  The order is single-step
+    inclusion (Manin-Schechtman 1989; Ziegler, Topology 1993): the covers
+    are the single-bit additions that land on another element, i.e. the
+    raising flips, and the rank is the inversion count.  Elements are indexed
+    in (rank, canonical key) order.  Graded with the standard cubillage as
+    unique minimum and the antistandard as unique maximum.
     """
 
     def __init__(self, n: int, d: int, elements: tuple[Cubillage, ...]):
         self.n = n
         self.d = d
-        ranked = sorted(elements, key=lambda q: (len(inversions(q)), q.key()))
-        self.elements = tuple(ranked)
-        self.ranks = tuple(len(inversions(q)) for q in self.elements)
-        index = {q.key(): i for i, q in enumerate(self.elements)}
+        ranked = sorted(((_inversion_mask(n, d, q), q) for q in elements),
+                        key=lambda mq: (mq[0].bit_count(), mq[1].key()))
+        self.elements = tuple(q for _, q in ranked)
+        masks = [inv for inv, _ in ranked]
+        self.ranks = tuple(inv.bit_count() for inv in masks)
+        index = {inv: i for i, inv in enumerate(masks)}
+        bits = [1 << k for k in range(comb(n, d + 1))]
         covers = []
-        for i, q in enumerate(self.elements):
-            for parent, direction in find_flips(q):
-                if direction == "raising":
-                    covers.append((i, index[apply_flip(q, parent).key()]))
+        for i, inv in enumerate(masks):
+            for b in bits:
+                j = index.get(inv | b)
+                if j is not None and j != i:
+                    covers.append((i, j))
         self.covers = tuple(sorted(covers))
         succ: dict[int, list[int]] = {}
         for a, b in self.covers:

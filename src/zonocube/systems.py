@@ -48,12 +48,8 @@ def inversions(q: Cubillage) -> frozenset[Colors]:
     top-color layer of K, i.e. max(K) belongs to its root.  Empty for the
     standard cubillage, all of Gr(colors,d+1) for the antistandard one.
     """
-    out = []
-    for parent in subsets(q.colors, q.d + 1):
-        k = parent[-1]
-        if k in set(q.root_of(parent[:-1])):
-            out.append(colorset(parent))
-    return frozenset(out)
+    return frozenset(parent for parent in subsets(q.colors, q.d + 1)
+                     if parent[-1] in q.root_of(parent[:-1]))
 
 
 class AdmissibleOrder:
@@ -419,6 +415,8 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     """
     if mode not in ("complete", "certify-maximal"):
         raise ValueError(f"unknown mode {mode!r}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     members = sorted({colorset(s) for s in sets})
     _check_separated(members, d - 1)
     bound = sum(comb(n, k) for k in range(d + 1))

@@ -2,9 +2,14 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonocube.bruhat import (
     ScaleGuardError,
+    _bits,
+    _cubillage_of_mask,
+    _inversion_mask,
+    _steps,
     bruhat_poset,
     enumerate_cubillages,
     polygon_triangulations,
@@ -14,7 +19,7 @@ from zonocube.bruhat import (
     separated_system_count,
     triangulation_shape_ok,
 )
-from zonocube.cubillage import antistandard, is_valid, standard
+from zonocube.cubillage import Cubillage, antistandard, is_valid, standard
 from zonocube.order import apply_flip, find_flips
 from zonocube.systems import inversions
 
@@ -52,6 +57,69 @@ def test_scale_guard():
         enumerate_cubillages(10, 5)
     with pytest.raises(ScaleGuardError):
         enumerate_cubillages(5, 2, max_states=10)
+    assert len(enumerate_cubillages(5, 2, max_states=62)) == 62
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_cubillages(2, 2, max_states=cap)
+
+
+# ------------------------------------------- oracle: the flip-graph search
+
+def flip_graph_oracle(n, d):
+    """Reference search over whole cubillages: grow from the standard one by
+    raising find_flips/apply_flip.  Returns the canonically sorted elements
+    and the poset (elements, ranks, covers) built from the raising flips."""
+    start = standard(crange(n), d)
+    seen = {start.key(): start}
+    edges = []
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for parent, direction in find_flips(q):
+                if direction != "raising":
+                    continue
+                q2 = apply_flip(q, parent)
+                edges.append((q.key(), q2.key()))
+                if q2.key() not in seen:
+                    seen[q2.key()] = q2
+                    nxt.append(q2)
+        frontier = nxt
+    elements = tuple(sorted(seen.values(), key=Cubillage.key))
+    ranked = tuple(sorted(elements, key=lambda q: (len(inversions(q)), q.key())))
+    ranks = tuple(len(inversions(q)) for q in ranked)
+    index = {q.key(): i for i, q in enumerate(ranked)}
+    covers = tuple(sorted((index[a], index[b]) for a, b in edges))
+    return elements, (ranked, ranks, covers)
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (6, 3), (6, 4), (7, 4)])
+def test_engine_matches_flip_graph_oracle(n, d):
+    elements, (ranked, ranks, covers) = flip_graph_oracle(n, d)
+    assert enumerate_cubillages(n, d) == elements
+    poset = bruhat_poset(n, d)
+    assert poset.elements == ranked
+    assert poset.ranks == ranks
+    assert poset.covers == covers
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from([(8, 3), (8, 4), (9, 4)]), st.data())
+def test_engine_agrees_with_flips_on_random_walks(nd, data):
+    n, d = nd
+    q = standard(crange(n), d)
+    for _ in range(data.draw(st.integers(0, comb(n, d + 1)), label="steps")):
+        raising = sorted(p for p, direction in find_flips(q) if direction == "raising")
+        if not raising:
+            break
+        q = apply_flip(q, data.draw(st.sampled_from(raising), label="parent"))
+    inv = _inversion_mask(n, d, q)
+    assert _cubillage_of_mask(n, d, inv) == q
+    parents = list(_bits(n, d))
+    flips = find_flips(q)
+    for direction in ("raising", "lowering"):
+        allowed = {parents[k] for k in _steps(n, d, inv, raising=direction == "raising")}
+        assert allowed == {p for p, dirn in flips if dirn == direction}
 
 
 # ------------------------------------------------------------------- poset

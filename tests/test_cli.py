@@ -38,6 +38,20 @@ def test_extend_certificate():
     assert not report["completable"]
 
 
+def test_extend_rejects_dimension_below_one():
+    code, out, err = run_cli(["extend", "-n", "6", "-d", "0", "--sets", "[]"])
+    assert code == 2 and not out and err.startswith("bad input")
+
+
+def test_max_states_below_one_is_bad_input():
+    for cmd in ("enumerate", "poset", "sec-surjectivity"):
+        for cap in ("0", "-1"):
+            code, out, err = run_cli([cmd, "-n", "2", "-d", "2", "--max-states", cap])
+            assert code == 2 and not out and err.startswith("bad input")
+    code, _, err = run_cli(["enumerate", "-n", "5", "-d", "2", "--max-states", "10"])
+    assert code == 1 and err.strip() == "error: state count passed the cap 10"
+
+
 def test_validate_ok_and_exit_codes():
     _, cubillage, _ = run_cli(["standard", "-n", "3", "-d", "2"])
     code, out, _ = run_cli(["validate", "-"], stdin=cubillage)
