@@ -14,11 +14,7 @@ from .cubillage import Cubillage, CubillageError
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
 # unused here, but bench/test_bench.py reaches it as bruhat.find_flips
 from .order import find_flips  # noqa: F401
-from .systems import _count_cliques, inversions
-
-
-class ScaleGuardError(RuntimeError):
-    """The requested enumeration exceeds the configured desk-scale caps."""
+from .systems import ScaleGuardError, _count_cliques, _separation_scale_guard, inversions
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,7 +127,12 @@ def separated_system_count(n: int, d: int) -> int:
     Every such system contains all peripheral sets, so the count equals the
     number of cliques of the residual size among the non-peripheral sets in
     the separation graph.  Must agree with len(enumerate_cubillages(n,d)).
+    Refuses n above MAX_SEPARATION_N with ScaleGuardError before building
+    the graph.
     """
+    if d < 1 or n < d:
+        raise ValueError(f"need n >= d >= 1, got ({n},{d})")
+    _separation_scale_guard(n)
     universe = [colorset(s) for k in range(n + 1) for s in subsets(range(1, n + 1), k)]
     nonper = [x for x in universe if not is_peripheral(x, n, d)]
     adj = [0] * len(nonper)

@@ -41,6 +41,20 @@ class NotRealizableError(CubillageError):
     """A reconstruction precondition held but the recursion still failed."""
 
 
+class ScaleGuardError(RuntimeError):
+    """The requested search exceeds the configured desk-scale caps."""
+
+
+# the separation searches build a graph on the 2^n subsets of [n]
+MAX_SEPARATION_N = 10
+
+
+def _separation_scale_guard(n: int) -> None:
+    if n > MAX_SEPARATION_N:
+        raise ScaleGuardError(
+            f"n = {n} exceeds the cap {MAX_SEPARATION_N} for searches over all subsets of [n]")
+
+
 def inversions(q: Cubillage) -> frozenset[Colors]:
     """Parents whose packet the cubillage orders antilexicographically.
 
@@ -299,47 +313,74 @@ def _from_spectra(members, cs: Colors, d: int) -> Cubillage:
 # clique machinery over bitmask adjacency
 
 
-def _max_clique(adj: list[int], cand_mask: int) -> int:
-    """Largest clique size inside cand_mask; greedy-colored branch and bound."""
-    best = 0
+def _bits(mask: int):
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        yield v
 
-    def order_by_color(mask):
-        verts = []
-        bounds = []
-        color_classes = []
-        m = mask
-        while m:
-            cls = 0
-            avail = m
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                cls |= 1 << v
-                avail &= ~adj[v] & avail & ~(1 << v)
-            m &= ~cls
-            color_classes.append(cls)
-        for ci, cls in enumerate(color_classes, start=1):
-            mm = cls
-            while mm:
-                v = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                verts.append(v)
-                bounds.append(ci)
-        return verts, bounds
+
+def _degeneracy_order(adj: list[int], cand_mask: int) -> list[int]:
+    """The candidates in min-degree removal order, ties to the lowest index."""
+    degree = {v: (adj[v] & cand_mask).bit_count() for v in _bits(cand_mask)}
+    order = []
+    left = cand_mask
+    while left:
+        v = min(_bits(left), key=degree.__getitem__)
+        order.append(v)
+        left &= ~(1 << v)
+        for u in _bits(adj[v] & left):
+            degree[u] -= 1
+    return order
+
+
+def _relabel(adj: list[int], order: list[int]) -> list[int]:
+    """Adjacency of the subgraph induced on order, vertex order[i] renamed i."""
+    pos = {v: i for i, v in enumerate(order)}
+    return [sum(1 << pos[u] for u in _bits(adj[v]) if u in pos) for v in order]
+
+
+def _max_clique(adj: list[int], cand_mask: int) -> int:
+    """Largest clique size inside cand_mask; greedy-colored branch and bound.
+
+    The candidates are relabelled once in reverse degeneracy order, so the
+    high-core vertices get the low bits and the greedy coloring, which
+    takes the lowest free bit first, puts them in the early classes.  Each
+    node branches from the last color class down and stops as soon as
+    size + color of the vertex cannot beat the best clique so far.
+    """
+    order = _degeneracy_order(adj, cand_mask)[::-1]
+    adj = _relabel(adj, order)
+    best = 0
 
     def grow(mask, size):
         nonlocal best
-        if not mask:
-            best = max(best, size)
-            return
-        verts, bounds = order_by_color(mask)
+        verts = []
+        bounds = []
+        color = 0
+        m = mask
+        while m:
+            color += 1
+            avail = m
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                verts.append(v)
+                bounds.append(color)
+                m ^= low
+                avail &= ~adj[v] & (avail ^ low)
         for i in range(len(verts) - 1, -1, -1):
             if size + bounds[i] <= best:
                 return
             v = verts[i]
-            grow(mask & adj[v], size + 1)
+            nxt = mask & adj[v]
+            if nxt:
+                grow(nxt, size + 1)
+            elif size >= best:
+                best = size + 1
             mask &= ~(1 << v)
 
-    grow(cand_mask, 0)
+    grow((1 << len(order)) - 1, 0)
     return best
 
 
@@ -373,17 +414,45 @@ def _maximal_cliques(adj: list[int], cand_mask: int):
 
 
 def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
-    if size == 0:
-        return 1
-    total = 0
-    mm = cand_mask
-    while mm:
-        v = (mm & -mm).bit_length() - 1
-        mm &= mm - 1
-        nxt = cand_mask & adj[v] & ~((1 << (v + 1)) - 1)
-        if bin(nxt).count("1") >= size - 1:
-            total += _count_cliques(adj, nxt, size - 1)
-    return total
+    """Number of cliques of exactly the given size inside cand_mask.
+
+    The candidates are relabelled once in degeneracy (min-degree removal)
+    order, and each clique is counted from its lowest vertex through its
+    later neighbors, so no vertex has more than the degeneracy of them.  A
+    node is pruned when a greedy coloring of its candidates uses fewer
+    colors than the vertices still needed.
+    """
+    order = _degeneracy_order(adj, cand_mask)
+    adj = _relabel(adj, order)
+
+    def too_few_colors(mask, need):
+        # greedy classes, lowest free bit first, until need of them are found
+        while mask:
+            need -= 1
+            if need <= 0:
+                return False
+            avail = mask
+            while avail:
+                low = avail & -avail
+                mask ^= low
+                avail &= ~adj[low.bit_length() - 1] & (avail ^ low)
+        return True
+
+    def count(mask, size):
+        if size == 0:
+            return 1
+        if too_few_colors(mask, size):
+            return 0
+        total = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            nxt = mask & adj[low.bit_length() - 1]
+            if nxt.bit_count() >= size - 1:
+                total += count(nxt, size - 1)
+        return total
+
+    return count((1 << len(order)) - 1, size)
 
 
 class ExtensionReport(NamedTuple):
@@ -418,6 +487,9 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     members = sorted({colorset(s) for s in sets})
+    outside = [s for s in members if s and s[-1] > n]
+    if outside:
+        raise ValueError(f"member sets {outside} leave the colors 1..{n}")
     _check_separated(members, d - 1)
     bound = sum(comb(n, k) for k in range(d + 1))
     universe = [colorset(s) for k in range(n + 1) for s in subsets(range(1, n + 1), k)]
@@ -455,13 +527,6 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
                            sizes, tuple(completions))
 
 
-def _bits(mask: int):
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        yield v
-
-
 def _clique_witness(adj: list[int], cand_mask: int, size: int):
     """Some clique of exactly the requested size, or None."""
     if size == 0:
@@ -484,10 +549,12 @@ def weak_separation_suite(n: int, k: int) -> dict:
     Peripheral sets (for d = k+1) are k-separated with everything, hence
     always extend a weak system; the exact maximum is their count plus the
     largest weak clique among the remaining sets.  Reports the maximum and
-    whether it meets the C(n,<=k+1) ceiling.
+    whether it meets the C(n,<=k+1) ceiling.  Refuses n above
+    MAX_SEPARATION_N with ScaleGuardError before building the graph.
     """
     if k % 2 == 0 or k < 1:
         raise ValueError(f"weak separation needs odd k >= 1, got {k}")
+    _separation_scale_guard(n)
     bound = sum(comb(n, j) for j in range(k + 2))
     universe = [colorset(s) for m in range(n + 1) for s in subsets(range(1, n + 1), m)]
     peripheral = [x for x in universe if is_peripheral(x, n, k + 1)]

@@ -48,8 +48,16 @@ def test_enumeration_is_valid_and_unique():
 
 
 def test_flip_count_matches_separated_system_count():
-    for n, d in ((4, 2), (5, 2), (5, 3)):
+    for n, d in ((4, 2), (5, 2), (5, 3), (6, 2), (7, 4), (8, 5)):
         assert len(enumerate_cubillages(n, d)) == separated_system_count(n, d)
+
+
+def test_separated_system_count_refusals():
+    for n, d in ((3, 0), (0, 0), (4, 5)):
+        with pytest.raises(ValueError):
+            separated_system_count(n, d)
+    with pytest.raises(ScaleGuardError):
+        separated_system_count(11, 5)
 
 
 def test_scale_guard():

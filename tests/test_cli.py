@@ -43,6 +43,17 @@ def test_extend_rejects_dimension_below_one():
     assert code == 2 and not out and err.startswith("bad input")
 
 
+def test_extend_rejects_members_outside_the_colors():
+    for n, sets in (("4", "[[9]]"), ("0", "[[1]]")):
+        code, out, err = run_cli(["extend", "-n", n, "-d", "2", "--sets", sets])
+        assert code == 2 and not out and err.startswith("bad input")
+
+
+def test_weak_sep_scale_guard_exits_one():
+    code, out, err = run_cli(["weak-sep", "-n", "24", "-k", "3"])
+    assert code == 1 and not out and err.startswith("error: n = 24 exceeds the cap 10")
+
+
 def test_max_states_below_one_is_bad_input():
     for cmd in ("enumerate", "poset", "sec-surjectivity"):
         for cap in ("0", "-1"):

@@ -1,8 +1,13 @@
 import itertools
+import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import zonocube
+import zonocube.bruhat
+import zonocube.cli
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import is_r_separated, packet, subsets
 from zonocube.cubillage import antistandard, boundary_plates, standard, validate
@@ -14,6 +19,9 @@ from zonocube.order import (
 )
 from zonocube.systems import (
     AdmissibleOrder,
+    ScaleGuardError,
+    _count_cliques,
+    _max_clique,
     extension_search,
     from_consistent,
     from_order,
@@ -211,6 +219,91 @@ def test_from_spectra_rejects_unseparated():
         from_spectra(sets, (1, 2, 3), 2)
 
 
+# ------------------------------------- oracle: the unordered clique engines
+
+def max_clique_oracle(adj, cand_mask):
+    """Largest clique size inside cand_mask; greedy-colored branch and bound."""
+    best = 0
+
+    def order_by_color(mask):
+        verts = []
+        bounds = []
+        color_classes = []
+        m = mask
+        while m:
+            cls = 0
+            avail = m
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                cls |= 1 << v
+                avail &= ~adj[v] & avail & ~(1 << v)
+            m &= ~cls
+            color_classes.append(cls)
+        for ci, cls in enumerate(color_classes, start=1):
+            mm = cls
+            while mm:
+                v = (mm & -mm).bit_length() - 1
+                mm &= mm - 1
+                verts.append(v)
+                bounds.append(ci)
+        return verts, bounds
+
+    def grow(mask, size):
+        nonlocal best
+        if not mask:
+            best = max(best, size)
+            return
+        verts, bounds = order_by_color(mask)
+        for i in range(len(verts) - 1, -1, -1):
+            if size + bounds[i] <= best:
+                return
+            v = verts[i]
+            grow(mask & adj[v], size + 1)
+            mask &= ~(1 << v)
+
+    grow(cand_mask, 0)
+    return best
+
+
+def count_cliques_oracle(adj, cand_mask, size):
+    if size == 0:
+        return 1
+    total = 0
+    mm = cand_mask
+    while mm:
+        v = (mm & -mm).bit_length() - 1
+        mm &= mm - 1
+        nxt = cand_mask & adj[v] & ~((1 << (v + 1)) - 1)
+        if bin(nxt).count("1") >= size - 1:
+            total += count_cliques_oracle(adj, nxt, size - 1)
+    return total
+
+
+# denser graphs get fewer vertices, so that the oracles' clique counts stay small
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(40, 0.1), (40, 0.3), (40, 0.5), (30, 0.7), (20, 0.9)]),
+       st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**32 - 1), st.data())
+def test_clique_engines_match_oracles(shape, keep, seed, data):
+    most, density = shape
+    size = data.draw(st.integers(0, most), label="vertices")
+    rng = random.Random(seed)
+    adj = [0] * size
+    for i, j in itertools.combinations(range(size), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    cand = sum(1 << v for v in range(size) if rng.random() < keep)
+    best = max_clique_oracle(adj, cand)
+    assert _max_clique(adj, cand) == best
+    for k in range(best + 2):
+        assert _count_cliques(adj, cand, k) == count_cliques_oracle(adj, cand, k)
+
+
+def test_scale_guard_is_one_class():
+    assert zonocube.ScaleGuardError is zonocube.bruhat.ScaleGuardError is ScaleGuardError
+    assert zonocube.cli.ScaleGuardError is ScaleGuardError
+
+
 # ------------------------------------------------------- extension search
 
 def test_clock_triple_is_maximal_at_55():
@@ -249,6 +342,13 @@ def test_extension_search_rejects_unseparated_input():
         extension_search([(1, 3, 5), (2, 4, 6)], 6, 4, "complete")
     with pytest.raises(ValueError):
         extension_search([(1,)], 4, 2, "other-mode")
+
+
+def test_extension_search_rejects_members_outside_the_colors():
+    with pytest.raises(ValueError):
+        extension_search([(9,)], 4, 2)
+    with pytest.raises(ValueError):
+        extension_search([(1,)], 0, 1)
 
 
 def test_lifted_nonpurity():
@@ -295,6 +395,12 @@ def test_strong_counterexample_extends_weakly():
 def test_weak_suite_rejects_even_k():
     with pytest.raises(ValueError):
         weak_separation_suite(5, 2)
+
+
+def test_weak_suite_scale_guard():
+    for n in (11, 24):
+        with pytest.raises(ScaleGuardError):
+            weak_separation_suite(n, 3)
 
 
 # ------------------------------------------------------------ prop 19 style
