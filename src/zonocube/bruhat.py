@@ -9,12 +9,21 @@ import json
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, add, colorset, is_even, is_peripheral, is_r_separated, packet, subsets
+from .colors import Colors, add, is_even, is_r_separated, packet, subsets
+# unused here, but bench/test_bench.py reaches them as bruhat.colorset and
+# bruhat.find_flips
+from .colors import colorset  # noqa: F401
 from .cubillage import Cubillage, CubillageError
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
-# unused here, but bench/test_bench.py reaches it as bruhat.find_flips
 from .order import find_flips  # noqa: F401
-from .systems import ScaleGuardError, _count_cliques, _separation_scale_guard, inversions
+from .systems import (
+    ScaleGuardError,
+    _check_dimensions,
+    _count_cliques,
+    _separation_graph,
+    _separation_scale_guard,
+    inversions,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,8 +110,7 @@ def enumerate_cubillages(n: int, d: int, max_types: int = 70,
     Refuses when C(n,d) exceeds max_types or the state count passes
     max_states.  The result is sorted canonically.
     """
-    if d < 1 or n < d:
-        raise ValueError(f"need n >= d >= 1, got ({n},{d})")
+    _check_dimensions(n, d)
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
     if comb(n, d) > max_types:
@@ -130,20 +138,11 @@ def separated_system_count(n: int, d: int) -> int:
     Refuses n above MAX_SEPARATION_N with ScaleGuardError before building
     the graph.
     """
-    if d < 1 or n < d:
-        raise ValueError(f"need n >= d >= 1, got ({n},{d})")
+    _check_dimensions(n, d)
     _separation_scale_guard(n)
-    universe = [colorset(s) for k in range(n + 1) for s in subsets(range(1, n + 1), k)]
-    nonper = [x for x in universe if not is_peripheral(x, n, d)]
-    adj = [0] * len(nonper)
-    for i, a in enumerate(nonper):
-        for j in range(i + 1, len(nonper)):
-            if is_r_separated(a, nonper[j], d - 1):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    bound = sum(comb(n, k) for k in range(d + 1))
-    need = bound - (len(universe) - len(nonper))
-    return _count_cliques(adj, (1 << len(nonper)) - 1, need)
+    peripheral, others, adj = _separation_graph(n, d, lambda a, b: is_r_separated(a, b, d - 1))
+    need = sum(comb(n, k) for k in range(d + 1)) - len(peripheral)
+    return _count_cliques(adj, (1 << len(others)) - 1, need)
 
 
 class BruhatPoset:

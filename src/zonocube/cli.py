@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .colors import SetSystem, colorset, separation_blocks
+from .colors import SetSystem, colorset, is_weakly_k_separated, separation_blocks
 from .cubillage import Cubillage, CubillageError, point_cubillage, validate
 from . import (
     AdmissibleOrder,
@@ -94,6 +94,18 @@ def _facet_json(plates):
 
 def _setsystem_json(n: int, sets) -> str:
     return SetSystem(n, sets).to_json()
+
+
+def _pairwise_violations(sets, violation) -> list:
+    """One entry per pair a before b for which violation(a, b) returns a
+    dict of extra fields rather than None."""
+    out = []
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            extra = violation(a, b)
+            if extra is not None:
+                out.append({"x": list(a), "y": list(b), **extra})
+    return out
 
 
 def _ambient_n(q: Cubillage) -> int:
@@ -254,12 +266,8 @@ def cmd_check_separated(args):
     r = args.r if args.r is not None else args.d - 1
     if r < 0:
         raise ValueError("separation order r must be >= 0")
-    violations = []
-    for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
-            m = separation_blocks(a, b)
-            if m > r + 1:
-                violations.append({"x": list(a), "y": list(b), "blocks": m})
+    violations = _pairwise_violations(
+        sets, lambda a, b: {"blocks": m} if (m := separation_blocks(a, b)) > r + 1 else None)
     _emit(args, json.dumps({
         "r": r,
         "pairwise_separated": not violations,
@@ -288,14 +296,9 @@ def cmd_extend(args):
 
 def cmd_weak_sep(args):
     if args.sets:
-        sets = _load_sets(args)
-        from .colors import is_weakly_k_separated
-
-        violations = []
-        for i, a in enumerate(sets):
-            for b in sets[i + 1:]:
-                if not is_weakly_k_separated(a, b, args.k):
-                    violations.append({"x": list(a), "y": list(b)})
+        violations = _pairwise_violations(
+            _load_sets(args),
+            lambda a, b: None if is_weakly_k_separated(a, b, args.k) else {})
         _emit(args, json.dumps({
             "k": args.k,
             "pairwise_weakly_separated": not violations,

@@ -103,8 +103,6 @@ class Cubillage:
             self._cache["vertices"] = frozenset(seen)
         return self._cache["vertices"]
 
-    spectra = vertices
-
     def to_json(self) -> str:
         return json.dumps({
             "colors": list(self.colors),
@@ -137,6 +135,11 @@ def facet_sides(cube: Cube) -> dict[int, tuple[Facet, Facet]]:
     return out
 
 
+def _parity_root(colors: Colors, j: Colors, even: bool) -> Colors:
+    """The colors outside j whose parity relative to j is even (or odd)."""
+    return tuple(c for c in colors if c not in j and is_even(c, j) == even)
+
+
 def boundary_plates(colors, d: int, side: str) -> frozenset[Facet]:
     """Boundary facets of the zonotope Z(colors,d) on the requested side.
 
@@ -149,12 +152,7 @@ def boundary_plates(colors, d: int, side: str) -> frozenset[Facet]:
         raise ValueError(f"need at least {d} colors, got {cs}")
     if side not in ("front", "back"):
         raise ValueError(f"side must be 'front' or 'back', not {side!r}")
-    want_even = side == "back"
-    plates = set()
-    for j in subsets(cs, d - 1):
-        root = tuple(c for c in cs if c not in j and is_even(c, j) == want_even)
-        plates.add(Facet(root, j))
-    return frozenset(plates)
+    return frozenset(Facet(_parity_root(cs, j, side == "back"), j) for j in subsets(cs, d - 1))
 
 
 def _pairing(q: Cubillage):
@@ -194,6 +192,8 @@ def validate(q: Cubillage):
     facet-induced precedence relation is acyclic, (iv) the vertex count is
     C(n, <=d).
     """
+    from .order import natural_order
+
     n, d = q.n, q.d
     if n < d:
         return f"fewer colors ({n}) than the dimension ({d})"
@@ -224,22 +224,9 @@ def validate(q: Cubillage):
     for plate in back:
         if plate not in invisible:
             return f"back plate {plate} not covered"
-    # acyclicity by Kahn elimination on the cover digraph
-    indeg = {t: 0 for t in q._root_by_type}
-    succs = {t: [] for t in q._root_by_type}
-    for below, above in cover_relations(q):
-        succs[below].append(above)
-        indeg[above] += 1
-    queue = [t for t, k in indeg.items() if k == 0]
-    done = 0
-    while queue:
-        t = queue.pop()
-        done += 1
-        for s in succs[t]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                queue.append(s)
-    if done != len(indeg):
+    try:
+        natural_order(q)
+    except CubillageError:
         return "precedence relation between cubes has a cycle"
     want = sum(comb(n, k) for k in range(d + 1))
     if len(q.vertices()) != want:
@@ -283,28 +270,25 @@ def snakes(q: Cubillage):
     return sorted(results)
 
 
-def standard(colors, d: int) -> Cubillage:
-    """The standard cubillage: repeated top-color expansion along the back."""
+def _extreme(colors, d: int, even: bool, name: str) -> Cubillage:
+    """The bottom (odd roots) or top (even roots) of the higher Bruhat order."""
     cs = colorset(colors)
     if len(cs) < d or d < 1:
-        raise ValueError(f"standard cubillage needs |colors| >= d >= 1, got {cs}, d={d}")
-    if len(cs) == d:
-        return Cubillage(cs, d, [((), cs)])
-    m = cs[-1]
-    inner = standard(cs[:-1], d)
-    return expand(inner, inner.types(), m)
+        raise ValueError(f"{name} cubillage needs |colors| >= d >= 1, got {cs}, d={d}")
+    return Cubillage(cs, d, [(_parity_root(cs, t, even), t) for t in subsets(cs, d)])
+
+
+def standard(colors, d: int) -> Cubillage:
+    """The standard cubillage, the one with no inversions: each cube of
+    type T is rooted at the colors outside T that are odd relative to T."""
+    return _extreme(colors, d, False, "standard")
 
 
 def antistandard(colors, d: int) -> Cubillage:
-    """The antistandard cubillage: repeated top-color expansion along the front."""
-    cs = colorset(colors)
-    if len(cs) < d or d < 1:
-        raise ValueError(f"antistandard cubillage needs |colors| >= d >= 1, got {cs}, d={d}")
-    if len(cs) == d:
-        return Cubillage(cs, d, [((), cs)])
-    m = cs[-1]
-    inner = antistandard(cs[:-1], d)
-    return expand(inner, [], m)
+    """The antistandard cubillage, the one inverting every (d+1)-subset:
+    each cube of type T is rooted at the colors outside T that are even
+    relative to T."""
+    return _extreme(colors, d, True, "antistandard")
 
 
 class Reduction(NamedTuple):
@@ -373,31 +357,26 @@ def expand(q: Cubillage, stack, i: int) -> Cubillage:
     return Cubillage(add(q.colors, i), q.d, cubes)
 
 
+def _expand_at_side(q: Cubillage, i: int, front: bool) -> Cubillage:
+    if i in set(q.colors):
+        raise ValueError(f"color {i} already present")
+    cubes = [(add(root, i) if front else root, typ) for typ, root in q._root_by_type.items()]
+    for j in subsets(q.colors, q.d - 1):
+        cubes.append((_parity_root(q.colors, j, is_even(i, j) != front), add(j, i)))
+    return Cubillage(add(q.colors, i), q.d, cubes)
+
+
 def expand_at_back(q: Cubillage, i: int) -> Cubillage:
     """One-element lifting gluing the new color-i layer to the v_i-invisible
     boundary; works for any fresh i, not just a maximal one.  Old cubes keep
     their roots, so all existing vertex spectra survive."""
-    if i in set(q.colors):
-        raise ValueError(f"color {i} already present")
-    cubes = [(root, typ) for typ, root in q._root_by_type.items()]
-    for j in subsets(q.colors, q.d - 1):
-        even_i = is_even(i, j)
-        root = tuple(c for c in q.colors if c not in j and c != i and is_even(c, j) == even_i)
-        cubes.append((root, add(colorset(j), i)))
-    return Cubillage(add(q.colors, i), q.d, cubes)
+    return _expand_at_side(q, i, front=False)
 
 
 def expand_at_front(q: Cubillage, i: int) -> Cubillage:
     """Mirror of expand_at_back: glue the new layer to the v_i-visible
     boundary; every old vertex spectrum is shifted by +{i}."""
-    if i in set(q.colors):
-        raise ValueError(f"color {i} already present")
-    cubes = [(add(root, i), typ) for typ, root in q._root_by_type.items()]
-    for j in subsets(q.colors, q.d - 1):
-        even_i = is_even(i, j)
-        root = tuple(c for c in q.colors if c not in j and c != i and is_even(c, j) != even_i)
-        cubes.append((root, add(colorset(j), i)))
-    return Cubillage(add(q.colors, i), q.d, cubes)
+    return _expand_at_side(q, i, front=True)
 
 
 def point_cubillage(d: int) -> Cubillage:

@@ -96,10 +96,6 @@ def det_sign(js, i: int, realization: Realization) -> int:
     return _sign(realization.det(js + (i,)))
 
 
-def vertex_coordinates(xs, realization: Realization):
-    return realization.point(xs)
-
-
 def facet_visible_oracle(realization: Realization, j_type, t: int, shifted: bool) -> bool:
     """Geometric visibility of a cube facet, decided from determinant signs.
 

@@ -195,9 +195,6 @@ def enumerate_stacks(q: Cubillage) -> list[frozenset[Colors]]:
     return natural_order(q).ideals()
 
 
-enumerate_membranes = enumerate_stacks
-
-
 @functools.lru_cache(maxsize=None)
 def _capsid_patterns(d: int):
     base = tuple(range(1, d + 2))

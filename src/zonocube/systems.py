@@ -55,6 +55,11 @@ def _separation_scale_guard(n: int) -> None:
             f"n = {n} exceeds the cap {MAX_SEPARATION_N} for searches over all subsets of [n]")
 
 
+def _check_dimensions(n: int, d: int) -> None:
+    if d < 1 or n < d:
+        raise ValueError(f"need n >= d >= 1, got ({n},{d})")
+
+
 def inversions(q: Cubillage) -> frozenset[Colors]:
     """Parents whose packet the cubillage orders antilexicographically.
 
@@ -413,17 +418,14 @@ def _maximal_cliques(adj: list[int], cand_mask: int):
     return out
 
 
-def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
-    """Number of cliques of exactly the given size inside cand_mask.
+def _exact_cliques(adj: list[int], cand_mask: int, size: int):
+    """The cliques of exactly the given size inside cand_mask, as bitmasks.
 
-    The candidates are relabelled once in degeneracy (min-degree removal)
-    order, and each clique is counted from its lowest vertex through its
-    later neighbors, so no vertex has more than the degeneracy of them.  A
-    node is pruned when a greedy coloring of its candidates uses fewer
-    colors than the vertices still needed.
+    Yielded in lexicographic order of their sorted vertex lists: each clique
+    is grown from its lowest vertex through its later neighbors.  A node is
+    pruned when a greedy coloring of its candidates uses fewer colors than
+    the vertices still needed.
     """
-    order = _degeneracy_order(adj, cand_mask)
-    adj = _relabel(adj, order)
 
     def too_few_colors(mask, need):
         # greedy classes, lowest free bit first, until need of them are found
@@ -438,21 +440,51 @@ def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
                 avail &= ~adj[low.bit_length() - 1] & (avail ^ low)
         return True
 
-    def count(mask, size):
+    def grow(mask, size, chosen):
         if size == 0:
-            return 1
+            yield chosen
+            return
         if too_few_colors(mask, size):
-            return 0
-        total = 0
+            return
         while mask:
             low = mask & -mask
             mask ^= low
             nxt = mask & adj[low.bit_length() - 1]
             if nxt.bit_count() >= size - 1:
-                total += count(nxt, size - 1)
-        return total
+                yield from grow(nxt, size - 1, chosen | low)
 
-    return count((1 << len(order)) - 1, size)
+    return grow(cand_mask, size, 0)
+
+
+def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
+    """Number of cliques of exactly the given size inside cand_mask.
+
+    Counted over the candidates relabelled in degeneracy (min-degree
+    removal) order, so no vertex has more than the degeneracy of later
+    neighbors to grow through.
+    """
+    order = _degeneracy_order(adj, cand_mask)
+    return sum(1 for _ in _exact_cliques(_relabel(adj, order), (1 << len(order)) - 1, size))
+
+
+def _separation_graph(n: int, d: int, compatible, keep=None):
+    """The peripheral subsets of [n] for dimension d, the other subsets
+    (by size, then lex) that pass keep, and the bitmask adjacency of
+    compatible among the latter."""
+    peripheral, others = [], []
+    for k in range(n + 1):
+        for x in subsets(range(1, n + 1), k):
+            if is_peripheral(x, n, d):
+                peripheral.append(x)
+            elif keep is None or keep(x):
+                others.append(x)
+    adj = [0] * len(others)
+    for i, a in enumerate(others):
+        for j in range(i + 1, len(others)):
+            if compatible(a, others[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return peripheral, others, adj
 
 
 class ExtensionReport(NamedTuple):
@@ -484,63 +516,34 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     """
     if mode not in ("complete", "certify-maximal"):
         raise ValueError(f"unknown mode {mode!r}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    _check_dimensions(n, d)
     members = sorted({colorset(s) for s in sets})
     outside = [s for s in members if s and s[-1] > n]
     if outside:
         raise ValueError(f"member sets {outside} leave the colors 1..{n}")
     _check_separated(members, d - 1)
     bound = sum(comb(n, k) for k in range(d + 1))
-    universe = [colorset(s) for k in range(n + 1) for s in subsets(range(1, n + 1), k)]
     member_set = set(members)
-    peripheral = [x for x in universe if is_peripheral(x, n, d)]
-    base = sorted(member_set | set(peripheral))
-    cands = [x for x in universe
-             if x not in set(base) and not is_peripheral(x, n, d)
-             and all(is_r_separated(x, s, d - 1) for s in members)]
-    adj = [0] * len(cands)
-    for i, a in enumerate(cands):
-        for j in range(i + 1, len(cands)):
-            if is_r_separated(a, cands[j], d - 1):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    peripheral, cands, adj = _separation_graph(
+        n, d, lambda a, b: is_r_separated(a, b, d - 1),
+        lambda x: x not in member_set and all(is_r_separated(x, s, d - 1) for s in members))
+    base = member_set.union(peripheral)
     full = (1 << len(cands)) - 1
-    need = bound - len(base)
     if mode == "complete":
+        # the lexicographically first clique on the original labels
+        witness = next(_exact_cliques(adj, full, bound - len(base)), None)
         completion = None
-        if need <= _max_clique(adj, full):
-            # rerun keeping a witness of the right size
-            witness = _clique_witness(adj, full, need)
-            completion = tuple(sorted(set(base) | {cands[v] for v in witness}))
+        if witness is not None:
+            completion = tuple(sorted(base.union(cands[v] for v in _bits(witness))))
         return ExtensionReport(n, d, len(members), bound, completion is not None,
                                completion, None, None)
-    cliques = _maximal_cliques(adj, full) or [0]
-    completions = []
-    for mask in cliques:
-        chosen = {cands[v] for v in _bits(mask)}
-        completions.append(tuple(sorted(set(base) | chosen)))
-    completions.sort(key=lambda c: (len(c), c))
+    completions = sorted((tuple(sorted(base.union(cands[v] for v in _bits(mask))))
+                          for mask in _maximal_cliques(adj, full) or [0]),
+                         key=lambda c: (len(c), c))
     sizes = tuple(len(c) for c in completions)
     return ExtensionReport(n, d, len(members), bound, bound in sizes,
                            completions[-1] if bound in sizes else None,
                            sizes, tuple(completions))
-
-
-def _clique_witness(adj: list[int], cand_mask: int, size: int):
-    """Some clique of exactly the requested size, or None."""
-    if size == 0:
-        return []
-    mm = cand_mask
-    while mm:
-        v = (mm & -mm).bit_length() - 1
-        mm &= mm - 1
-        if bin(cand_mask & adj[v]).count("1") >= size - 1:
-            rest = _clique_witness(adj, cand_mask & adj[v] & ~((1 << (v + 1)) - 1), size - 1)
-            if rest is not None:
-                return [v] + rest
-        cand_mask &= ~(1 << v)
-    return None
 
 
 def weak_separation_suite(n: int, k: int) -> dict:
@@ -556,15 +559,8 @@ def weak_separation_suite(n: int, k: int) -> dict:
         raise ValueError(f"weak separation needs odd k >= 1, got {k}")
     _separation_scale_guard(n)
     bound = sum(comb(n, j) for j in range(k + 2))
-    universe = [colorset(s) for m in range(n + 1) for s in subsets(range(1, n + 1), m)]
-    peripheral = [x for x in universe if is_peripheral(x, n, k + 1)]
-    others = [x for x in universe if not is_peripheral(x, n, k + 1)]
-    adj = [0] * len(others)
-    for i, a in enumerate(others):
-        for j in range(i + 1, len(others)):
-            if is_weakly_k_separated(a, others[j], k):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    peripheral, others, adj = _separation_graph(
+        n, k + 1, lambda a, b: is_weakly_k_separated(a, b, k))
     best = _max_clique(adj, (1 << len(others)) - 1)
     maximum = len(peripheral) + best
     return {

@@ -1,8 +1,15 @@
+import io
 import json
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 from zonocube.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
 
 
 def run_cli(args, stdin=None):
@@ -41,6 +48,11 @@ def test_extend_certificate():
 def test_extend_rejects_dimension_below_one():
     code, out, err = run_cli(["extend", "-n", "6", "-d", "0", "--sets", "[]"])
     assert code == 2 and not out and err.startswith("bad input")
+
+
+def test_extend_rejects_fewer_colors_than_the_dimension():
+    code, out, err = run_cli(["extend", "-n", "2", "-d", "4", "--sets", "[[1]]"])
+    assert code == 2 and not out and err.strip() == "bad input: need n >= d >= 1, got (2,4)"
 
 
 def test_extend_rejects_members_outside_the_colors():
@@ -232,3 +244,35 @@ def test_emitted_json_is_parse_emit_fixed_point():
     assert SetSystem.from_json(spectra).to_json() + "\n" == spectra
     _, order, _ = run_cli(["order", "-"], stdin=cubillage)
     assert AdmissibleOrder.from_json(order).to_json() + "\n" == order
+
+
+def readme_commands():
+    """The pipelines of the README's CLI block, comments dropped, except the
+    render-svg one, which writes a file."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    lines = (line.split("#", 1)[0].strip() for line in block.splitlines())
+    return [line for line in lines if line.startswith("zonocube ") and "render-svg" not in line]
+
+
+def readme_transcript():
+    """Each README command as "$ command" and its stdout, every pipeline
+    stage run in process on the previous stage's output."""
+    parts = []
+    for command in readme_commands():
+        out = ""
+        for stage in command.split(" | "):
+            stdin, sys.stdin = sys.stdin, io.StringIO(out)
+            try:
+                with redirect_stdout(io.StringIO()) as buf:
+                    assert main(shlex.split(stage)[1:]) == 0, stage
+            finally:
+                sys.stdin = stdin
+            out = buf.getvalue()
+        parts.append(f"$ {command}\n{out}")
+    return "".join(parts)
+
+
+def test_readme_commands_match_golden_output():
+    # tests/golden/readme_cli.txt was written by readme_transcript(); a change
+    # to what any README command prints shows up here
+    assert readme_transcript() == GOLDEN.read_text(encoding="utf-8")

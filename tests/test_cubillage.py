@@ -136,6 +136,31 @@ def test_standard_requires_enough_colors():
         antistandard((1, 2), 0)
 
 
+def standard_oracle(colors, d):
+    """The standard cubillage by repeated top-color expansion along the back."""
+    cs = tuple(sorted(colors))
+    if len(cs) == d:
+        return Cubillage(cs, d, [((), cs)])
+    inner = standard_oracle(cs[:-1], d)
+    return expand(inner, inner.types(), cs[-1])
+
+
+def antistandard_oracle(colors, d):
+    """The antistandard cubillage by repeated top-color expansion along the front."""
+    cs = tuple(sorted(colors))
+    if len(cs) == d:
+        return Cubillage(cs, d, [((), cs)])
+    return expand(antistandard_oracle(cs[:-1], d), [], cs[-1])
+
+
+@pytest.mark.parametrize("colors", [crange(n) for n in range(1, 10)]
+                         + [(2, 3, 5, 8, 9), (1, 4, 6, 7, 10, 12)])
+def test_parity_roots_match_recursive_oracles(colors):
+    for d in range(1, len(colors) + 1):
+        assert standard(colors, d) == standard_oracle(colors, d)
+        assert antistandard(colors, d) == antistandard_oracle(colors, d)
+
+
 def test_counting_identities_full_grid():
     for d in range(1, 5):
         for n in range(d, 9):

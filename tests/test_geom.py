@@ -16,7 +16,6 @@ from zonocube.geom import (
     overlap_free,
     render_svg,
     triangulation_volume,
-    vertex_coordinates,
     zonotope_volume,
 )
 
@@ -50,9 +49,9 @@ def test_det_sign_antisymmetry():
 
 def test_vertex_coordinates():
     real = Realization((1, 2, 3), 2)
-    assert vertex_coordinates((), real) == (0, 0)
-    assert vertex_coordinates((1, 2, 3), real) == (3, 6)
-    assert vertex_coordinates((2,), real) == (1, 2)
+    assert real.point(()) == (0, 0)
+    assert real.point((1, 2, 3)) == (3, 6)
+    assert real.point((2,)) == (1, 2)
 
 
 def test_reparameterization_invariance():

@@ -21,6 +21,7 @@ from zonocube.systems import (
     AdmissibleOrder,
     ScaleGuardError,
     _count_cliques,
+    _exact_cliques,
     _max_clique,
     extension_search,
     from_consistent,
@@ -279,6 +280,22 @@ def count_cliques_oracle(adj, cand_mask, size):
     return total
 
 
+def clique_witness_oracle(adj: list[int], cand_mask: int, size: int):
+    """Some clique of exactly the requested size, or None."""
+    if size == 0:
+        return []
+    mm = cand_mask
+    while mm:
+        v = (mm & -mm).bit_length() - 1
+        mm &= mm - 1
+        if bin(cand_mask & adj[v]).count("1") >= size - 1:
+            rest = clique_witness_oracle(adj, cand_mask & adj[v] & ~((1 << (v + 1)) - 1), size - 1)
+            if rest is not None:
+                return [v] + rest
+        cand_mask &= ~(1 << v)
+    return None
+
+
 # denser graphs get fewer vertices, so that the oracles' clique counts stay small
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from([(40, 0.1), (40, 0.3), (40, 0.5), (30, 0.7), (20, 0.9)]),
@@ -297,6 +314,9 @@ def test_clique_engines_match_oracles(shape, keep, seed, data):
     assert _max_clique(adj, cand) == best
     for k in range(best + 2):
         assert _count_cliques(adj, cand, k) == count_cliques_oracle(adj, cand, k)
+        first = next(_exact_cliques(adj, cand, k), None)
+        witness = clique_witness_oracle(adj, cand, k)
+        assert (None if first is None else [v for v in range(size) if first >> v & 1]) == witness
 
 
 def test_scale_guard_is_one_class():
