@@ -9,13 +9,14 @@ import json
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, add, is_even, is_r_separated, packet, subsets
+from .colors import Colors, add, is_even, is_r_separated, subsets
 # unused here, but bench/test_bench.py reaches them as bruhat.colorset and
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
 from .cubillage import Cubillage, CubillageError
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
 from .order import find_flips  # noqa: F401
+from .order import _closure
 from .systems import (
     ScaleGuardError,
     _check_dimensions,
@@ -39,7 +40,7 @@ def _packets(n: int, d: int) -> tuple[tuple[tuple[int, frozenset[int]], ...], ..
     bit = _bits(n, d)
     packets: list[list[tuple[int, frozenset[int]]]] = [[] for _ in bit]
     for p in subsets(range(1, n + 1), d + 2):
-        members = [bit[k] for k in packet(p, d + 1)]
+        members = [bit[k] for k in itertools.combinations(p, d + 1)]
         masks = [1 << i for i in members]
         intervals = frozenset(sum(masks[:i]) for i in range(len(masks) + 1)) | \
             frozenset(sum(masks[i:]) for i in range(len(masks) + 1))
@@ -83,7 +84,7 @@ def _cubillage_of_mask(n: int, d: int, inv: int) -> Cubillage:
     """
     cubes = [(tuple(c for c, b, even in row if bool(inv & b) == even), t)
              for t, row in _roots(n, d)]
-    return Cubillage(range(1, n + 1), d, cubes)
+    return Cubillage._trusted(tuple(range(1, n + 1)), d, cubes)
 
 
 def _inversion_mask(n: int, d: int, q: Cubillage) -> int:
@@ -174,17 +175,7 @@ class BruhatPoset:
                 if j is not None and j != i:
                     covers.append((i, j))
         self.covers = tuple(sorted(covers))
-        succ: dict[int, list[int]] = {}
-        for a, b in self.covers:
-            succ.setdefault(a, []).append(b)
-        # covers raise rank and elements are rank-sorted, so b > a throughout
-        up = [0] * len(self.elements)
-        for i in range(len(self.elements) - 1, -1, -1):
-            mask = 1 << i
-            for b in succ.get(i, ()):
-                mask |= up[b]
-            up[i] = mask
-        self._up = up
+        _, _, self._up = _closure(range(len(self.elements)), self.covers)
 
     def __len__(self):
         return len(self.elements)

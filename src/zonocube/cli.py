@@ -76,7 +76,7 @@ def _load_sets(args) -> list:
             raise ValueError("--sets must be a JSON list of color lists")
         return [colorset(s) for s in data]
     if getattr(args, "input", None):
-        return [colorset(s) for s in SetSystem.from_json(_read_text(args.input)).sets]
+        return list(SetSystem.from_json(_read_text(args.input)).sets)
     raise ValueError("no sets given: pass --sets or an input file")
 
 

@@ -4,7 +4,9 @@ Colors are positive integers (not necessarily contiguous: deleting a color
 never relabels the rest).  A color set is always a strictly increasing tuple;
 these tuples are the single currency used for cube roots, cube types, vertex
 spectra and set systems everywhere in the package.  Everything here is pure
-and immutable.
+and immutable.  colorset canonicalizes color sets where they enter from
+callers; inside the package only canonical tuples (from colorset, subsets,
+add, minus, union) are passed on, and they are never canonicalized again.
 """
 
 from __future__ import annotations
@@ -142,13 +144,13 @@ def is_peripheral(x, n: int, d: int) -> bool:
 def packet(parent, d: int) -> tuple[Colors, ...]:
     """The packet of a (d+1)-element parent: its d-subsets in lex order.
 
-    For parent {i_1 < ... < i_{d+1}} the lex order is
-    parent-i_{d+1} < parent-i_d < ... < parent-i_1.
+    For parent {i_1 < ... < i_{d+1}} the lex order, the one itertools.combinations
+    yields, is parent-i_{d+1} < parent-i_d < ... < parent-i_1.
     """
     ks = colorset(parent)
     if len(ks) != d + 1:
         raise ValueError(f"parent {ks} must have size {d + 1}")
-    return tuple(minus(ks, (i,)) for i in reversed(ks))
+    return tuple(itertools.combinations(ks, d))
 
 
 class SetSystem:
@@ -164,6 +166,7 @@ class SetSystem:
             if s and s[-1] > self.n:
                 raise ValueError(f"member {s} exceeds universe [{self.n}]")
         self.sets: tuple[Colors, ...] = tuple(canon)
+        self._members = frozenset(canon)
 
     def __iter__(self):
         return iter(self.sets)
@@ -172,7 +175,7 @@ class SetSystem:
         return len(self.sets)
 
     def __contains__(self, s):
-        return colorset(s) in set(self.sets)
+        return colorset(s) in self._members
 
     def __eq__(self, other):
         return isinstance(other, SetSystem) and (self.n, self.sets) == (other.n, other.sets)

@@ -6,7 +6,10 @@ root vertex.  The single source of geometric truth is the parity rule from
 colors.is_even; the geom module re-derives every visibility decision from
 exact determinants and is used in the tests to cross-check this module.
 
-All values are immutable; operations return fresh objects.
+All values are immutable; operations return fresh objects.  Color sets are
+canonicalized where they enter: Cubillage(...), from_json, and public
+functions given color sets (root_of, expand, ...).  Internal builders pass
+canonical tuples to Cubillage._trusted and read _root_by_type directly.
 """
 
 from __future__ import annotations
@@ -36,22 +39,31 @@ class CubillageError(Exception):
 class Cubillage:
     """A type-indexed collection of cubes over a fixed color set.
 
-    Construction does not validate tiling-hood; call validate() for the full
-    diagnosis.  Instances are immutable by convention and hash on their
-    canonical cube listing.
+    Construction canonicalizes every color set but does not validate
+    tiling-hood; call validate() for the full diagnosis.  Instances are
+    immutable by convention and hash on their canonical cube listing.
     """
 
     __slots__ = ("colors", "d", "_root_by_type", "_cache")
 
     def __init__(self, colors, d: int, cubes):
-        self.colors: Colors = colorset(colors)
+        self._fill(colorset(colors), d, ((colorset(root), colorset(typ)) for root, typ in cubes))
+
+    @classmethod
+    def _trusted(cls, colors: Colors, d: int, cubes) -> "Cubillage":
+        """Construction from canonical colors and (root, type) tuples built
+        inside the package: only the dimension and duplicate types are checked."""
+        q = cls.__new__(cls)
+        q._fill(colors, d, cubes)
+        return q
+
+    def _fill(self, colors: Colors, d: int, cubes):
+        self.colors = colors
         self.d = int(d)
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         by_type = {}
         for root, typ in cubes:
-            root = colorset(root)
-            typ = colorset(typ)
             if typ in by_type:
                 raise ValueError(f"duplicate cube type {typ}")
             by_type[typ] = root
@@ -95,12 +107,8 @@ class Cubillage:
     def vertices(self) -> frozenset[Colors]:
         """All vertex spectra: root ∪ S over cubes and subsets S of their types."""
         if "vertices" not in self._cache:
-            seen = set()
-            for typ, root in self._root_by_type.items():
-                for k in range(len(typ) + 1):
-                    for s in itertools.combinations(typ, k):
-                        seen.add(union(root, s))
-            self._cache["vertices"] = frozenset(seen)
+            self._cache["vertices"] = frozenset(
+                v for v, _, _ in _face_spectra((r, t) for t, r in self._root_by_type.items()))
         return self._cache["vertices"]
 
     def to_json(self) -> str:
@@ -114,6 +122,14 @@ class Cubillage:
     def from_json(cls, text: str) -> "Cubillage":
         data = json.loads(text)
         return cls(data["colors"], data["d"], [(c["root"], c["type"]) for c in data["cubes"]])
+
+
+def _face_spectra(faces):
+    """(root ∪ S, S, type) for every face (root, type) and every subset S of its type."""
+    for root, typ in faces:
+        for k in range(len(typ) + 1):
+            for s in itertools.combinations(typ, k):
+                yield union(root, s), s, typ
 
 
 def facet_sides(cube: Cube) -> dict[int, tuple[Facet, Facet]]:
@@ -172,6 +188,23 @@ def _pairing(q: Cubillage):
     return visible, invisible
 
 
+def _membrane(q: Cubillage, stack: frozenset[Colors]) -> frozenset[Facet]:
+    """membrane_of_stack() for a stack of canonical types known to be an order ideal."""
+    visible, invisible = _pairing(q)
+    plates = set()
+    for facet, below in invisible.items():
+        above = visible.get(facet)
+        if above is None:
+            if below in stack:
+                plates.add(facet)
+        elif below in stack and above not in stack:
+            plates.add(facet)
+    for facet, above in visible.items():
+        if facet not in invisible and above not in stack:
+            plates.add(facet)
+    return frozenset(plates)
+
+
 def cover_relations(q: Cubillage) -> tuple[tuple[Colors, Colors], ...]:
     """Pairs (below, above) of types sharing a facet invisible below, visible above."""
     visible, invisible = _pairing(q)
@@ -197,14 +230,15 @@ def validate(q: Cubillage):
     n, d = q.n, q.d
     if n < d:
         return f"fewer colors ({n}) than the dimension ({d})"
-    expected = {colorset(t) for t in subsets(q.colors, d)}
+    expected = set(subsets(q.colors, d))
     have = set(q._root_by_type)
     if have != expected:
         missing = sorted(expected - have)
         extra = sorted(have - expected)
         return f"type map is not a bijection (missing {missing[:3]}, extra {extra[:3]})"
+    colors = set(q.colors)
     for typ, root in q._root_by_type.items():
-        if inter(root, typ) or any(c not in set(q.colors) for c in root):
+        if inter(root, typ) or any(c not in colors for c in root):
             return f"cube {typ} has invalid root {root}"
     try:
         visible, invisible = _pairing(q)
@@ -241,15 +275,11 @@ def is_valid(q: Cubillage) -> bool:
 def edge_graph(q: Cubillage) -> dict[Colors, set[tuple[int, Colors]]]:
     """Directed edges spectrum -> (color, spectrum+color) along cube edges."""
     out: dict[Colors, set] = {}
-    for typ, root in q._root_by_type.items():
-        for k in range(len(typ) + 1):
-            for s in itertools.combinations(typ, k):
-                base = union(root, s)
-                for i in typ:
-                    if i not in s:
-                        out.setdefault(base, set()).add((i, add(base, i)))
-    for v in q.vertices():
-        out.setdefault(v, set())
+    for base, s, typ in _face_spectra((r, t) for t, r in q._root_by_type.items()):
+        edges = out.setdefault(base, set())
+        for i in typ:
+            if i not in s:
+                edges.add((i, add(base, i)))
     return out
 
 
@@ -275,7 +305,7 @@ def _extreme(colors, d: int, even: bool, name: str) -> Cubillage:
     cs = colorset(colors)
     if len(cs) < d or d < 1:
         raise ValueError(f"{name} cubillage needs |colors| >= d >= 1, got {cs}, d={d}")
-    return Cubillage(cs, d, [(_parity_root(cs, t, even), t) for t in subsets(cs, d)])
+    return Cubillage._trusted(cs, d, [(_parity_root(cs, t, even), t) for t in subsets(cs, d)])
 
 
 def standard(colors, d: int) -> Cubillage:
@@ -329,7 +359,7 @@ def reduce(q: Cubillage, i: int) -> Reduction:
             kept.append((minus(root, (i,)), typ))
             if i not in set(root):
                 below.add(typ)
-    out = Cubillage(minus(q.colors, (i,)), q.d, kept)
+    out = Cubillage._trusted(minus(q.colors, (i,)), q.d, kept)
     return Reduction(out, frozenset(seam), frozenset(below))
 
 
@@ -340,21 +370,22 @@ def expand(q: Cubillage, stack, i: int) -> Cubillage:
     every existing color.  Cubes in the stack keep their roots, the rest gain
     i, and each membrane plate grows into a new cube of type plate+i.
     """
-    from .order import membrane_of_stack, natural_order
+    from .order import natural_order
 
     if q.colors and i <= q.colors[-1]:
         raise ValueError(f"expansion color {i} must exceed max color {q.colors[-1]}")
     stack = frozenset(colorset(t) for t in stack)
-    order = natural_order(q)
-    if not order.is_ideal(stack):
+    if not natural_order(q).is_ideal(stack):
         raise ValueError("stack is not a downward closed set of cube types")
-    plates = membrane_of_stack(q, stack)
-    cubes = []
-    for typ, root in q._root_by_type.items():
-        cubes.append((root if typ in stack else add(root, i), typ))
-    for plate in plates:
-        cubes.append((plate.root, add(plate.type, i)))
-    return Cubillage(add(q.colors, i), q.d, cubes)
+    return _expand(q, stack, i)
+
+
+def _expand(q: Cubillage, stack: frozenset[Colors], i: int) -> Cubillage:
+    """expand() for a canonical order ideal stack and a color above all of q's."""
+    cubes = [(root if typ in stack else add(root, i), typ)
+             for typ, root in q._root_by_type.items()]
+    cubes += [(plate.root, add(plate.type, i)) for plate in _membrane(q, stack)]
+    return Cubillage._trusted(add(q.colors, i), q.d, cubes)
 
 
 def _expand_at_side(q: Cubillage, i: int, front: bool) -> Cubillage:
@@ -363,7 +394,7 @@ def _expand_at_side(q: Cubillage, i: int, front: bool) -> Cubillage:
     cubes = [(add(root, i) if front else root, typ) for typ, root in q._root_by_type.items()]
     for j in subsets(q.colors, q.d - 1):
         cubes.append((_parity_root(q.colors, j, is_even(i, j) != front), add(j, i)))
-    return Cubillage(add(q.colors, i), q.d, cubes)
+    return Cubillage._trusted(add(q.colors, i), q.d, cubes)
 
 
 def expand_at_back(q: Cubillage, i: int) -> Cubillage:
@@ -399,14 +430,13 @@ def embed_subcubillage(q_t: Cubillage, x, colors) -> Cubillage:
         raise ValueError("x must avoid the colors of the embedded cubillage")
     if not (w | set(xs)) <= set(cs):
         raise ValueError("x and the embedded colors must lie inside the target colors")
-    free = [c for c in cs if c not in w and c not in set(xs)]
-    if free:
-        i = free[-1]
-        return expand_at_back(embed_subcubillage(q_t, xs, minus(cs, (i,))), i)
-    if xs:
-        i = xs[-1]
-        return expand_at_front(embed_subcubillage(q_t, xs[:-1], minus(cs, (i,))), i)
-    return q_t
+    q = q_t
+    for i in xs:
+        q = expand_at_front(q, i)
+    for i in cs:
+        if i not in w and i not in xs:
+            q = expand_at_back(q, i)
+    return q
 
 
 def contract(q: Cubillage, i: int) -> Cubillage:
@@ -415,14 +445,12 @@ def contract(q: Cubillage, i: int) -> Cubillage:
     Guaranteed to be a cubillage of Z(colors-i, d-1) when i is the top color;
     for lower colors the result is returned unvalidated.
     """
-    if i not in set(q.colors):
-        raise ValueError(f"color {i} not in {q.colors}")
     cubes = [(c.root, minus(c.type, (i,))) for c in partition(q, i)]
-    return Cubillage(minus(q.colors, (i,)), q.d - 1, cubes)
+    return Cubillage._trusted(minus(q.colors, (i,)), q.d - 1, cubes)
 
 
 def central_symmetry(q: Cubillage) -> Cubillage:
     """The image of the cubillage under the point symmetry of the zonotope."""
     full = set(q.colors)
     cubes = [(tuple(sorted(full - set(c.root) - set(c.type))), c.type) for c in q.cubes]
-    return Cubillage(q.colors, q.d, cubes)
+    return Cubillage._trusted(q.colors, q.d, cubes)

@@ -13,14 +13,43 @@ from .cubillage import (
     Cubillage,
     CubillageError,
     Facet,
-    _pairing,
+    _expand,
+    _face_spectra,
+    _membrane,
     antistandard,
     boundary_plates,
     cover_relations,
-    expand,
     reduce as reduce_color,
     standard,
 )
+
+
+def _closure(nodes, relations):
+    """(index, topological order, up) of (below, above) relations on nodes,
+    or None on a cycle: index[t] is t's position in nodes, up[t] the bitmask
+    of the indices reachable from t, and the order is Kahn's, taken in the
+    order of nodes and relations."""
+    index = {t: k for k, t in enumerate(nodes)}
+    succs = {t: [] for t in nodes}
+    indeg = dict.fromkeys(nodes, 0)
+    for below, above in relations:
+        succs[below].append(above)
+        indeg[above] += 1
+    topo = [t for t in nodes if indeg[t] == 0]
+    for t in topo:  # grows while it is read
+        for s in succs[t]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                topo.append(s)
+    if len(topo) != len(nodes):
+        return None
+    up = {}
+    for t in reversed(topo):
+        mask = 1 << index[t]
+        for s in succs[t]:
+            mask |= up[s]
+        up[t] = mask
+    return index, topo, up
 
 
 class NaturalOrder:
@@ -29,48 +58,27 @@ class NaturalOrder:
     Cube Q precedes Q' when they share a facet invisible for Q and visible
     for Q'; the partial order is the reflexive-transitive closure.  Built
     once per cubillage and cached there; a cycle means the input was corrupt.
+    Methods take types as canonical tuples.
     """
 
     def __init__(self, q: Cubillage):
         self.cubillage = q
         self.covers = cover_relations(q)
-        self.types = sorted(q.types())
-        self._index = {t: k for k, t in enumerate(self.types)}
-        succs = {t: [] for t in self.types}
-        indeg = {t: 0 for t in self.types}
-        for below, above in self.covers:
-            succs[below].append(above)
-            indeg[above] += 1
-        topo = [t for t in self.types if indeg[t] == 0]
-        head = 0
-        while head < len(topo):
-            t = topo[head]
-            head += 1
-            for s in succs[t]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    topo.append(s)
-        if len(topo) != len(self.types):
+        self.types = q.types()
+        closure = _closure(self.types, self.covers)
+        if closure is None:
             raise CubillageError("precedence relation has a cycle; not a cubillage")
-        self._topo = topo
-        up = {t: 1 << self._index[t] for t in self.types}
-        for t in reversed(topo):
-            mask = up[t]
-            for s in succs[t]:
-                mask |= up[s]
-            up[t] = mask
-        self._up = up
+        self._index, self._topo, self._up = closure
 
     def topological(self) -> list[Colors]:
         return list(self._topo)
 
     def leq(self, a, b) -> bool:
-        a, b = colorset(a), colorset(b)
         return bool(self._up[a] & (1 << self._index[b]))
 
     def is_ideal(self, types_set) -> bool:
-        member = frozenset(colorset(t) for t in types_set)
-        if not member <= set(self.types):
+        member = frozenset(types_set)
+        if not self._index.keys() >= member:
             return False
         return all(below in member for below, above in self.covers if above in member)
 
@@ -120,31 +128,12 @@ def membrane_of_stack(q: Cubillage, stack) -> frozenset[Facet]:
     stack = frozenset(colorset(t) for t in stack)
     if not natural_order(q).is_ideal(stack):
         raise ValueError("stack is not a downward closed set of cube types")
-    visible, invisible = _pairing(q)
-    plates = set()
-    for facet, below in invisible.items():
-        above = visible.get(facet)
-        if above is None:
-            if below in stack:
-                plates.add(facet)
-        elif below in stack and above not in stack:
-            plates.add(facet)
-    for facet, above in visible.items():
-        if facet not in invisible and above not in stack:
-            plates.add(facet)
-    return frozenset(plates)
+    return _membrane(q, stack)
 
 
 def plate_vertices(plates) -> frozenset[Colors]:
     """All vertex spectra of a plate collection."""
-    import itertools
-
-    out = set()
-    for plate in plates:
-        for k in range(len(plate.type) + 1):
-            for s in itertools.combinations(plate.type, k):
-                out.add(union(plate.root, s))
-    return frozenset(out)
+    return frozenset(v for v, _, _ in _face_spectra(plates))
 
 
 def side_of_membrane(typ, membrane_vertices) -> str:
@@ -155,7 +144,11 @@ def side_of_membrane(typ, membrane_vertices) -> str:
     {k_{d-1}, k_{d-3}, ...}.  Exactly one pattern occurs on an actual
     membrane; anything else raises.
     """
-    t = colorset(typ)
+    return _side(colorset(typ), membrane_vertices)
+
+
+def _side(t: Colors, membrane_vertices) -> str:
+    """side_of_membrane() for a canonical type."""
     before_pat = tuple(sorted(t[::-1][::2]))
     after_pat = tuple(sorted(t[::-1][1::2]))
     hit_before = hit_after = False
@@ -177,10 +170,10 @@ def stack_of_membrane(q: Cubillage, plates) -> frozenset[Colors]:
     """Invert membrane_of_stack; raises when the plates are not a membrane of q."""
     plates = frozenset(plates)
     verts = plate_vertices(plates)
-    stack = frozenset(t for t in q.types() if side_of_membrane(t, verts) == "before")
+    stack = frozenset(t for t in q.types() if _side(t, verts) == "before")
     if not natural_order(q).is_ideal(stack):
         raise CubillageError("membrane sides do not form an order ideal")
-    if membrane_of_stack(q, stack) != plates:
+    if _membrane(q, stack) != plates:
         raise CubillageError("plates are not a membrane of this cubillage")
     return stack
 
@@ -207,11 +200,11 @@ def _flip_fragment(q: Cubillage, parent: Colors):
     """Common outside-root and the position-relabeled fragment at a parent,
     or None when the d+1 cubes do not sit together as a capsid."""
     roots = []
-    for t in subsets(parent, q.d):
-        typ = colorset(t)
-        if typ not in q:
+    for typ in subsets(parent, q.d):
+        root = q._root_by_type.get(typ)
+        if root is None:
             return None
-        roots.append((typ, q.root_of(typ)))
+        roots.append((typ, root))
     kset = set(parent)
     outside = {tuple(c for c in root if c not in kset) for _, root in roots}
     if len(outside) != 1:
@@ -236,7 +229,6 @@ def find_flips(q: Cubillage) -> tuple[tuple[Colors, str], ...]:
     std, anti = _capsid_patterns(q.d)
     out = []
     for parent in subsets(q.colors, q.d + 1):
-        parent = colorset(parent)
         got = _flip_fragment(q, parent)
         if got is None:
             continue
@@ -265,19 +257,19 @@ def apply_flip(q: Cubillage, parent) -> Cubillage:
     else:
         raise ValueError(f"parent {parent} is not flippable")
     unpos = dict(enumerate(parent, start=1))
-    cubes = [(root, typ) for typ, root in q._root_by_type.items()
-             if not set(typ) <= set(parent)]
+    kset = set(parent)
+    cubes = [(root, typ) for typ, root in q._root_by_type.items() if not kset.issuperset(typ)]
     for r_pos, t_pos in replacement:
         root = union(x0, (unpos[p] for p in r_pos))
         cubes.append((root, tuple(unpos[p] for p in t_pos)))
-    return Cubillage(q.colors, q.d, cubes)
+    return Cubillage._trusted(q.colors, q.d, cubes)
 
 
 def avalanche(q: Cubillage) -> Cubillage:
     """Move the whole top-color layer flush to the back boundary in one step."""
     m = q.colors[-1]
     inner = reduce_color(q, m).cubillage
-    return expand(inner, inner.types(), m)
+    return _expand(inner, frozenset(inner.types()), m)
 
 
 def standardize(q: Cubillage) -> tuple[Cubillage, ...]:
@@ -291,7 +283,7 @@ def standardize(q: Cubillage) -> tuple[Cubillage, ...]:
         return (q,)
     m = q.colors[-1]
     inner_seq = standardize(reduce_color(q, m).cubillage)
-    return (q,) + tuple(expand(s, s.types(), m) for s in inner_seq)
+    return (q,) + tuple(_expand(s, frozenset(s.types()), m) for s in inner_seq)
 
 
 def _canonical_flip(r: Cubillage, direction: str) -> Colors | None:
@@ -307,7 +299,7 @@ def _canonical_flip(r: Cubillage, direction: str) -> Colors | None:
     m = r.colors[-1]
     behind = direction == "lowering"
     movable = [t for t in r.types()
-               if m not in t and (m in set(r.root_of(t))) == behind]
+               if m not in t and (m in r._root_by_type[t]) == behind]
     if not movable:
         return _canonical_flip(reduce_color(r, m).cubillage, direction)
     topo = natural_order(r).topological()
@@ -337,7 +329,7 @@ def canonical_extension(qp: Cubillage) -> Cubillage:
             x0, _ = _flip_fragment(cur, parent)
             cubes.append((x0, parent))
             cur = apply_flip(cur, parent)
-    return Cubillage(qp.colors, qp.d + 1, cubes)
+    return Cubillage._trusted(qp.colors, qp.d + 1, cubes)
 
 
 class Garland(NamedTuple):

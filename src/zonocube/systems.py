@@ -25,15 +25,14 @@ from .colors import (
     is_r_separated,
     is_weakly_k_separated,
     minus,
-    packet,
     subsets,
 )
-from .cubillage import Cubillage, CubillageError, Facet, expand
+from .cubillage import Cubillage, CubillageError, Facet, _expand, _membrane
 from .order import (
-    membrane_of_stack,
+    _closure,
+    _side,
     natural_order,
     plate_vertices,
-    side_of_membrane,
 )
 
 
@@ -68,62 +67,42 @@ def inversions(q: Cubillage) -> frozenset[Colors]:
     standard cubillage, all of Gr(colors,d+1) for the antistandard one.
     """
     return frozenset(parent for parent in subsets(q.colors, q.d + 1)
-                     if parent[-1] in q.root_of(parent[:-1]))
+                     if parent[-1] in q._root_by_type[parent[:-1]])
 
 
 class AdmissibleOrder:
     """A partial order on d-subsets whose packet restrictions are all lex or
     antilex chains.  Stored as generating relations; the closure is built and
-    the admissibility invariant is checked at construction."""
+    the admissibility invariant is checked at construction.  leq and
+    packet_direction take canonical color sets."""
 
     def __init__(self, colors, d: int, relations):
         self.colors: Colors = colorset(colors)
         self.d = int(d)
         self.relations = tuple(sorted((colorset(a), colorset(b)) for a, b in relations))
-        nodes = [colorset(t) for t in subsets(self.colors, self.d)]
-        index = {t: i for i, t in enumerate(nodes)}
+        self._nodes = list(subsets(self.colors, self.d))
+        known = set(self._nodes)
         for a, b in self.relations:
-            if a not in index or b not in index:
+            if a not in known or b not in known:
                 raise ValueError(f"relation {a} < {b} leaves the grassmannian")
-        succs = {t: set() for t in nodes}
-        for a, b in self.relations:
-            succs[a].add(b)
-        up = {}
-        state = {t: 0 for t in nodes}
-
-        def reach(t):
-            if state[t] == 2:
-                return up[t]
-            if state[t] == 1:
-                raise ValueError("relations contain a cycle; not an order")
-            state[t] = 1
-            mask = 1 << index[t]
-            for s in succs[t]:
-                mask |= reach(s)
-            up[t] = mask
-            state[t] = 2
-            return mask
-
-        for t in nodes:
-            reach(t)
-        self._nodes = nodes
-        self._index = index
-        self._up = up
+        closure = _closure(self._nodes, self.relations)
+        if closure is None:
+            raise ValueError("relations contain a cycle; not an order")
+        self._index, _, self._up = closure
         for parent in subsets(self.colors, self.d + 1):
-            self.packet_direction(colorset(parent))
+            self.packet_direction(parent)
 
     def leq(self, a, b) -> bool:
-        a, b = colorset(a), colorset(b)
         return bool(self._up[a] & (1 << self._index[b]))
 
     def packet_direction(self, parent) -> str:
         """"lex" or "antilex"; raises when the packet is not a full chain."""
-        chain = packet(parent, self.d)
+        chain = list(itertools.combinations(parent, self.d))
         if all(self.leq(a, b) for a, b in zip(chain, chain[1:])):
             return "lex"
         if all(self.leq(b, a) for a, b in zip(chain, chain[1:])):
             return "antilex"
-        raise ValueError(f"packet of {colorset(parent)} is not a lex or antilex chain")
+        raise ValueError(f"packet of {parent} is not a lex or antilex chain")
 
     def linear_extension(self) -> list[Colors]:
         return sorted(self._nodes, key=lambda t: (-bin(self._up[t]).count("1"), t))
@@ -173,16 +152,14 @@ def from_order(order: AdmissibleOrder) -> Cubillage:
 
     def build(cs: Colors) -> Cubillage:
         if len(cs) == order.d:
-            return Cubillage(cs, order.d, [((), cs)])
+            return Cubillage._trusted(cs, order.d, [((), cs)])
         m = cs[-1]
         inner = build(cs[:-1])
-        ideal = frozenset(
-            colorset(t) for t in subsets(cs[:-1], order.d)
-            if order.packet_direction(add(colorset(t), m)) == "lex"
-        )
+        ideal = frozenset(t for t in subsets(cs[:-1], order.d)
+                          if order.packet_direction(add(t, m)) == "lex")
         if not natural_order(inner).is_ideal(ideal):
             raise CubillageError(f"lex types at color {m} are not an order ideal; not admissible")
-        return expand(inner, ideal, m)
+        return _expand(inner, ideal, m)
 
     if len(order.colors) < order.d:
         raise ValueError("fewer colors than the dimension")
@@ -203,8 +180,7 @@ def is_consistent(sets, n: int) -> bool:
         return True
     d = sizes.pop()
     for parent in subsets(range(1, n + 1), d + 1):
-        chain = packet(parent, d)
-        flags = [t in members for t in chain]
+        flags = [t in members for t in itertools.combinations(parent, d)]
         k = sum(flags)
         if k and not (all(flags[:k]) or all(flags[-k:])):
             return False
@@ -228,11 +204,16 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
     type set is the input.  The projected membrane is a (d-1)-cubillage whose
     inversion system equals the input.
     """
-    members = {colorset(s) for s in sets}
+    members = frozenset(colorset(s) for s in sets)
     if any(len(s) != d for s in members):
         raise ValueError(f"members must be {d}-subsets")
     if not is_consistent(members, n):
         raise ValueError("system is not consistent")
+    return _from_consistent(members, n, d)
+
+
+def _from_consistent(members: frozenset[Colors], n: int, d: int) -> MembraneWitness:
+    """from_consistent() for a consistent family of canonical d-subsets."""
     colors = tuple(range(1, n + 1))
     if d == 1:
         # membranes of a segment chain are lattice points; stack any chain
@@ -245,21 +226,20 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
         for c in seq:
             cubes.append((prefix, (c,)))
             prefix = add(prefix, c)
-        ambient = Cubillage(colors, 1, cubes)
+        ambient = Cubillage._trusted(colors, 1, cubes)
     elif n == d:
-        ambient = Cubillage(colors, d, [((), colors)])
+        ambient = Cubillage._trusted(colors, d, [((), colors)])
     else:
-        sub = {s for s in members if n not in s}
-        inner = from_consistent(sub, n - 1, d)
-        ambient = expand(inner.ambient, inner.stack, n)
-    stack = frozenset(members)
-    if not natural_order(ambient).is_ideal(stack):
+        inner = _from_consistent(frozenset(s for s in members if n not in s), n - 1, d)
+        ambient = _expand(inner.ambient, inner.stack, n)
+    if not natural_order(ambient).is_ideal(members):
         raise CubillageError("consistent system is not a stack of the ambient cubillage")
-    plates = membrane_of_stack(ambient, stack)
-    projected = Cubillage(colors, d - 1, [(p.root, p.type) for p in plates]) if d > 1 else None
-    if projected is not None and inversions(projected) != stack:
+    plates = _membrane(ambient, members)
+    projected = (Cubillage._trusted(colors, d - 1, [(p.root, p.type) for p in plates])
+                 if d > 1 else None)
+    if projected is not None and inversions(projected) != members:
         raise CubillageError("membrane inversion system does not reproduce the input")
-    return MembraneWitness(plates, projected, ambient, stack)
+    return MembraneWitness(plates, projected, ambient, members)
 
 
 def _check_separated(sets, r: int):
@@ -287,16 +267,16 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
     if len(members) != sum(comb(len(cs), j) for j in range(d + 1)):
         raise ValueError("system size is not C(n,<=d)")
     _check_separated(members, d - 1)
+    if any(not set(s) <= set(cs) for s in members):
+        raise NotRealizableError("spectra leave the color universe")
     return _from_spectra(members, cs, d)
 
 
 def _from_spectra(members, cs: Colors, d: int) -> Cubillage:
-    if any(not set(s) <= set(cs) for s in members):
-        raise NotRealizableError("spectra leave the color universe")
     if len(cs) == d:
-        if members != {colorset(s) for k in range(d + 1) for s in subsets(cs, k)}:
+        if members != {s for k in range(d + 1) for s in subsets(cs, k)}:
             raise NotRealizableError("base case is not the full cube spectrum")
-        return Cubillage(cs, d, [((), cs)])
+        return Cubillage._trusted(cs, d, [((), cs)])
     m = cs[-1]
     s0 = {s for s in members if m not in s}
     s2 = {minus(s, (m,)) for s in members if m in s}
@@ -304,14 +284,14 @@ def _from_spectra(members, cs: Colors, d: int) -> Cubillage:
     seam_vertices = s0 & s2
     try:
         stack = frozenset(
-            t for t in inner.types() if side_of_membrane(t, seam_vertices) == "before")
+            t for t in inner.types() if _side(t, seam_vertices) == "before")
     except CubillageError as exc:
         raise NotRealizableError(f"seam spectra do not describe a membrane: {exc}") from exc
     if not natural_order(inner).is_ideal(stack):
         raise NotRealizableError("seam stack is not an order ideal")
-    if plate_vertices(membrane_of_stack(inner, stack)) != seam_vertices:
+    if plate_vertices(_membrane(inner, stack)) != seam_vertices:
         raise NotRealizableError("seam membrane does not reproduce the doubled spectra")
-    return expand(inner, stack, m)
+    return _expand(inner, stack, m)
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +492,13 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     non-peripheral candidates; this collapses the interesting cases to a few
     dozen vertices.  complete mode looks for a completion reaching the
     C(n,<=d) maximum; certify-maximal enumerates the maximal-by-inclusion
-    completions and reports their sizes.
+    completions and reports their sizes.  Refuses n above MAX_SEPARATION_N
+    with ScaleGuardError before building the graph.
     """
     if mode not in ("complete", "certify-maximal"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_dimensions(n, d)
+    _separation_scale_guard(n)
     members = sorted({colorset(s) for s in sets})
     outside = [s for s in members if s and s[-1] > n]
     if outside:

@@ -19,9 +19,21 @@ from zonocube.bruhat import (
     separated_system_count,
     triangulation_shape_ok,
 )
-from zonocube.cubillage import Cubillage, antistandard, is_valid, standard
+from zonocube.cubillage import (
+    Cubillage,
+    antistandard,
+    central_symmetry,
+    contract,
+    expand,
+    expand_at_back,
+    expand_at_front,
+    is_valid,
+    reduce,
+    standard,
+    validate,
+)
 from zonocube.order import apply_flip, find_flips
-from zonocube.systems import inversions
+from zonocube.systems import from_consistent, from_order, from_spectra, inversions, order_of
 
 
 def crange(n):
@@ -111,6 +123,21 @@ def test_engine_matches_flip_graph_oracle(n, d):
     assert poset.covers == covers
 
 
+def is_canonical(cs):
+    return (type(cs) is tuple and all(type(c) is int and c > 0 for c in cs)
+            and all(a < b for a, b in zip(cs, cs[1:])))
+
+
+def assert_canonical(r):
+    """r holds only canonical color sets, survives a JSON round trip with
+    an equal hash, and is a valid cubillage."""
+    assert is_canonical(r.colors)
+    assert all(is_canonical(root) and is_canonical(typ) for root, typ in r.cubes)
+    again = Cubillage.from_json(r.to_json())
+    assert again == r and hash(again) == hash(r)
+    assert validate(r) is None
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.sampled_from([(8, 3), (8, 4), (9, 4)]), st.data())
 def test_engine_agrees_with_flips_on_random_walks(nd, data):
@@ -128,6 +155,20 @@ def test_engine_agrees_with_flips_on_random_walks(nd, data):
     for direction in ("raising", "lowering"):
         allowed = {parents[k] for k in _steps(n, d, inv, raising=direction == "raising")}
         assert allowed == {p for p, dirn in flips if dirn == direction}
+    # the internal builders hand back canonical, valid cubillages
+    assert_canonical(q)
+    parent = data.draw(st.sampled_from([p for p, _ in flips]), label="flip")
+    color = data.draw(st.sampled_from(crange(n)), label="color")
+    built = [apply_flip(q, parent), reduce(q, color).cubillage, expand(q, q.types(), n + 1),
+             contract(q, n), central_symmetry(q), expand_at_back(q, n + 1),
+             expand_at_front(q, n + 1)]
+    for r in built:
+        assert_canonical(r)
+    rebuilt = [from_spectra(q.vertices(), q.colors, d), from_order(order_of(q)),
+               from_consistent(inversions(q), n, d + 1).projected]
+    for r in rebuilt:
+        assert_canonical(r)
+        assert r == q
 
 
 # ------------------------------------------------------------------- poset

@@ -66,6 +66,12 @@ def test_weak_sep_scale_guard_exits_one():
     assert code == 1 and not out and err.startswith("error: n = 24 exceeds the cap 10")
 
 
+def test_extend_scale_guard_exits_one():
+    for mode in ([], ["--certify"]):
+        code, out, err = run_cli(["extend", "-n", "11", "-d", "3", "--sets", "[]", *mode])
+        assert code == 1 and not out and err.startswith("error: n = 11 exceeds the cap 10")
+
+
 def test_max_states_below_one_is_bad_input():
     for cmd in ("enumerate", "poset", "sec-surjectivity"):
         for cap in ("0", "-1"):
@@ -87,6 +93,9 @@ def test_validate_ok_and_exit_codes():
     # malformed input
     code, _, err = run_cli(["validate", "-"], stdin="{nope")
     assert code == 2
+    data["colors"] = [1, 1]
+    code, out, err = run_cli(["validate", "-"], stdin=json.dumps(data))
+    assert code == 2 and not out and err.startswith("bad input: duplicate colors")
     # unknown flag
     code, _, _ = run_cli(["enumerate", "-n", "4", "-d", "2", "--frobnicate"])
     assert code == 2

@@ -191,6 +191,11 @@ def test_setsystem_json_roundtrip():
     assert SetSystem.from_json(text) == ss
 
 
+def test_setsystem_membership_canonicalizes_the_query():
+    ss = SetSystem(3, [[1, 3]])
+    assert (3, 1) in ss and [1, 3] in ss and (1, 2) not in ss
+
+
 def test_setsystem_rejects_duplicates_and_strays():
     with pytest.raises(ValueError):
         SetSystem(4, [(1, 2), (2, 1)])

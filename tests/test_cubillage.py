@@ -29,7 +29,7 @@ from zonocube.cubillage import (
     tunnel,
     validate,
 )
-from zonocube.order import plate_vertices
+from zonocube.order import membrane_of_stack, plate_vertices
 
 
 def crange(n):
@@ -413,6 +413,25 @@ def test_central_symmetry_is_involution_preserving_validity():
         s = central_symmetry(q)
         assert validate(s) is None
         assert central_symmetry(s) == q
+
+
+def test_public_entry_points_canonicalize():
+    q = Cubillage([2, 1], 2, [([], [2, 1])])
+    assert q == Cubillage((1, 2), 2, [((), (1, 2))]) and q.root_of([2, 1]) == ()
+    r = standard((1, 3, 4), 2)
+    assert membrane_of_stack(r, [[3, 1]]) == membrane_of_stack(r, [(1, 3)])
+    grown = expand(r, [[3, 1]], 5)
+    assert grown == expand(r, [(1, 3)], 5) and validate(grown) is None
+
+
+def test_constructor_and_contract_rejections():
+    for colors, d, cubes in (((1, 2, 3), 2, [((), (1, 2)), ((3,), (2, 1))]),
+                             ((0, 1), 1, []),
+                             ((1, 2), 2, [((0,), (1, 2))])):
+        with pytest.raises(ValueError):
+            Cubillage(colors, d, cubes)
+    with pytest.raises(ValueError):
+        contract(standard(crange(3), 1), 3)  # would be 0-dimensional
 
 
 def test_json_roundtrip():
