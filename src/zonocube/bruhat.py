@@ -3,18 +3,18 @@ poset, and the slice map from cubillages to cyclic-polytope triangulations."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, add, is_even, is_r_separated, subsets
+from .colors import Colors, is_r_separated
 # unused here, but bench/test_bench.py reaches them as bruhat.colorset and
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
 from .cubillage import Cubillage, CubillageError
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
+from .masks import _cubillage_of_mask, _mask_of, _steps
 from .order import find_flips  # noqa: F401
 from .order import _closure
 from .systems import (
@@ -23,90 +23,18 @@ from .systems import (
     _count_cliques,
     _separation_graph,
     _separation_scale_guard,
-    inversions,
 )
-
-
-@functools.lru_cache(maxsize=None)
-def _bits(n: int, d: int) -> dict[Colors, int]:
-    """Bit k of an inversion mask stands for the k-th (d+1)-subset of [n] in lex order."""
-    return {k: i for i, k in enumerate(subsets(range(1, n + 1), d + 1))}
-
-
-@functools.lru_cache(maxsize=None)
-def _packets(n: int, d: int) -> tuple[tuple[tuple[int, frozenset[int]], ...], ...]:
-    """Per bit K, one (packet mask, its prefixes and suffixes) for each
-    (d+2)-superset of K."""
-    bit = _bits(n, d)
-    packets: list[list[tuple[int, frozenset[int]]]] = [[] for _ in bit]
-    for p in subsets(range(1, n + 1), d + 2):
-        members = [bit[k] for k in itertools.combinations(p, d + 1)]
-        masks = [1 << i for i in members]
-        intervals = frozenset(sum(masks[:i]) for i in range(len(masks) + 1)) | \
-            frozenset(sum(masks[i:]) for i in range(len(masks) + 1))
-        for i in members:
-            packets[i].append((sum(masks), intervals))
-    return tuple(tuple(ps) for ps in packets)
-
-
-@functools.lru_cache(maxsize=None)
-def _roots(n: int, d: int) -> tuple[tuple[Colors, tuple[tuple[int, int, bool], ...]], ...]:
-    """Per type T, the triples (c, mask bit of T ∪ {c}, is_even(c, T)) for
-    the colors c outside T."""
-    bit = _bits(n, d)
-    colors = range(1, n + 1)
-    return tuple(
-        (t, tuple((c, 1 << bit[add(t, c)], is_even(c, t)) for c in colors if c not in t))
-        for t in subsets(colors, d))
-
-
-def _steps(n: int, d: int, inv: int, raising: bool = True):
-    """Bits whose addition (raising) or removal (lowering) keeps the
-    inversion mask consistent: every packet through the bit still meets the
-    enlarged or reduced set in a prefix or a suffix."""
-    for k, through in enumerate(_packets(n, d)):
-        b = 1 << k
-        if bool(inv & b) == raising:
-            continue
-        new = inv ^ b
-        for whole, intervals in through:
-            if new & whole not in intervals:
-                break
-        else:
-            yield k
-
-
-def _cubillage_of_mask(n: int, d: int, inv: int) -> Cubillage:
-    """The cubillage of Z(n,d) with the given inversion mask.
-
-    For a type T and a color c outside it, c is in root(T) exactly when
-    (T ∪ {c} is an inversion) == is_even(c, T).
-    """
-    cubes = [(tuple(c for c, b, even in row if bool(inv & b) == even), t)
-             for t, row in _roots(n, d)]
-    return Cubillage._trusted(tuple(range(1, n + 1)), d, cubes)
-
-
-def _inversion_mask(n: int, d: int, q: Cubillage) -> int:
-    bit = _bits(n, d)
-    return sum(1 << bit[k] for k in inversions(q))
 
 
 def enumerate_cubillages(n: int, d: int, max_types: int = 70,
                          max_states: int = 200000) -> tuple[Cubillage, ...]:
     """All cubillages of Z(n,d), as the elements of the higher Bruhat order B(n,d).
 
-    A cubillage is determined by its inversion set, and the inversion sets
-    are exactly the consistent families of (d+1)-subsets of [n]: those that
-    meet the lex-ordered packet of every (d+2)-subset in a prefix or a
-    suffix (Manin-Schechtman 1989; Ziegler, "Higher Bruhat orders and cyclic
-    hyperplane arrangements", Topology 1993).  The search runs over these
-    families as bitmasks, from the empty one (the standard cubillage) by
-    single additions that keep every packet consistent; each addition is a
-    raising flip.  Complete because every non-standard cubillage admits a
-    lowering flip.  Each result is then built once by the root rule: for a
-    type T and a color c outside T, c lies in root(T) exactly when
-    (T ∪ {c} is an inversion) == is_even(c, T).
+    The search runs over the consistent inversion masks (see masks), from
+    the empty one (the standard cubillage) by raising flips, single
+    additions that keep every packet consistent.  Complete because every
+    non-standard cubillage admits a lowering flip.  Each result is then
+    built once by the root rule.
 
     Refuses when C(n,d) exceeds max_types or the state count passes
     max_states.  The result is sorted canonically.
@@ -120,8 +48,11 @@ def enumerate_cubillages(n: int, d: int, max_types: int = 70,
     todo = [0]
     while todo:
         inv = todo.pop()
-        for k in _steps(n, d, inv):
-            up = inv | 1 << k
+        steps = _steps(n, d, inv) & ~inv
+        while steps:
+            b = steps & -steps
+            steps ^= b
+            up = inv | b
             if up not in seen:
                 seen.add(up)
                 todo.append(up)
@@ -161,7 +92,7 @@ class BruhatPoset:
     def __init__(self, n: int, d: int, elements: tuple[Cubillage, ...]):
         self.n = n
         self.d = d
-        ranked = sorted(((_inversion_mask(n, d, q), q) for q in elements),
+        ranked = sorted(((_mask_of(q), q) for q in elements),
                         key=lambda mq: (mq[0].bit_count(), mq[1].key()))
         self.elements = tuple(q for _, q in ranked)
         masks = [inv for inv, _ in ranked]

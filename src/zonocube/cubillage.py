@@ -121,6 +121,8 @@ class Cubillage:
     @classmethod
     def from_json(cls, text: str) -> "Cubillage":
         data = json.loads(text)
+        if type(data["d"]) is not int:
+            raise ValueError(f"d must be an integer, got {data['d']!r}")
         return cls(data["colors"], data["d"], [(c["root"], c["type"]) for c in data["cubes"]])
 
 

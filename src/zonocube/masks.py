@@ -1,0 +1,125 @@
+"""Inversion masks: a cubillage of Z(n,d) as a bitmask over the (d+1)-subsets
+of its colors, which fixes it, and the packet table behind consistency, flips
+and enumeration (Manin-Schechtman 1989; Ziegler, Topology 1993).  Colors are
+indexed by position, the k-th smallest color being k.  Tables hold bit numbers,
+never masks, so they stay linear in the number of packets; a mask is read
+through its flags, the string with bit k at index k.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import operator
+
+from .colors import Colors, add, is_even, subsets
+from .cubillage import Cubillage, CubillageError
+
+
+@functools.lru_cache(maxsize=None)
+def _bits(n: int, d: int) -> dict[Colors, int]:
+    """Bit k of an inversion mask stands for the k-th (d+1)-subset of [n] in lex order."""
+    return {k: i for i, k in enumerate(subsets(range(1, n + 1), d + 1))}
+
+
+def _flags(inv: int, size: int) -> str:
+    return bin(inv)[:1:-1].ljust(size, "0")
+
+
+def _mask(n: int, d: int, inverted) -> int:
+    """The mask of the (d+1)-subsets K of [n] for which inverted(K) holds."""
+    return int("".join("01"[inverted(k)] for k in _bits(n, d))[::-1] or "0", 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _packets(n: int, d: int) -> dict:
+    """Per (d+2)-subset of [n], the bits of its packet in lex order and a
+    getter of their flags."""
+    bit = _bits(n, d)
+    out = {}
+    for p in subsets(range(1, n + 1), d + 2):
+        members = tuple(bit[k] for k in itertools.combinations(p, d + 1))
+        out[p] = (members, operator.itemgetter(*members))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _blocked(size: int) -> dict:
+    """For a packet of the given size, per flags of a prefix or a suffix of
+    its lex order (as a _packets getter reads them), the members whose
+    toggle leaves neither; flags missing here are inconsistent."""
+    ends = {"1" * i + "0" * (size - i) for i in range(size + 1)}
+    ends |= {r[::-1] for r in ends}
+    get = operator.itemgetter(*range(size))
+    return {get(r): tuple(i for i in range(size)
+                          if r[:i] + "01"[r[i] == "0"] + r[i + 1:] not in ends)
+            for r in ends}
+
+
+def _steps(n: int, d: int, inv: int) -> int | None:
+    """The bits whose toggle keeps the mask inv consistent, that is, meeting
+    every packet in a prefix or a suffix (adding one is a raising flip,
+    removing one a lowering flip); None when inv itself is not consistent."""
+    size, table = len(_bits(n, d)), _blocked(d + 2)
+    flags, free = _flags(inv, size), bytearray(b"1" * size)
+    for members, get in _packets(n, d).values():
+        blocked = table.get(get(flags))
+        if blocked is None:
+            return None
+        for i in blocked:
+            free[members[i]] = 48  # "0"
+    return int(free[::-1] or b"0", 2)
+
+
+def _can_toggle(n: int, d: int, inv: int, parent: Colors) -> bool:
+    """Whether the parent, by positions, is a step of inv; only the packets
+    through it are read."""
+    bit, table = _bits(n, d), _blocked(d + 2)
+    k, flags = bit[parent], _flags(inv, len(bit))
+    through = (_packets(n, d)[add(parent, c)] for c in range(1, n + 1) if c not in parent)
+    return all(members.index(k) not in table[get(flags)] for members, get in through)
+
+
+@functools.lru_cache(maxsize=None)
+def _roots(n: int, d: int) -> tuple[tuple[Colors, tuple[tuple[int, int, str], ...]], ...]:
+    """Per type T, the triples (c, bit of T ∪ {c}, its flag when c is in
+    root(T)) for the colors c outside T: by the root rule, c is in root(T)
+    exactly when (T ∪ {c} is an inversion) == is_even(c, T)."""
+    bit = _bits(n, d)
+    colors = range(1, n + 1)
+    return tuple(
+        (t, tuple((c, bit[add(t, c)], "01"[is_even(c, t)]) for c in colors if c not in t))
+        for t in subsets(colors, d))
+
+
+def _cubillage_of_mask(n: int, d: int, inv: int) -> Cubillage:
+    """The cubillage of Z(n,d) with the given consistent inversion mask."""
+    flags = _flags(inv, len(_bits(n, d)))
+    cubes = [(tuple(c for c, k, flag in row if flags[k] == flag), t) for t, row in _roots(n, d)]
+    q = Cubillage._trusted(tuple(range(1, n + 1)), d, cubes)
+    q._cache["mask"] = inv
+    return q
+
+
+def _mask_of(q: Cubillage) -> int:
+    """q's inversion mask, cached on q once q passes a validity certificate
+    (else CubillageError): the type map is exactly the d-subsets of the
+    colors, the mask read from the roots is consistent, and the root rule
+    gives back every root from it, so q is the cubillage of a consistent
+    inversion set."""
+    if "mask" in q._cache:
+        return q._cache["mask"]
+    n, d, roots = q.n, q.d, q._root_by_type
+    if q.colors and q.colors[-1] != n:
+        pos = {c: i for i, c in enumerate(q.colors, 1)}
+        roots = {tuple(pos.get(c, 0) for c in t): tuple(pos.get(c, 0) for c in r)
+                 for t, r in roots.items()}
+    if n < d or len(roots) != len(_roots(n, d)) or any(t not in roots for t, _ in _roots(n, d)):
+        raise CubillageError("type map is not a bijection onto the d-subsets of the colors")
+    inv = _mask(n, d, lambda k: k[-1] in roots[k[:-1]])
+    if _steps(n, d, inv) is None:
+        raise CubillageError("the inversion set read from the roots is not consistent")
+    if _cubillage_of_mask(n, d, inv)._root_by_type != roots:
+        raise CubillageError("the roots break the root rule of their inversion set")
+    q._cache["mask"] = inv
+    return inv

@@ -1,14 +1,13 @@
 """The natural order on the cubes of a cubillage and everything built on it:
-stacks and membranes, capsid flips, avalanches, canonical extensions of
+stacks and membranes, flips, avalanches, canonical extensions of
 membranes, and the garland bijection between the front and back rims.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
-from .colors import Colors, add, colorset, inter, subsets, union
+from .colors import Colors, add, colorset, inter, minus, union
 from .cubillage import (
     Cubillage,
     CubillageError,
@@ -16,12 +15,11 @@ from .cubillage import (
     _expand,
     _face_spectra,
     _membrane,
-    antistandard,
     boundary_plates,
     cover_relations,
     reduce as reduce_color,
-    standard,
 )
+from .masks import _bits, _can_toggle, _flags, _mask_of, _steps
 
 
 def _closure(nodes, relations):
@@ -188,81 +186,40 @@ def enumerate_stacks(q: Cubillage) -> list[frozenset[Colors]]:
     return natural_order(q).ideals()
 
 
-@functools.lru_cache(maxsize=None)
-def _capsid_patterns(d: int):
-    base = tuple(range(1, d + 2))
-    std = frozenset((c.root, c.type) for c in standard(base, d).cubes)
-    anti = frozenset((c.root, c.type) for c in antistandard(base, d).cubes)
-    return std, anti
-
-
-def _flip_fragment(q: Cubillage, parent: Colors):
-    """Common outside-root and the position-relabeled fragment at a parent,
-    or None when the d+1 cubes do not sit together as a capsid."""
-    roots = []
-    for typ in subsets(parent, q.d):
-        root = q._root_by_type.get(typ)
-        if root is None:
-            return None
-        roots.append((typ, root))
-    kset = set(parent)
-    outside = {tuple(c for c in root if c not in kset) for _, root in roots}
-    if len(outside) != 1:
-        return None
-    x0 = next(iter(outside))
-    pos = {c: i + 1 for i, c in enumerate(parent)}
-    frag = frozenset(
-        (tuple(pos[c] for c in root if c in kset), tuple(pos[c] for c in typ))
-        for typ, root in roots
-    )
-    return x0, frag
-
-
 def find_flips(q: Cubillage) -> tuple[tuple[Colors, str], ...]:
-    """All flippable parents with their direction.
+    """All flippable parents with their direction, in lex order.
 
-    A parent K of size d+1 is flippable when the d+1 cubes typed inside K
-    share a common root outside K; the fragment is then one of the two
-    capsid cubillages, standard for a raising flip, antistandard for a
-    lowering one.
-    """
-    std, anti = _capsid_patterns(q.d)
-    out = []
-    for parent in subsets(q.colors, q.d + 1):
-        got = _flip_fragment(q, parent)
-        if got is None:
-            continue
-        _, frag = got
-        if frag == std:
-            out.append((parent, "raising"))
-        elif frag == anti:
-            out.append((parent, "lowering"))
-        else:
-            raise CubillageError(f"fragment at parent {parent} is not a capsid cubillage")
-    return tuple(out)
+    A parent K, a (d+1)-subset of the colors, is flippable when toggling it
+    in the inversion set keeps every packet through K met in a prefix or a
+    suffix; the flip raises when K is not an inversion, else it lowers.
+    Raises CubillageError when q fails the certificate of masks._mask_of."""
+    inv = _mask_of(q)
+    bits = _bits(q.n, q.d)
+    flags, free = _flags(inv, len(bits)), _flags(_steps(q.n, q.d, inv), len(bits))
+    return tuple((tuple(q.colors[i - 1] for i in parent),
+                  "lowering" if flags[k] == "1" else "raising")
+                 for parent, k in bits.items() if free[k] == "1")
 
 
 def apply_flip(q: Cubillage, parent) -> Cubillage:
-    """Replace the capsid fragment at the parent by the opposite one."""
+    """Toggle the parent K in the inversion set: for each c in K, toggle c
+    in the root of type K - {c}; no other cube changes.  Raises ValueError
+    when the packets through K do not allow it, and CubillageError when q
+    fails the certificate of masks._mask_of."""
     parent = colorset(parent)
-    got = _flip_fragment(q, parent)
-    if got is None:
+    inv = _mask_of(q)
+    pos = {c: i for i, c in enumerate(q.colors, 1)}
+    at = tuple(pos.get(c, 0) for c in parent)
+    k = _bits(q.n, q.d).get(at)
+    if k is None or not _can_toggle(q.n, q.d, inv, at):
         raise ValueError(f"parent {parent} is not flippable")
-    x0, frag = got
-    std, anti = _capsid_patterns(q.d)
-    if frag == std:
-        replacement = anti
-    elif frag == anti:
-        replacement = std
-    else:
-        raise ValueError(f"parent {parent} is not flippable")
-    unpos = dict(enumerate(parent, start=1))
-    kset = set(parent)
-    cubes = [(root, typ) for typ, root in q._root_by_type.items() if not kset.issuperset(typ)]
-    for r_pos, t_pos in replacement:
-        root = union(x0, (unpos[p] for p in r_pos))
-        cubes.append((root, tuple(unpos[p] for p in t_pos)))
-    return Cubillage._trusted(q.colors, q.d, cubes)
+    roots = dict(q._root_by_type)
+    for c in parent:
+        t = minus(parent, (c,))
+        roots[t] = minus(roots[t], (c,)) if c in roots[t] else add(roots[t], c)
+    flipped = Cubillage._trusted(q.colors, q.d, ((r, t) for t, r in roots.items()))
+    flipped._cache["mask"] = inv ^ 1 << k
+    return flipped
 
 
 def avalanche(q: Cubillage) -> Cubillage:
@@ -326,8 +283,8 @@ def canonical_extension(qp: Cubillage) -> Cubillage:
             parent = _canonical_flip(cur, direction)
             if parent is None:
                 break
-            x0, _ = _flip_fragment(cur, parent)
-            cubes.append((x0, parent))
+            # the capsid's cubes share their root outside the parent
+            cubes.append((minus(cur._root_by_type[parent[1:]], parent), parent))
             cur = apply_flip(cur, parent)
     return Cubillage._trusted(qp.colors, qp.d + 1, cubes)
 

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from .colors import (
     Colors,
-    add,
     colorset,
     is_peripheral,
     is_r_separated,
@@ -28,6 +27,7 @@ from .colors import (
     subsets,
 )
 from .cubillage import Cubillage, CubillageError, Facet, _expand, _membrane
+from .masks import _cubillage_of_mask, _mask, _steps
 from .order import (
     _closure,
     _side,
@@ -77,9 +77,19 @@ class AdmissibleOrder:
     packet_direction take canonical color sets."""
 
     def __init__(self, colors, d: int, relations):
-        self.colors: Colors = colorset(colors)
-        self.d = int(d)
-        self.relations = tuple(sorted((colorset(a), colorset(b)) for a, b in relations))
+        self._fill(colorset(colors), int(d), ((colorset(a), colorset(b)) for a, b in relations))
+
+    @classmethod
+    def _trusted(cls, colors: Colors, d: int, relations) -> "AdmissibleOrder":
+        """AdmissibleOrder(...) for canonical colors and types: every check, no colorset."""
+        order = cls.__new__(cls)
+        order._fill(colors, d, relations)
+        return order
+
+    def _fill(self, colors: Colors, d: int, relations):
+        self.colors = colors
+        self.d = d
+        self.relations = tuple(sorted(relations))
         self._nodes = list(subsets(self.colors, self.d))
         known = set(self._nodes)
         for a, b in self.relations:
@@ -138,53 +148,41 @@ class AdmissibleOrder:
 
 def order_of(q: Cubillage) -> AdmissibleOrder:
     """Transport the natural order of the cubillage to its cube types."""
-    return AdmissibleOrder(q.colors, q.d, natural_order(q).covers)
+    return AdmissibleOrder._trusted(q.colors, q.d, natural_order(q).covers)
 
 
 def from_order(order: AdmissibleOrder) -> Cubillage:
     """Reconstruct the unique cubillage whose natural order the given
     admissible order extends.
 
-    Recursion on the top color m: rebuild over colors - m, collect the types
-    whose parent packet with m is lex (an ideal of the smaller cubillage),
-    and expand along its membrane by m.
+    Its inversion set is the set of parents whose packet the order runs
+    antilex; the root rule of the inversion masks builds it from that.
     """
-
-    def build(cs: Colors) -> Cubillage:
-        if len(cs) == order.d:
-            return Cubillage._trusted(cs, order.d, [((), cs)])
-        m = cs[-1]
-        inner = build(cs[:-1])
-        ideal = frozenset(t for t in subsets(cs[:-1], order.d)
-                          if order.packet_direction(add(t, m)) == "lex")
-        if not natural_order(inner).is_ideal(ideal):
-            raise CubillageError(f"lex types at color {m} are not an order ideal; not admissible")
-        return _expand(inner, ideal, m)
-
-    if len(order.colors) < order.d:
+    cs, d = order.colors, order.d
+    if len(cs) < d:
         raise ValueError("fewer colors than the dimension")
-    q = build(order.colors)
+    inv = _mask(len(cs), d, lambda k: order.packet_direction(
+        tuple(cs[i - 1] for i in k)) == "antilex")
+    q = _cubillage_of_mask(len(cs), d, inv)
+    if q.colors != cs:
+        q = Cubillage._trusted(cs, d, [(tuple(cs[i - 1] for i in r), tuple(cs[i - 1] for i in t))
+                                       for t, r in q._root_by_type.items()])
     if not order.extends(order_of(q)):
         raise CubillageError("reconstructed cubillage order is not refined by the input")
     return q
 
 
 def is_consistent(sets, n: int) -> bool:
-    """Whether every parent packet meets the system in an initial or final
-    segment of its lex order.  All member sets must share one size."""
+    """Whether the packet of every (d+1)-subset of [n] meets the system of
+    d-subsets in a prefix or a suffix of its lex order, read off the packet
+    table of the inversion masks.  All member sets must share one size;
+    members outside [n] lie in no packet and are ignored."""
     members = {colorset(s) for s in sets}
     sizes = {len(s) for s in members}
     if len(sizes) > 1:
         raise ValueError(f"mixed member sizes {sorted(sizes)}")
-    if not members:
-        return True
-    d = sizes.pop()
-    for parent in subsets(range(1, n + 1), d + 1):
-        flags = [t in members for t in itertools.combinations(parent, d)]
-        k = sum(flags)
-        if k and not (all(flags[:k]) or all(flags[-k:])):
-            return False
-    return True
+    d = sizes.pop() if sizes else 1  # with no members any size will do
+    return _steps(n, d - 1, _mask(n, d - 1, members.__contains__)) is not None
 
 
 class MembraneWitness(NamedTuple):
@@ -196,46 +194,29 @@ class MembraneWitness(NamedTuple):
 
 def from_consistent(sets, n: int, d: int) -> MembraneWitness:
     """Build the membrane of Z(n,d) whose inversion system is the given
-    consistent family of d-subsets.
-
-    Following the reconstruction recursion: realize the members avoiding the
-    top color as a membrane one color down, complete it canonically to an
-    ambient cubillage, expand by the top color, and cut along the stack whose
-    type set is the input.  The projected membrane is a (d-1)-cubillage whose
-    inversion system equals the input.
+    consistent family of d-subsets, cut from an ambient cubillage along the
+    stack whose type set is the input.  For d > 1 the ambient expands by each
+    color m in turn along the members below m: it inverts a parent K exactly
+    when K - max K is not a member.  The projected membrane is a
+    (d-1)-cubillage whose inversion system equals the input.
     """
+    _check_dimensions(n, d)
     members = frozenset(colorset(s) for s in sets)
     if any(len(s) != d for s in members):
         raise ValueError(f"members must be {d}-subsets")
     if not is_consistent(members, n):
         raise ValueError("system is not consistent")
-    return _from_consistent(members, n, d)
 
+    def inverted(k):
+        if d == 1:  # any chain will do: the one listing the members first
+            return (k[1],) in members and (k[0],) not in members
+        return k[:-1] not in members
 
-def _from_consistent(members: frozenset[Colors], n: int, d: int) -> MembraneWitness:
-    """from_consistent() for a consistent family of canonical d-subsets."""
-    colors = tuple(range(1, n + 1))
-    if d == 1:
-        # membranes of a segment chain are lattice points; stack any chain
-        # cubillage listing the inverted colors first
-        low = sorted(c for c in colors if (c,) in members)
-        high = [c for c in colors if (c,) not in members]
-        seq = low + high
-        prefix: tuple[int, ...] = ()
-        cubes = []
-        for c in seq:
-            cubes.append((prefix, (c,)))
-            prefix = add(prefix, c)
-        ambient = Cubillage._trusted(colors, 1, cubes)
-    elif n == d:
-        ambient = Cubillage._trusted(colors, d, [((), colors)])
-    else:
-        inner = _from_consistent(frozenset(s for s in members if n not in s), n - 1, d)
-        ambient = _expand(inner.ambient, inner.stack, n)
+    ambient = _cubillage_of_mask(n, d, _mask(n, d, inverted))
     if not natural_order(ambient).is_ideal(members):
         raise CubillageError("consistent system is not a stack of the ambient cubillage")
     plates = _membrane(ambient, members)
-    projected = (Cubillage._trusted(colors, d - 1, [(p.root, p.type) for p in plates])
+    projected = (Cubillage._trusted(ambient.colors, d - 1, [(p.root, p.type) for p in plates])
                  if d > 1 else None)
     if projected is not None and inversions(projected) != members:
         raise CubillageError("membrane inversion system does not reproduce the input")
@@ -264,6 +245,7 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
         if not sizes:
             raise ValueError(f"size {len(members)} is not C({len(cs)},<=d) for any d")
         d = sizes[0]
+    _check_dimensions(len(cs), d)
     if len(members) != sum(comb(len(cs), j) for j in range(d + 1)):
         raise ValueError("system size is not C(n,<=d)")
     _check_separated(members, d - 1)

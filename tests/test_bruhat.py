@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -6,10 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from zonocube.bruhat import (
     ScaleGuardError,
-    _bits,
-    _cubillage_of_mask,
-    _inversion_mask,
-    _steps,
     bruhat_poset,
     enumerate_cubillages,
     polygon_triangulations,
@@ -19,8 +17,10 @@ from zonocube.bruhat import (
     separated_system_count,
     triangulation_shape_ok,
 )
+from zonocube.colors import Colors, colorset, subsets, union
 from zonocube.cubillage import (
     Cubillage,
+    CubillageError,
     antistandard,
     central_symmetry,
     contract,
@@ -32,6 +32,7 @@ from zonocube.cubillage import (
     standard,
     validate,
 )
+from zonocube.masks import _bits, _cubillage_of_mask, _mask_of, _steps
 from zonocube.order import apply_flip, find_flips
 from zonocube.systems import from_consistent, from_order, from_spectra, inversions, order_of
 
@@ -83,6 +84,100 @@ def test_scale_guard():
             enumerate_cubillages(2, 2, max_states=cap)
 
 
+# ------------------------------------------------- oracle: capsid matching
+
+@functools.lru_cache(maxsize=None)
+def _capsid_patterns(d: int):
+    base = tuple(range(1, d + 2))
+    std = frozenset((c.root, c.type) for c in standard(base, d).cubes)
+    anti = frozenset((c.root, c.type) for c in antistandard(base, d).cubes)
+    return std, anti
+
+
+def _flip_fragment(q: Cubillage, parent: Colors):
+    """Common outside-root and the position-relabeled fragment at a parent,
+    or None when the d+1 cubes do not sit together as a capsid."""
+    roots = []
+    for typ in subsets(parent, q.d):
+        root = q._root_by_type.get(typ)
+        if root is None:
+            return None
+        roots.append((typ, root))
+    kset = set(parent)
+    outside = {tuple(c for c in root if c not in kset) for _, root in roots}
+    if len(outside) != 1:
+        return None
+    x0 = next(iter(outside))
+    pos = {c: i + 1 for i, c in enumerate(parent)}
+    frag = frozenset(
+        (tuple(pos[c] for c in root if c in kset), tuple(pos[c] for c in typ))
+        for typ, root in roots
+    )
+    return x0, frag
+
+
+def find_flips_oracle(q: Cubillage) -> tuple[tuple[Colors, str], ...]:
+    """All flippable parents with their direction.
+
+    A parent K of size d+1 is flippable when the d+1 cubes typed inside K
+    share a common root outside K; the fragment is then one of the two
+    capsid cubillages, standard for a raising flip, antistandard for a
+    lowering one.
+    """
+    std, anti = _capsid_patterns(q.d)
+    out = []
+    for parent in subsets(q.colors, q.d + 1):
+        got = _flip_fragment(q, parent)
+        if got is None:
+            continue
+        _, frag = got
+        if frag == std:
+            out.append((parent, "raising"))
+        elif frag == anti:
+            out.append((parent, "lowering"))
+        else:
+            raise CubillageError(f"fragment at parent {parent} is not a capsid cubillage")
+    return tuple(out)
+
+
+def apply_flip_oracle(q: Cubillage, parent) -> Cubillage:
+    """Replace the capsid fragment at the parent by the opposite one."""
+    parent = colorset(parent)
+    got = _flip_fragment(q, parent)
+    if got is None:
+        raise ValueError(f"parent {parent} is not flippable")
+    x0, frag = got
+    std, anti = _capsid_patterns(q.d)
+    if frag == std:
+        replacement = anti
+    elif frag == anti:
+        replacement = std
+    else:
+        raise ValueError(f"parent {parent} is not flippable")
+    unpos = dict(enumerate(parent, start=1))
+    kset = set(parent)
+    cubes = [(root, typ) for typ, root in q._root_by_type.items() if not kset.issuperset(typ)]
+    for r_pos, t_pos in replacement:
+        root = union(x0, (unpos[p] for p in r_pos))
+        cubes.append((root, tuple(unpos[p] for p in t_pos)))
+    return Cubillage._trusted(q.colors, q.d, cubes)
+
+
+@pytest.mark.parametrize("colors,d", [(crange(6), 2), (crange(8), 3), (crange(9), 4),
+                                      (crange(10), 5), ((2, 4, 5, 7, 9, 11), 2),
+                                      ((2, 4, 5, 7, 9, 11), 3)],
+                         ids=["Z6_2", "Z8_3", "Z9_4", "Z10_5", "C6_2", "C6_3"])
+def test_flips_match_capsid_oracle_on_seeded_walks(colors, d):
+    rng = random.Random(len(colors) * 10 + d)
+    q = standard(colors, d)
+    for _ in range(60):
+        flips = find_flips(q)
+        assert flips == find_flips_oracle(q)
+        for parent, _ in flips:
+            assert apply_flip(q, parent) == apply_flip_oracle(q, parent)
+        q = apply_flip_oracle(q, rng.choice(flips)[0])
+
+
 # ------------------------------------------- oracle: the flip-graph search
 
 def flip_graph_oracle(n, d):
@@ -96,10 +191,10 @@ def flip_graph_oracle(n, d):
     while frontier:
         nxt = []
         for q in frontier:
-            for parent, direction in find_flips(q):
+            for parent, direction in find_flips_oracle(q):
                 if direction != "raising":
                     continue
-                q2 = apply_flip(q, parent)
+                q2 = apply_flip_oracle(q, parent)
                 edges.append((q.key(), q2.key()))
                 if q2.key() not in seen:
                     seen[q2.key()] = q2
@@ -144,16 +239,17 @@ def test_engine_agrees_with_flips_on_random_walks(nd, data):
     n, d = nd
     q = standard(crange(n), d)
     for _ in range(data.draw(st.integers(0, comb(n, d + 1)), label="steps")):
-        raising = sorted(p for p, direction in find_flips(q) if direction == "raising")
+        raising = sorted(p for p, direction in find_flips_oracle(q) if direction == "raising")
         if not raising:
             break
-        q = apply_flip(q, data.draw(st.sampled_from(raising), label="parent"))
-    inv = _inversion_mask(n, d, q)
+        q = apply_flip_oracle(q, data.draw(st.sampled_from(raising), label="parent"))
+    inv = _mask_of(q)
     assert _cubillage_of_mask(n, d, inv) == q
-    parents = list(_bits(n, d))
-    flips = find_flips(q)
+    ok = _steps(n, d, inv)
+    flips = find_flips_oracle(q)
     for direction in ("raising", "lowering"):
-        allowed = {parents[k] for k in _steps(n, d, inv, raising=direction == "raising")}
+        allowed = {p for p, k in _bits(n, d).items()
+                   if ok >> k & 1 and bool(inv >> k & 1) == (direction == "lowering")}
         assert allowed == {p for p, dirn in flips if dirn == direction}
     # the internal builders hand back canonical, valid cubillages
     assert_canonical(q)

@@ -55,6 +55,22 @@ def test_extend_rejects_fewer_colors_than_the_dimension():
     assert code == 2 and not out and err.strip() == "bad input: need n >= d >= 1, got (2,4)"
 
 
+def test_reconstructions_reject_fewer_colors_than_the_dimension():
+    for args in (["from-consistent", "--sets", "[]", "-n", "1", "-d", "2"],
+                 ["from-spectra", "--sets", "[[1],[1,2],[2],[]]", "-n", "2", "-d", "5"]):
+        code, out, err = run_cli(args)
+        assert code == 2 and not out and err.startswith("bad input: need n >= d >= 1")
+
+
+def test_non_integer_dimension_is_bad_input():
+    _, cubillage, _ = run_cli(["standard", "-n", "2", "-d", "1"])
+    for d in (True, "1", 1.0, None):
+        data = json.loads(cubillage)
+        data["d"] = d
+        code, out, err = run_cli(["validate", "-"], stdin=json.dumps(data))
+        assert code == 2 and not out and err.startswith("bad input: d must be an integer")
+
+
 def test_extend_rejects_members_outside_the_colors():
     for n, sets in (("4", "[[9]]"), ("0", "[[1]]")):
         code, out, err = run_cli(["extend", "-n", n, "-d", "2", "--sets", sets])

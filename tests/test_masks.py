@@ -1,0 +1,107 @@
+"""The validity certificate of the inversion masks against validate()."""
+
+import io
+import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from zonocube.bruhat import enumerate_cubillages
+from zonocube.cli import main
+from zonocube.cubillage import Cubillage, CubillageError, standard, validate
+from zonocube.masks import _mask_of
+from zonocube.order import apply_flip, find_flips
+
+
+def certified(q):
+    try:
+        _mask_of(q)
+    except CubillageError:
+        return False
+    return True
+
+
+def fresh(q, roots=None):
+    """A public construction of q with no cached mask, roots replaced per type."""
+    roots = roots or {}
+    return Cubillage(q.colors, q.d, [(roots.get(c.type, c.root), c.type) for c in q.cubes])
+
+
+def flips_cli(q):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(q.to_json())
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["flips", "-"])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_cubillage_up_to_six_colors_is_certified():
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            for q in enumerate_cubillages(n, d):
+                again = fresh(q)
+                assert validate(again) is None
+                assert _mask_of(again) == _mask_of(q)
+
+
+def random_walk(colors, d, steps, rng):
+    q = standard(colors, d)
+    for _ in range(steps):
+        q = apply_flip(q, rng.choice(find_flips(q))[0])
+    return q
+
+
+@pytest.mark.parametrize("colors,d", [(range(1, 6), 2), (range(1, 7), 3), (range(1, 8), 3),
+                                      (range(1, 9), 4), ((2, 4, 5, 7, 9, 11), 3)],
+                         ids=["Z5_2", "Z6_3", "Z7_3", "Z8_4", "C6_3"])
+def test_certificate_rejects_exactly_what_validate_rejects(colors, d):
+    rng = random.Random(len(colors) * 10 + d)
+    colors = tuple(colors)
+    rejected = 0
+    for _ in range(100):
+        q = random_walk(colors, d, rng.randrange(12), rng)
+        t = rng.choice(q.types())
+        root = set(q.root_of(t))
+        if rng.random() < 0.5:
+            root ^= {rng.choice(colors)}
+        else:
+            root = {c for c in colors if c not in t and rng.random() < 0.5}
+        if tuple(sorted(root)) == q.root_of(t):
+            continue
+        bad = fresh(q, {t: tuple(sorted(root))})
+        diagnostic = validate(fresh(bad))
+        assert certified(bad) == (diagnostic is None), (t, root, diagnostic)
+        if diagnostic is not None:
+            rejected += 1
+            code, out, err = flips_cli(bad)
+            assert code == 1 and not out and err.startswith("error: ")
+    assert rejected >= 80
+
+
+@pytest.mark.parametrize("colors,d,cubes", [
+    pytest.param((1, 2, 3), 2, [((), (1, 2)), ((2,), (1, 3))], id="missing-type"),
+    pytest.param((1, 2, 3), 2, [((), (1, 2)), ((2,), (1, 3)), ((), (2, 3)), ((), (1, 4))],
+                 id="extra-type"),
+    pytest.param((1, 2, 3), 2, [((), (1, 2)), ((2,), (1, 3)), ((), (1, 4))], id="foreign-type"),
+    pytest.param((1, 2, 3), 2, [((), (1, 2)), ((4,), (1, 3)), ((), (2, 3))],
+                 id="foreign-root-color"),
+    pytest.param((2, 5, 7), 2, [((), (2, 5)), ((5,), (2, 7)), ((9,), (5, 7))],
+                 id="foreign-root-color-gapped"),
+    pytest.param((1,), 2, [], id="fewer-colors-than-d"),
+    pytest.param((1, 2, 3), 2, [((), (1, 2)), ((), (1, 3)), ((), (2, 3))], id="all-roots-empty"),
+])
+def test_certificate_rejects_malformed_type_maps(colors, d, cubes):
+    q = Cubillage(colors, d, cubes)
+    assert validate(q) is not None
+    assert not certified(q)
+    with pytest.raises(CubillageError):
+        find_flips(q)
+    with pytest.raises(CubillageError):
+        apply_flip(q, colors[:d + 1] if len(colors) > d else (1, 2, 3))
+    code, out, err = flips_cli(q)
+    assert code == 1 and not out and err.startswith("error: ")
