@@ -45,6 +45,7 @@ from . import (
     weak_separation_suite,
 )
 from .geom import Realization
+from .masks import _mask_of
 
 
 def _read_text(path: str) -> str:
@@ -65,8 +66,17 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_cubillage(args) -> Cubillage:
-    return Cubillage.from_json(_read_text(args.input))
+def _load_cubillage(args, certify: bool = True) -> Cubillage:
+    """The cubillage of the input file; unless told not to, it must pass the
+    validity certificate of the inversion masks, else CubillageError with
+    validate's diagnostic."""
+    q = Cubillage.from_json(_read_text(args.input))
+    if certify:
+        try:
+            _mask_of(q)
+        except CubillageError as exc:
+            raise CubillageError(validate(q) or str(exc)) from None
+    return q
 
 
 def _load_sets(args) -> list:
@@ -121,7 +131,7 @@ def cmd_antistandard(args):
 
 
 def cmd_validate(args):
-    diagnostic = validate(_load_cubillage(args))
+    diagnostic = validate(_load_cubillage(args, certify=False))
     if diagnostic is None:
         _emit(args, "ok")
         return 0

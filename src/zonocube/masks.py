@@ -92,11 +92,15 @@ def _roots(n: int, d: int) -> tuple[tuple[Colors, tuple[tuple[int, int, str], ..
         for t in subsets(colors, d))
 
 
-def _cubillage_of_mask(n: int, d: int, inv: int) -> Cubillage:
-    """The cubillage of Z(n,d) with the given consistent inversion mask."""
+def _cubillage_of_mask(n: int, d: int, inv: int, colors: Colors = ()) -> Cubillage:
+    """The cubillage of Z(n,d) with the given consistent inversion mask, on
+    the given canonical n colors (by default 1..n)."""
     flags = _flags(inv, len(_bits(n, d)))
     cubes = [(tuple(c for c, k, flag in row if flags[k] == flag), t) for t, row in _roots(n, d)]
-    q = Cubillage._trusted(tuple(range(1, n + 1)), d, cubes)
+    if colors and colors[-1] != n:
+        cubes = [(tuple(colors[i - 1] for i in r), tuple(colors[i - 1] for i in t))
+                 for r, t in cubes]
+    q = Cubillage._trusted(colors or tuple(range(1, n + 1)), d, cubes)
     q._cache["mask"] = inv
     return q
 
@@ -123,3 +127,40 @@ def _mask_of(q: Cubillage) -> int:
         raise CubillageError("the roots break the root rule of their inversion set")
     q._cache["mask"] = inv
     return inv
+
+
+@functools.lru_cache(maxsize=None)
+def _restrictions(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """Per (d+1)-subset K of [n] in bit order, as vertex bits (bit i-1 for
+    color i): K, and the one subset of K missing from the spectrum of the
+    standard and of the antistandard cubillage of Z(K,d)."""
+    every = set(itertools.chain.from_iterable(
+        itertools.combinations(range(1, d + 2), k) for k in range(d + 2)))
+    standard, antistandard = ((every - _cubillage_of_mask(d + 1, d, inv).vertices()).pop()
+                              for inv in (0, 1))
+    return tuple((sum(1 << (c - 1) for c in k),
+                  sum(1 << (k[i - 1] - 1) for i in standard),
+                  sum(1 << (k[i - 1] - 1) for i in antistandard)) for k in _bits(n, d))
+
+
+def _mask_of_spectra(n: int, d: int, vertex_bits) -> int | None:
+    """The inversion mask read off a set system of [n], given as vertex bits.
+
+    The restriction of the spectrum of a cubillage of Z(n,d) to a
+    (d+1)-subset K is the spectrum of its restriction to Z(K,d): the
+    standard cubillage when K is no inversion, the antistandard one when it
+    is.  Either misses one subset of K, its own.  None when some restriction
+    is not all subsets of K but one of these two, or when the mask read is
+    not consistent.  Not a certificate on its own: the caller compares the
+    spectrum of the cubillage of the mask with the input.
+    """
+    inv, size = 0, (1 << (d + 1)) - 1
+    for bit, (k, standard, antistandard) in enumerate(_restrictions(n, d)):
+        seen = {v & k for v in vertex_bits}
+        if len(seen) != size:
+            return None
+        if standard in seen:
+            if antistandard in seen:
+                return None
+            inv |= 1 << bit
+    return inv if _steps(n, d, inv) is not None else None

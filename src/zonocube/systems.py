@@ -23,21 +23,17 @@ from .colors import (
     is_peripheral,
     is_r_separated,
     is_weakly_k_separated,
-    minus,
     subsets,
 )
-from .cubillage import Cubillage, CubillageError, Facet, _expand, _membrane
-from .masks import _cubillage_of_mask, _mask, _steps
-from .order import (
-    _closure,
-    _side,
-    natural_order,
-    plate_vertices,
-)
+from .cubillage import Cubillage, CubillageError, Facet, _membrane
+from .masks import _cubillage_of_mask, _mask, _mask_of_spectra, _steps
+from .order import _closure, natural_order
 
 
 class NotRealizableError(CubillageError):
-    """A reconstruction precondition held but the recursion still failed."""
+    """A set system that passes the size and separation checks of
+    from_spectra and is still no cubillage's spectrum: its colors leave the
+    universe."""
 
 
 class ScaleGuardError(RuntimeError):
@@ -57,6 +53,12 @@ def _separation_scale_guard(n: int) -> None:
 def _check_dimensions(n: int, d: int) -> None:
     if d < 1 or n < d:
         raise ValueError(f"need n >= d >= 1, got ({n},{d})")
+
+
+def _check_inside(members, n: int) -> None:
+    outside = sorted(s for s in members if s and s[-1] > n)
+    if outside:
+        raise ValueError(f"member sets {outside} leave the colors 1..{n}")
 
 
 def inversions(q: Cubillage) -> frozenset[Colors]:
@@ -163,10 +165,7 @@ def from_order(order: AdmissibleOrder) -> Cubillage:
         raise ValueError("fewer colors than the dimension")
     inv = _mask(len(cs), d, lambda k: order.packet_direction(
         tuple(cs[i - 1] for i in k)) == "antilex")
-    q = _cubillage_of_mask(len(cs), d, inv)
-    if q.colors != cs:
-        q = Cubillage._trusted(cs, d, [(tuple(cs[i - 1] for i in r), tuple(cs[i - 1] for i in t))
-                                       for t, r in q._root_by_type.items()])
+    q = _cubillage_of_mask(len(cs), d, inv, cs)
     if not order.extends(order_of(q)):
         raise CubillageError("reconstructed cubillage order is not refined by the input")
     return q
@@ -204,6 +203,7 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
     members = frozenset(colorset(s) for s in sets)
     if any(len(s) != d for s in members):
         raise ValueError(f"members must be {d}-subsets")
+    _check_inside(members, n)
     if not is_consistent(members, n):
         raise ValueError("system is not consistent")
 
@@ -233,9 +233,13 @@ def _check_separated(sets, r: int):
 def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
     """Reconstruct the cubillage whose vertex spectra are the given system.
 
-    Requires a (d-1)-separated system of size C(n,<=d).  Splits on the top
-    color: the doubled spectra S0 ∩ S2 are the membrane along which the
-    reconstruction of the smaller system is expanded.
+    A system of size C(n,<=d) is the spectrum of a cubillage of Z(n,d)
+    exactly when it is (d-1)-separated (Galashin 2018).  Its inversion mask
+    is read off its restrictions to the (d+1)-subsets of the colors
+    (masks._mask_of_spectra), and the cubillage the root rule builds from
+    the mask is returned when its spectrum is the input, which certifies
+    it.  Otherwise the pairwise separation (ValueError) and then the color
+    universe (NotRealizableError) say what is wrong.
     """
     cs = colorset(colors)
     members = {colorset(s) for s in sets}
@@ -248,32 +252,18 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
     _check_dimensions(len(cs), d)
     if len(members) != sum(comb(len(cs), j) for j in range(d + 1)):
         raise ValueError("system size is not C(n,<=d)")
+    # a color outside the universe reads as none; the spectrum comparison rejects it
+    bit = {c: 1 << i for i, c in enumerate(cs)}
+    inv = _mask_of_spectra(len(cs), d, [sum(bit.get(c, 0) for c in s) for s in members])
+    if inv is not None:
+        q = _cubillage_of_mask(len(cs), d, inv, cs)
+        if q.vertices() == members:
+            return q
     _check_separated(members, d - 1)
     if any(not set(s) <= set(cs) for s in members):
         raise NotRealizableError("spectra leave the color universe")
-    return _from_spectra(members, cs, d)
-
-
-def _from_spectra(members, cs: Colors, d: int) -> Cubillage:
-    if len(cs) == d:
-        if members != {s for k in range(d + 1) for s in subsets(cs, k)}:
-            raise NotRealizableError("base case is not the full cube spectrum")
-        return Cubillage._trusted(cs, d, [((), cs)])
-    m = cs[-1]
-    s0 = {s for s in members if m not in s}
-    s2 = {minus(s, (m,)) for s in members if m in s}
-    inner = _from_spectra(s0 | s2, cs[:-1], d)
-    seam_vertices = s0 & s2
-    try:
-        stack = frozenset(
-            t for t in inner.types() if _side(t, seam_vertices) == "before")
-    except CubillageError as exc:
-        raise NotRealizableError(f"seam spectra do not describe a membrane: {exc}") from exc
-    if not natural_order(inner).is_ideal(stack):
-        raise NotRealizableError("seam stack is not an order ideal")
-    if plate_vertices(_membrane(inner, stack)) != seam_vertices:
-        raise NotRealizableError("seam membrane does not reproduce the doubled spectra")
-    return _expand(inner, stack, m)
+    # not reached by Galashin's theorem; kept so no input gets a wrong answer
+    raise NotRealizableError("separated system of size C(n,<=d) is not a cubillage spectrum")
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +472,7 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     _check_dimensions(n, d)
     _separation_scale_guard(n)
     members = sorted({colorset(s) for s in sets})
-    outside = [s for s in members if s and s[-1] > n]
-    if outside:
-        raise ValueError(f"member sets {outside} leave the colors 1..{n}")
+    _check_inside(members, n)
     _check_separated(members, d - 1)
     bound = sum(comb(n, k) for k in range(d + 1))
     member_set = set(members)

@@ -3,10 +3,13 @@ import json
 import shlex
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from zonocube.cli import main
+from zonocube.cubillage import Cubillage, standard, validate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
@@ -75,6 +78,57 @@ def test_extend_rejects_members_outside_the_colors():
     for n, sets in (("4", "[[9]]"), ("0", "[[1]]")):
         code, out, err = run_cli(["extend", "-n", n, "-d", "2", "--sets", sets])
         assert code == 2 and not out and err.startswith("bad input")
+
+
+def test_from_consistent_rejects_members_outside_the_colors():
+    code, out, err = run_cli(["from-consistent", "--sets", "[[1,9]]", "-n", "4", "-d", "2"])
+    assert code == 2 and not out
+    assert err.strip() == "bad input: member sets [(1, 9)] leave the colors 1..4"
+
+
+def run_inprocess(args, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(args)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def root_perturbed_standard(n, d, typ, color):
+    """standard(n, d) with color toggled in the root of one type, as JSON."""
+    data = json.loads(standard(range(1, n + 1), d).to_json())
+    for cube in data["cubes"]:
+        if tuple(cube["type"]) == typ:
+            cube["root"] = sorted(set(cube["root"]) ^ {color})
+    return json.dumps(data)
+
+
+# every command that reads a cubillage, with the arguments it needs besides the input
+READERS = [["spectra"], ["reduce", "--color", "1"], ["contract", "--color", "1"],
+           ["expand", "--color", "{new}"], ["flips"], ["flip", "--parent", "{parent}"],
+           ["standardize"], ["membranes"], ["garland"], ["inversions"], ["order"],
+           ["order", "--dot"], ["sec"], ["render-svg"]]
+BAD_CUBILLAGES = [
+    pytest.param('{"colors":[1,2],"d":1,"cubes":[{"root":[],"type":[1]}]}',
+                 {"new": "3", "parent": "[1,2]"}, id="Z2_1-missing-type"),
+    pytest.param(root_perturbed_standard(6, 3, (1, 2, 3), 6),
+                 {"new": "7", "parent": "[1,2,3,4]"}, id="Z6_3-one-root"),
+]
+
+
+@pytest.mark.parametrize("text,fill", BAD_CUBILLAGES)
+@pytest.mark.parametrize("command", READERS, ids=" ".join)
+def test_every_reader_certifies_its_cubillage(command, text, fill):
+    diagnostic = validate(Cubillage.from_json(text))
+    assert diagnostic is not None
+    args = [command[0], "-", *(arg.format(**fill) for arg in command[1:])]
+    assert run_inprocess(args, text) == (1, "", f"error: {diagnostic}\n")
+    # validate itself reads without the certificate and prints the diagnostic as before
+    assert run_inprocess(["validate", "-"], text) == (1, "", diagnostic + "\n")
 
 
 def test_weak_sep_scale_guard_exits_one():

@@ -9,17 +9,32 @@ import zonocube
 import zonocube.bruhat
 import zonocube.cli
 from zonocube.bruhat import enumerate_cubillages
-from zonocube.colors import is_r_separated, packet, subsets
-from zonocube.cubillage import antistandard, boundary_plates, standard, validate
+from zonocube.colors import Colors, colorset, is_r_separated, minus, packet, subsets
+from zonocube.cubillage import (
+    Cubillage,
+    CubillageError,
+    _expand,
+    _membrane,
+    antistandard,
+    boundary_plates,
+    standard,
+    validate,
+)
 from zonocube.order import (
+    _side,
     apply_flip,
     enumerate_stacks,
+    find_flips,
     membrane_of_stack,
+    natural_order,
     plate_vertices,
 )
 from zonocube.systems import (
     AdmissibleOrder,
+    NotRealizableError,
     ScaleGuardError,
+    _check_dimensions,
+    _check_separated,
     _count_cliques,
     _exact_cliques,
     _max_clique,
@@ -218,6 +233,131 @@ def test_from_spectra_rejects_unseparated():
     sets = {(), (1,), (2,), (3,), (1, 3), (2, 3), (1, 2, 3)}  # 13 vs 2 not 1-separated
     with pytest.raises(ValueError):
         from_spectra(sets, (1, 2, 3), 2)
+
+
+# -------------------------------- oracle: the recursive spectra reconstruction
+
+def from_spectra_oracle(sets, colors, d: int | None = None) -> Cubillage:
+    """Reconstruct the cubillage whose vertex spectra are the given system.
+
+    Requires a (d-1)-separated system of size C(n,<=d).  Splits on the top
+    color: the doubled spectra S0 ∩ S2 are the membrane along which the
+    reconstruction of the smaller system is expanded.
+    """
+    cs = colorset(colors)
+    members = {colorset(s) for s in sets}
+    if d is None:
+        sizes = [k for k in range(len(cs) + 1)
+                 if sum(comb(len(cs), j) for j in range(k + 1)) == len(members)]
+        if not sizes:
+            raise ValueError(f"size {len(members)} is not C({len(cs)},<=d) for any d")
+        d = sizes[0]
+    _check_dimensions(len(cs), d)
+    if len(members) != sum(comb(len(cs), j) for j in range(d + 1)):
+        raise ValueError("system size is not C(n,<=d)")
+    _check_separated(members, d - 1)
+    if any(not set(s) <= set(cs) for s in members):
+        raise NotRealizableError("spectra leave the color universe")
+    return _from_spectra_oracle(members, cs, d)
+
+
+def _from_spectra_oracle(members, cs: Colors, d: int) -> Cubillage:
+    if len(cs) == d:
+        if members != {s for k in range(d + 1) for s in subsets(cs, k)}:
+            raise NotRealizableError("base case is not the full cube spectrum")
+        return Cubillage._trusted(cs, d, [((), cs)])
+    m = cs[-1]
+    s0 = {s for s in members if m not in s}
+    s2 = {minus(s, (m,)) for s in members if m in s}
+    inner = _from_spectra_oracle(s0 | s2, cs[:-1], d)
+    seam_vertices = s0 & s2
+    try:
+        stack = frozenset(
+            t for t in inner.types() if _side(t, seam_vertices) == "before")
+    except CubillageError as exc:
+        raise NotRealizableError(f"seam spectra do not describe a membrane: {exc}") from exc
+    if not natural_order(inner).is_ideal(stack):
+        raise NotRealizableError("seam stack is not an order ideal")
+    if plate_vertices(_membrane(inner, stack)) != seam_vertices:
+        raise NotRealizableError("seam membrane does not reproduce the doubled spectra")
+    return _expand(inner, stack, m)
+
+
+def outcome(reconstruct, *args):
+    """The cubillage reconstruct returns, or the type and message it raises."""
+    try:
+        return reconstruct(*args)
+    except Exception as exc:  # the exception type is part of the answer
+        return type(exc), str(exc)
+
+
+def raising_walk(colors, d, steps, rng):
+    """The cubillages met on a seeded walk of raising flips from the standard one."""
+    q = standard(colors, d)
+    out = [q]
+    for _ in range(steps):
+        raising = [p for p, way in find_flips(q) if way == "raising"]
+        if not raising:
+            break
+        q = apply_flip(q, rng.choice(raising))
+        out.append(q)
+    return out
+
+
+WALKS = [(crange(8), 3, 28), (crange(9), 4, 32), (crange(10), 5, 30), (crange(6), 1, 15),
+         (crange(9), 1, 36), ((2, 4, 5, 7, 9, 11), 2, 20), ((2, 4, 5, 7, 9, 11), 3, 15)]
+
+
+@pytest.mark.parametrize("colors,d,steps", WALKS,
+                         ids=["Z8_3", "Z9_4", "Z10_5", "Z6_1", "Z9_1", "C6_2", "C6_3"])
+def test_from_spectra_matches_oracle_on_seeded_walks(colors, d, steps):
+    rng = random.Random(len(colors) * 10 + d)
+    walk = raising_walk(colors, d, steps, rng)
+    for q in (walk[len(walk) // 2], walk[-1]):
+        got = from_spectra(q.vertices(), colors, d)
+        assert got == from_spectra_oracle(q.vertices(), colors, d) == q
+        assert got.colors == q.colors and validate(got) is None
+
+
+def perturbations(q, rng):
+    """Labelled near misses of q's spectrum, one of each kind."""
+    colors, spectrum = q.colors, sorted(q.vertices())
+    everything = [tuple(c for i, c in enumerate(colors) if m >> i & 1)
+                  for m in range(1 << len(colors))]
+    outside = [s for s in everything if s not in q.vertices()]
+    foreign = colors[-1] + 1
+    i = rng.randrange(len(spectrum))
+    yield "spectrum", spectrum
+    yield "drop", spectrum[:i] + spectrum[i + 1:]
+    yield "foreign-color", spectrum[:i] + [spectrum[i] + (foreign,)] + spectrum[i + 1:]
+    yield "foreign-top", spectrum[:-1] + [colors + (foreign,)]
+    yield "non-canonical", spectrum[:i] + [spectrum[i] + spectrum[i][:1]] + spectrum[i + 1:]
+    if not outside:  # Z(d,d): every subset is a vertex and nothing flips
+        return
+    yield "swap", spectrum[:i] + [rng.choice(outside)] + spectrum[i + 1:]
+    yield "wrong-size", spectrum + [rng.choice(outside)]
+    # one set moved to where a flip takes it: still separated, another spectrum
+    flipped = apply_flip(q, rng.choice(find_flips(q))[0]).vertices()
+    yield "moved-separated", sorted(flipped)
+    moved = [s for s in flipped if s not in q.vertices()][0]
+    yield "moved-twice", spectrum[:i] + [moved] + spectrum[i + 1:]
+
+
+@pytest.mark.parametrize("colors,d", [(crange(4), 1), (crange(6), 2), (crange(7), 3),
+                                      (crange(8), 4), (crange(4), 4), ((2, 4, 5, 7, 9, 11), 3)],
+                         ids=["Z4_1", "Z6_2", "Z7_3", "Z8_4", "Z4_4", "C6_3"])
+def test_from_spectra_errors_match_oracle(colors, d):
+    rng = random.Random(len(colors) * 10 + d)
+    kinds = set()
+    for q in raising_walk(colors, d, 12, rng)[::6]:
+        for label, sets in perturbations(q, rng):
+            for dim in (d, None):
+                want = outcome(from_spectra_oracle, sets, colors, dim)
+                assert outcome(from_spectra, sets, colors, dim) == want, (label, dim)
+                kinds.add(want[0] if isinstance(want, tuple) else "cubillage")
+    assert {"cubillage", ValueError} <= kinds
+    if len(colors) > d:  # n = d has no 2-block pair, so nothing fails separation
+        assert NotRealizableError in kinds
 
 
 # ------------------------------------- oracle: the unordered clique engines
