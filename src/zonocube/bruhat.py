@@ -12,7 +12,7 @@ from .colors import Colors, is_r_separated
 # unused here, but bench/test_bench.py reaches them as bruhat.colorset and
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
-from .cubillage import Cubillage, CubillageError
+from .cubillage import Cubillage, CubillageError, _type_count_guard
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
 from .masks import _cubillage_of_mask, _mask_of, _steps
 from .order import find_flips  # noqa: F401
@@ -42,8 +42,7 @@ def enumerate_cubillages(n: int, d: int, max_types: int = 70,
     _check_dimensions(n, d)
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-    if comb(n, d) > max_types:
-        raise ScaleGuardError(f"C({n},{d}) = {comb(n, d)} exceeds the cap {max_types}")
+    _type_count_guard(n, d, max_types)
     seen = {0}
     todo = [0]
     while todo:

@@ -4,6 +4,14 @@ Every command reads JSON (from a file argument, stdin as "-", or inline
 --sets) and writes JSON, DOT or SVG to stdout or -o; output is
 byte-deterministic for fixed input.  Exit codes: 0 success, 1 validation or
 diagnostic failure, 2 malformed input.
+
+COMMANDS maps each command name to its handler, help line and argument
+specs; build_parser makes from it the parser of one command or the full
+parser of all.  main parses with the parser of the command named first,
+which costs a small fraction of building the full one.  When the first
+argument names no command, or the command leaves arguments it does not
+know, main parses again with the full parser, which prints the same usage,
+help or error and exits with the same code as it always has.
 """
 
 from __future__ import annotations
@@ -341,178 +349,111 @@ def cmd_embed(args):
     _emit(args, q.to_json())
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+_OUTPUT = _arg("-o", "--output", help="write to this path instead of stdout")
+_CUBILLAGE = (_arg("input", nargs="?", default="-", help="cubillage JSON file, or - for stdin"),
+              _OUTPUT)
+_SET_SYSTEM = _arg("input", nargs="?", help="set system JSON file")
+_N = _arg("-n", type=int, required=True)
+_D = _arg("-d", type=int, required=True)
+_COLOR = _arg("--color", type=int, required=True)
+_MAX_STATES = _arg("--max-states", type=int, default=200000)
+_T_PARAMS = _arg("--t-params", help="comma separated curve parameters")
+
+# name -> (help, arguments in the order they are added); the handler of
+# "from-spectra" is cmd_from_spectra
+COMMANDS = {
+    "standard": ("emit the standard cubillage of Z(n,d)", (_N, _D, _OUTPUT)),
+    "antistandard": ("emit the antistandard cubillage of Z(n,d)", (_N, _D, _OUTPUT)),
+    "validate": ("check the structural tiling conditions", _CUBILLAGE),
+    "spectra": ("vertex spectra as a set system", _CUBILLAGE),
+    "reduce": ("delete a color; reports seam and below-stack", (*_CUBILLAGE, _COLOR)),
+    "expand": ("insert a new top color along a stack membrane", (
+        *_CUBILLAGE, _COLOR,
+        _arg("--sets", help="stack as a JSON list of types (default: full stack)"))),
+    "contract": ("project a color layer one dimension down", (*_CUBILLAGE, _COLOR)),
+    "flips": ("list flippable parents and directions", _CUBILLAGE),
+    "flip": ("apply the flip at a parent", (
+        *_CUBILLAGE, _arg("--parent", required=True, help="JSON list of d+1 colors"))),
+    "standardize": ("canonical avalanche sequence to the standard cubillage", _CUBILLAGE),
+    "membranes": ("all stacks with their membranes", _CUBILLAGE),
+    "garland": ("chords and the front-to-back vertex bijection", _CUBILLAGE),
+    "inversions": ("inversion system of the cubillage", _CUBILLAGE),
+    "order": ("induced admissible order on types", (
+        *_CUBILLAGE, _arg("--dot", action="store_true", help="emit GraphViz DOT instead of JSON"))),
+    "from-spectra": ("rebuild a cubillage from its vertex spectra", (
+        _SET_SYSTEM, _arg("--sets", help="inline JSON list of spectra"),
+        _arg("-n", type=int, help="ambient color count (default: max color)"),
+        _arg("-d", type=int, help="dimension (default: inferred from the size)"), _OUTPUT)),
+    "from-consistent": ("membrane realizing a consistent system", (
+        _SET_SYSTEM, _arg("--sets", help="inline JSON list of inverted parents"), _N, _D, _OUTPUT)),
+    "from-order": ("rebuild a cubillage from an admissible order", (
+        _arg("input", nargs="?", default="-", help="admissible order JSON file"), _OUTPUT)),
+    "enumerate": ("all cubillages of Z(n,d) via raising flips", (
+        _N, _D, _arg("--count", action="store_true", help="print only the count"), _MAX_STATES,
+        _OUTPUT)),
+    "poset": ("higher Bruhat poset B(n,d)", (
+        _N, _D, _arg("--dot", action="store_true"), _MAX_STATES, _OUTPUT)),
+    "sec": ("slice triangulation of the cyclic polytope", (*_CUBILLAGE, _T_PARAMS)),
+    "sec-surjectivity": ("compare the sec image with all triangulations",
+                         (_N, _D, _MAX_STATES, _OUTPUT)),
+    "check-separated": ("pairwise separation report for a set system", (
+        _SET_SYSTEM, _arg("--sets", help="inline JSON list of sets"),
+        _arg("-d", type=int, help="check (d-1)-separation"),
+        _arg("-r", type=int, help="check r-separation directly"), _OUTPUT)),
+    "extend": ("complete or certify a separated system", (
+        _SET_SYSTEM, _arg("--sets", help="inline JSON list of sets"), _N, _D,
+        _arg("--certify", action="store_true", help="enumerate maximal-by-inclusion completions"),
+        _OUTPUT)),
+    "weak-sep": ("weak separation suite or pairwise check", (
+        _arg("-n", type=int), _arg("-k", type=int, required=True, help="odd separation parameter"),
+        _arg("--sets", help="inline JSON list of sets to check pairwise"), _OUTPUT)),
+    "render-svg": ("draw a d=2 cubillage", (
+        *_CUBILLAGE, _arg("--size", default="640x480", help="viewport as WxH"),
+        _arg("--labels", action="store_true", help="label vertex spectra"),
+        _arg("--arrows", action="store_true", help="overlay precedence arrows"),
+        _arg("--sets", help="stack whose membrane to overlay, as JSON types"),
+        _arg("--svg", help="alias for -o"), _T_PARAMS)),
+    "embed": ("cubillage of Z(n,d) through a given vertex", (
+        _arg("--sets", required=True, help="JSON list holding one vertex set"), _N, _D, _OUTPUT)),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of one command, as add_parser makes it for the full
+    parser, or with no command the full parser of every command."""
+    if command is not None:
+        return _add_command(argparse.ArgumentParser(prog=f"zonocube {command}"), command)
     parser = argparse.ArgumentParser(
         prog="zonocube",
         description="cubillages of cyclic zonotopes: construction, flips, posets, separation")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
+    return parser
 
-    def common_out(p):
-        p.add_argument("-o", "--output", help="write to this path instead of stdout")
 
-    def with_input(p):
-        p.add_argument("input", nargs="?", default="-",
-                       help="cubillage JSON file, or - for stdin")
-        common_out(p)
-
-    for name, fn in (("standard", cmd_standard), ("antistandard", cmd_antistandard)):
-        p = sub.add_parser(name, help=f"emit the {name} cubillage of Z(n,d)")
-        p.add_argument("-n", type=int, required=True)
-        p.add_argument("-d", type=int, required=True)
-        common_out(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("validate", help="check the structural tiling conditions")
-    with_input(p)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("spectra", help="vertex spectra as a set system")
-    with_input(p)
-    p.set_defaults(fn=cmd_spectra)
-
-    p = sub.add_parser("reduce", help="delete a color; reports seam and below-stack")
-    with_input(p)
-    p.add_argument("--color", type=int, required=True)
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("expand", help="insert a new top color along a stack membrane")
-    with_input(p)
-    p.add_argument("--color", type=int, required=True)
-    p.add_argument("--sets", help="stack as a JSON list of types (default: full stack)")
-    p.set_defaults(fn=cmd_expand)
-
-    p = sub.add_parser("contract", help="project a color layer one dimension down")
-    with_input(p)
-    p.add_argument("--color", type=int, required=True)
-    p.set_defaults(fn=cmd_contract)
-
-    p = sub.add_parser("flips", help="list flippable parents and directions")
-    with_input(p)
-    p.set_defaults(fn=cmd_flips)
-
-    p = sub.add_parser("flip", help="apply the flip at a parent")
-    with_input(p)
-    p.add_argument("--parent", required=True, help="JSON list of d+1 colors")
-    p.set_defaults(fn=cmd_flip)
-
-    p = sub.add_parser("standardize", help="canonical avalanche sequence to the standard cubillage")
-    with_input(p)
-    p.set_defaults(fn=cmd_standardize)
-
-    p = sub.add_parser("membranes", help="all stacks with their membranes")
-    with_input(p)
-    p.set_defaults(fn=cmd_membranes)
-
-    p = sub.add_parser("garland", help="chords and the front-to-back vertex bijection")
-    with_input(p)
-    p.set_defaults(fn=cmd_garland)
-
-    p = sub.add_parser("inversions", help="inversion system of the cubillage")
-    with_input(p)
-    p.set_defaults(fn=cmd_inversions)
-
-    p = sub.add_parser("order", help="induced admissible order on types")
-    with_input(p)
-    p.add_argument("--dot", action="store_true", help="emit GraphViz DOT instead of JSON")
-    p.set_defaults(fn=cmd_order)
-
-    p = sub.add_parser("from-spectra", help="rebuild a cubillage from its vertex spectra")
-    p.add_argument("input", nargs="?", help="set system JSON file")
-    p.add_argument("--sets", help="inline JSON list of spectra")
-    p.add_argument("-n", type=int, help="ambient color count (default: max color)")
-    p.add_argument("-d", type=int, help="dimension (default: inferred from the size)")
-    common_out(p)
-    p.set_defaults(fn=cmd_from_spectra)
-
-    p = sub.add_parser("from-consistent", help="membrane realizing a consistent system")
-    p.add_argument("input", nargs="?", help="set system JSON file")
-    p.add_argument("--sets", help="inline JSON list of inverted parents")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    common_out(p)
-    p.set_defaults(fn=cmd_from_consistent)
-
-    p = sub.add_parser("from-order", help="rebuild a cubillage from an admissible order")
-    p.add_argument("input", nargs="?", default="-", help="admissible order JSON file")
-    common_out(p)
-    p.set_defaults(fn=cmd_from_order)
-
-    p = sub.add_parser("enumerate", help="all cubillages of Z(n,d) via raising flips")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--count", action="store_true", help="print only the count")
-    p.add_argument("--max-states", type=int, default=200000)
-    common_out(p)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("poset", help="higher Bruhat poset B(n,d)")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--max-states", type=int, default=200000)
-    common_out(p)
-    p.set_defaults(fn=cmd_poset)
-
-    p = sub.add_parser("sec", help="slice triangulation of the cyclic polytope")
-    with_input(p)
-    p.add_argument("--t-params", help="comma separated curve parameters")
-    p.set_defaults(fn=cmd_sec)
-
-    p = sub.add_parser("sec-surjectivity", help="compare the sec image with all triangulations")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--max-states", type=int, default=200000)
-    common_out(p)
-    p.set_defaults(fn=cmd_sec_surjectivity)
-
-    p = sub.add_parser("check-separated", help="pairwise separation report for a set system")
-    p.add_argument("input", nargs="?", help="set system JSON file")
-    p.add_argument("--sets", help="inline JSON list of sets")
-    p.add_argument("-d", type=int, help="check (d-1)-separation")
-    p.add_argument("-r", type=int, help="check r-separation directly")
-    common_out(p)
-    p.set_defaults(fn=cmd_check_separated)
-
-    p = sub.add_parser("extend", help="complete or certify a separated system")
-    p.add_argument("input", nargs="?", help="set system JSON file")
-    p.add_argument("--sets", help="inline JSON list of sets")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--certify", action="store_true",
-                   help="enumerate maximal-by-inclusion completions")
-    common_out(p)
-    p.set_defaults(fn=cmd_extend)
-
-    p = sub.add_parser("weak-sep", help="weak separation suite or pairwise check")
-    p.add_argument("-n", type=int)
-    p.add_argument("-k", type=int, required=True, help="odd separation parameter")
-    p.add_argument("--sets", help="inline JSON list of sets to check pairwise")
-    common_out(p)
-    p.set_defaults(fn=cmd_weak_sep)
-
-    p = sub.add_parser("render-svg", help="draw a d=2 cubillage")
-    with_input(p)
-    p.add_argument("--size", default="640x480", help="viewport as WxH")
-    p.add_argument("--labels", action="store_true", help="label vertex spectra")
-    p.add_argument("--arrows", action="store_true", help="overlay precedence arrows")
-    p.add_argument("--sets", help="stack whose membrane to overlay, as JSON types")
-    p.add_argument("--svg", help="alias for -o")
-    p.add_argument("--t-params", help="comma separated curve parameters")
-    p.set_defaults(fn=cmd_render_svg)
-
-    p = sub.add_parser("embed", help="cubillage of Z(n,d) through a given vertex")
-    p.add_argument("--sets", required=True, help="JSON list holding one vertex set")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    common_out(p)
-    p.set_defaults(fn=cmd_embed)
-
+def _add_command(parser, name):
+    for flags, options in COMMANDS[name][1]:
+        parser.add_argument(*flags, **options)
+    # the handler is looked up now, not when the table is made, so that a
+    # replacement of cmd_* in this module (a tracing wrapper) is what runs
+    parser.set_defaults(command=name, fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = rest = None
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        # not a command, or arguments the command does not know: the full
+        # parser prints the usage, help or error and exits as it always has
+        args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)
         return 0 if result is None else result

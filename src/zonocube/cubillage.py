@@ -36,6 +36,20 @@ class CubillageError(Exception):
     """A structural diagnostic: the input is not what it claims to be."""
 
 
+class ScaleGuardError(RuntimeError):
+    """The requested search exceeds the configured desk-scale caps."""
+
+
+# `zonocube standard -n 19 -d 9` (92,378 cubes, just under the cap) takes
+# 2.2 s on a 2-core Xeon with Python 3.11; the time grows with the cube count
+MAX_EXTREME_CUBES = 100_000
+
+
+def _type_count_guard(n: int, d: int, cap: int) -> None:
+    if comb(n, d) > cap:
+        raise ScaleGuardError(f"C({n},{d}) = {comb(n, d)} exceeds the cap {cap}")
+
+
 class Cubillage:
     """A type-indexed collection of cubes over a fixed color set.
 
@@ -129,9 +143,13 @@ class Cubillage:
 def _face_spectra(faces):
     """(root ∪ S, S, type) for every face (root, type) and every subset S of its type."""
     for root, typ in faces:
+        # in a valid face root and type are disjoint sets: then root + S has
+        # no repeats and a sort makes the union
+        root = tuple(root)
+        disjoint = len(set(root).union(typ)) == len(root) + len(typ)
         for k in range(len(typ) + 1):
             for s in itertools.combinations(typ, k):
-                yield union(root, s), s, typ
+                yield tuple(sorted(root + s)) if disjoint else union(root, s), s, typ
 
 
 def facet_sides(cube: Cube) -> dict[int, tuple[Facet, Facet]]:
@@ -307,19 +325,22 @@ def _extreme(colors, d: int, even: bool, name: str) -> Cubillage:
     cs = colorset(colors)
     if len(cs) < d or d < 1:
         raise ValueError(f"{name} cubillage needs |colors| >= d >= 1, got {cs}, d={d}")
+    _type_count_guard(len(cs), d, MAX_EXTREME_CUBES)
     return Cubillage._trusted(cs, d, [(_parity_root(cs, t, even), t) for t in subsets(cs, d)])
 
 
 def standard(colors, d: int) -> Cubillage:
     """The standard cubillage, the one with no inversions: each cube of
-    type T is rooted at the colors outside T that are odd relative to T."""
+    type T is rooted at the colors outside T that are odd relative to T.
+    Refuses more than MAX_EXTREME_CUBES cubes with ScaleGuardError."""
     return _extreme(colors, d, False, "standard")
 
 
 def antistandard(colors, d: int) -> Cubillage:
     """The antistandard cubillage, the one inverting every (d+1)-subset:
     each cube of type T is rooted at the colors outside T that are even
-    relative to T."""
+    relative to T.  Refuses more than MAX_EXTREME_CUBES cubes with
+    ScaleGuardError."""
     return _extreme(colors, d, True, "antistandard")
 
 

@@ -25,7 +25,7 @@ from .colors import (
     is_weakly_k_separated,
     subsets,
 )
-from .cubillage import Cubillage, CubillageError, Facet, _membrane
+from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _membrane
 from .masks import _cubillage_of_mask, _mask, _mask_of_spectra, _steps
 from .order import _closure, natural_order
 
@@ -34,10 +34,6 @@ class NotRealizableError(CubillageError):
     """A set system that passes the size and separation checks of
     from_spectra and is still no cubillage's spectrum: its colors leave the
     universe."""
-
-
-class ScaleGuardError(RuntimeError):
-    """The requested search exceeds the configured desk-scale caps."""
 
 
 # the separation searches build a graph on the 2^n subsets of [n]

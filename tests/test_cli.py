@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from zonocube.cli import main
-from zonocube.cubillage import Cubillage, standard, validate
+from zonocube import ScaleGuardError, cli, order_of
+from zonocube.cli import COMMANDS, build_parser, main
+from zonocube.cubillage import Cubillage, CubillageError, standard, validate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
@@ -86,13 +87,18 @@ def test_from_consistent_rejects_members_outside_the_colors():
     assert err.strip() == "bad input: member sets [(1, 9)] leave the colors 1..4"
 
 
-def run_inprocess(args, stdin):
+def run_inprocess(args, stdin, run=main):
+    """(exit code, stdout, stderr) of run(args) on stdin; when it raises
+    SystemExit, ("SystemExit", its code) stands for the exit code."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(args)
+            try:
+                code = run(list(args))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -140,6 +146,14 @@ def test_extend_scale_guard_exits_one():
     for mode in ([], ["--certify"]):
         code, out, err = run_cli(["extend", "-n", "11", "-d", "3", "--sets", "[]", *mode])
         assert code == 1 and not out and err.startswith("error: n = 11 exceeds the cap 10")
+
+
+def test_standard_scale_guard_exits_one():
+    for cmd in ("standard", "antistandard"):
+        proc = subprocess.run([sys.executable, "-m", "zonocube.cli", cmd, "-n", "40", "-d", "20"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and not proc.stdout
+        assert proc.stderr == "error: C(40,20) = 137846528820 exceeds the cap 100000\n"
 
 
 def test_max_states_below_one_is_bad_input():
@@ -310,6 +324,69 @@ def test_main_entrypoint_inprocess(capsys):
     assert main(["standard", "-n", "2", "-d", "2"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["cubes"] == [{"root": [], "type": [1, 2]}]
+
+
+def full_parser_main(argv):
+    """main parsing every call with the full parser of all commands."""
+    args = build_parser().parse_args(argv)
+    try:
+        result = args.fn(args)
+        return 0 if result is None else result
+    except (CubillageError, ScaleGuardError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
+
+
+Z42 = standard(range(1, 5), 2).to_json()
+Z53 = standard(range(1, 6), 3).to_json()
+# one successful call per command, with its stdin
+PARITY_CALLS = [
+    (["standard", "-n", "4", "-d", "2"], ""), (["antistandard", "-n", "4", "-d", "2"], ""),
+    (["validate", "-"], Z42), (["spectra"], Z42), (["reduce", "-", "--color", "4"], Z42),
+    (["expand", "-", "--color", "5"], Z42), (["contract", "-", "--color", "1"], Z42),
+    (["flips", "-"], Z42), (["flip", "-", "--parent", "[1,2,3]"], Z42),
+    (["standardize", "-"], Z42), (["membranes", "-"], Z42), (["garland", "-"], Z42),
+    (["inversions", "-"], Z42), (["order", "-", "--dot"], Z42),
+    (["from-spectra", "--sets", "[[],[1],[1,2]]"], ""),
+    (["from-consistent", "--sets", "[[1,2]]", "-n", "3", "-d", "2"], ""),
+    (["from-order", "-"], order_of(standard(range(1, 5), 2)).to_json()),
+    (["enumerate", "-n", "4", "-d", "2", "--cou"], ""), (["poset", "-n", "4", "-d", "2"], ""),
+    (["sec", "-"], Z53), (["sec-surjectivity", "-n", "5", "-d", "3"], ""),
+    (["check-separated", "-d", "2", "--sets", "[[1,3],[2]]"], ""),
+    (["extend", "-n", "4", "-d", "2", "--sets", "[[1,3]]"], ""),
+    (["weak-sep", "-n", "4", "-k", "1"], ""), (["render-svg", "-", "--labels"], Z42),
+    (["embed", "--sets", "[[1,3]]", "-n", "3", "-d", "2"], ""),
+]
+PARITY_ERRORS = [
+    [], ["-h"], ["--help"], ["bogus"], ["sta"], ["valid", "-"], ["--", "flips", "-"], ["-x"],
+    ["validate", "-", "--bogus"], ["flips", "--bogus"], ["flips", "-", "--bogus", "-h"],
+    ["flip", "-"], ["standard", "-n", "3"], ["enumerate", "-n", "x", "-d", "2"],
+    ["validate", "-", "extra"], ["validate", "--", "-", "extra"], ["weak-sep", "-n", "3"],
+    *([name, "-h"] for name in COMMANDS),
+]
+
+
+def test_parity_calls_cover_every_command():
+    assert [argv[0] for argv, _ in PARITY_CALLS] == list(COMMANDS)
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    pytest.param(argv, stdin, id=" ".join(argv) or "(no arguments)")
+    for argv, stdin in PARITY_CALLS + [(argv, Z42) for argv in PARITY_ERRORS]])
+def test_per_command_parse_matches_the_full_parser(argv, stdin, monkeypatch):
+    # help text is wrapped to COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_inprocess(argv, stdin) == run_inprocess(argv, stdin, full_parser_main)
+
+
+def test_parsers_run_the_handler_the_module_holds_now(monkeypatch):
+    # the benchmark's tracer replaces cmd_* in the module to time them
+    monkeypatch.setattr(cli, "cmd_flips", lambda args: 7)
+    assert main(["flips", "-"]) == 7
+    assert build_parser().parse_args(["flips"]).fn is cli.cmd_flips
 
 
 def test_emitted_json_is_parse_emit_fixed_point():

@@ -5,11 +5,12 @@ from math import comb
 import pytest
 
 from zonocube.bruhat import enumerate_cubillages
-from zonocube.colors import is_r_separated
+from zonocube.colors import is_r_separated, union
 from zonocube.cubillage import (
     Cube,
     Cubillage,
     Facet,
+    _face_spectra,
     antistandard,
     boundary_plates,
     central_symmetry,
@@ -216,6 +217,23 @@ def test_vertices_standard_d1_prefixes():
     for n in range(1, 7):
         expected = {tuple(range(1, k + 1)) for k in range(n + 1)}
         assert standard(crange(n), 1).vertices() == expected
+
+
+def face_spectra_union_form(faces):
+    """_face_spectra with every spectrum built by colors.union."""
+    return [(union(root, s), s, typ) for root, typ in faces
+            for k in range(len(typ) + 1) for s in itertools.combinations(typ, k)]
+
+
+def test_face_spectra_match_the_union_form():
+    face_lists = [[(r, t) for t, r in q._root_by_type.items()]
+                  for n, d in ((5, 2), (6, 3), (7, 4)) for q in enumerate_cubillages(n, d)]
+    face_lists.append(sorted(boundary_plates(crange(6), 3, "front")))
+    # hand-made faces: roots that meet their types, a repeated color, a list root
+    face_lists.append([((1, 3), (3, 4)), ((2, 5), (1, 2, 5)), ((4, 4), (1, 2)),
+                       ((), (2, 2)), ([3], (1, 2))])
+    for faces in face_lists:
+        assert list(_face_spectra(faces)) == face_spectra_union_form(faces)
 
 
 def test_standard_spectra_interval_profile():
