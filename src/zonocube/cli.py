@@ -42,7 +42,6 @@ from . import (
     garland,
     inversions,
     membrane_of_stack,
-    natural_order,
     order_of,
     reduce,
     render_svg,
@@ -74,16 +73,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_cubillage(args, certify: bool = True) -> Cubillage:
-    """The cubillage of the input file; unless told not to, it must pass the
-    validity certificate of the inversion masks, else CubillageError with
-    validate's diagnostic."""
+def _load_cubillage(args) -> Cubillage:
+    """The cubillage of the input file; it must pass the validity
+    certificate of the inversion masks, else CubillageError with validate's
+    diagnostic."""
     q = Cubillage.from_json(_read_text(args.input))
-    if certify:
-        try:
-            _mask_of(q)
-        except CubillageError as exc:
-            raise CubillageError(validate(q) or str(exc)) from None
+    try:
+        _mask_of(q)
+    except CubillageError as exc:
+        raise CubillageError(validate(q) or str(exc)) from None
     return q
 
 
@@ -110,8 +108,8 @@ def _facet_json(plates):
             for p in sorted(plates, key=lambda p: (p.type, p.root))]
 
 
-def _setsystem_json(n: int, sets) -> str:
-    return SetSystem(n, sets).to_json()
+def _setsystem_json(q: Cubillage, sets) -> str:
+    return SetSystem(q.colors[-1] if q.colors else 0, sets).to_json()
 
 
 def _pairwise_violations(sets, violation) -> list:
@@ -126,10 +124,6 @@ def _pairwise_violations(sets, violation) -> list:
     return out
 
 
-def _ambient_n(q: Cubillage) -> int:
-    return q.colors[-1] if q.colors else 0
-
-
 def cmd_standard(args):
     _emit(args, standard(range(1, args.n + 1), args.d).to_json())
 
@@ -139,7 +133,7 @@ def cmd_antistandard(args):
 
 
 def cmd_validate(args):
-    diagnostic = validate(_load_cubillage(args, certify=False))
+    diagnostic = validate(Cubillage.from_json(_read_text(args.input)))
     if diagnostic is None:
         _emit(args, "ok")
         return 0
@@ -149,7 +143,7 @@ def cmd_validate(args):
 
 def cmd_spectra(args):
     q = _load_cubillage(args)
-    _emit(args, _setsystem_json(_ambient_n(q), sorted(q.vertices())))
+    _emit(args, _setsystem_json(q, sorted(q.vertices())))
 
 
 def cmd_reduce(args):
@@ -213,15 +207,12 @@ def cmd_garland(args):
 
 def cmd_inversions(args):
     q = _load_cubillage(args)
-    _emit(args, _setsystem_json(_ambient_n(q), sorted(inversions(q))))
+    _emit(args, _setsystem_json(q, sorted(inversions(q))))
 
 
 def cmd_order(args):
-    q = _load_cubillage(args)
-    if args.dot:
-        _emit(args, natural_order(q).to_dot())
-    else:
-        _emit(args, order_of(q).to_json())
+    order = order_of(_load_cubillage(args))
+    _emit(args, order.to_dot() if args.dot else order.to_json())
 
 
 def cmd_from_spectra(args):

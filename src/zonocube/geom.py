@@ -304,7 +304,7 @@ def render_svg(cubillage, size=(640, 480), labels=False, arrows=False, membrane=
             cx = sum(p[0] for p in quad) / 4
             cy = sum(p[1] for p in quad) / 4
             centers[cube.type] = (cx, cy)
-        for below, above in natural_order(cubillage).covers:
+        for below, above in natural_order(cubillage).relations:
             (x1, y1), (x2, y2) = screen(centers[below]), screen(centers[above])
             parts.append(f'<line class="arrow" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     if labels:

@@ -1,13 +1,19 @@
 """The natural order on the cubes of a cubillage and everything built on it:
 stacks and membranes, flips, avalanches, canonical extensions of
 membranes, and the garland bijection between the front and back rims.
+
+AdmissibleOrder is the one class for an order on d-subsets: natural_order
+gives the natural order of a cubillage on its cube types as one, and the
+public constructor builds one from generating relations.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 from typing import NamedTuple
 
-from .colors import Colors, add, colorset, inter, minus, union
+from .colors import Colors, add, colorset, inter, minus, subsets, union
 from .cubillage import (
     Cubillage,
     CubillageError,
@@ -50,51 +56,84 @@ def _closure(nodes, relations):
     return index, topo, up
 
 
-class NaturalOrder:
-    """Reachability structure over the facet-adjacency precedence of cubes.
+class AdmissibleOrder:
+    """A partial order on d-subsets whose packet restrictions are all lex
+    or antilex chains (Manin-Schechtman 1989; Ziegler, Topology 1993), kept
+    as its sorted generating relations and one closure.  The constructor
+    runs every check; natural_order leaves the packet check, which runs at
+    most once per order, to order_of.  Methods take canonical types."""
 
-    Cube Q precedes Q' when they share a facet invisible for Q and visible
-    for Q'; the partial order is the reflexive-transitive closure.  Built
-    once per cubillage and cached there; a cycle means the input was corrupt.
-    Methods take types as canonical tuples.
-    """
+    def __init__(self, colors, d: int, relations):
+        colors, d = colorset(colors), int(d)
+        types = list(subsets(colors, d))
+        relations = [(colorset(a), colorset(b)) for a, b in relations]
+        known = set(types)
+        for a, b in relations:
+            if a not in known or b not in known:
+                raise ValueError(f"relation {a} < {b} leaves the grassmannian")
+        self._fill(colors, d, types, relations,
+                   ValueError("relations contain a cycle; not an order"))
+        self._antilex()
 
-    def __init__(self, q: Cubillage):
-        self.cubillage = q
-        self.covers = cover_relations(q)
-        self.types = q.types()
-        closure = _closure(self.types, self.covers)
+    def _fill(self, colors: Colors, d: int, types, relations, on_cycle: Exception):
+        self.colors = colors
+        self.d = d
+        self.types = types
+        self.relations = tuple(sorted(relations))
+        closure = _closure(types, self.relations)
         if closure is None:
-            raise CubillageError("precedence relation has a cycle; not a cubillage")
+            raise on_cycle
         self._index, self._topo, self._up = closure
+        self._antilex_parents = None
+
+    def _antilex(self) -> frozenset[Colors]:
+        """The parents whose packet runs antilex, found by the packet check
+        on the first call.  Raises ValueError when a packet is not a chain;
+        for the natural order of a corrupt cubillage, the error of the order
+        its relations make over the grassmannian."""
+        if self._antilex_parents is None:
+            if self.types != list(subsets(self.colors, self.d)):
+                AdmissibleOrder(self.colors, self.d, self.relations)
+            self._antilex_parents = frozenset(
+                parent for parent in subsets(self.colors, self.d + 1)
+                if self.packet_direction(parent) == "antilex")
+        return self._antilex_parents
+
+    def leq(self, a, b) -> bool:
+        return bool(self._up[a] & (1 << self._index[b]))
 
     def topological(self) -> list[Colors]:
         return list(self._topo)
 
-    def leq(self, a, b) -> bool:
-        return bool(self._up[a] & (1 << self._index[b]))
+    def packet_direction(self, parent) -> str:
+        """"lex" or "antilex"; raises when the packet is not a full chain."""
+        chain = list(itertools.combinations(parent, self.d))
+        if all(self.leq(a, b) for a, b in zip(chain, chain[1:])):
+            return "lex"
+        if all(self.leq(b, a) for a, b in zip(chain, chain[1:])):
+            return "antilex"
+        raise ValueError(f"packet of {parent} is not a lex or antilex chain")
+
+    def linear_extension(self) -> list[Colors]:
+        return sorted(self.types, key=lambda t: (-bin(self._up[t]).count("1"), t))
+
+    def extends(self, other: "AdmissibleOrder") -> bool:
+        """True when every relation of other also holds here."""
+        return all(self.leq(a, b) for a, b in other.relations)
 
     def is_ideal(self, types_set) -> bool:
         member = frozenset(types_set)
         if not self._index.keys() >= member:
             return False
-        return all(below in member for below, above in self.covers if above in member)
+        return all(below in member for below, above in self.relations if above in member)
 
     def ideals(self):
-        """All downward closed type sets, by increasing size then lexicographically."""
-        found = {frozenset()}
-        frontier = [frozenset()]
-        while frontier:
-            nxt = []
-            for ideal in frontier:
-                for t in self.types:
-                    if t in ideal:
-                        continue
-                    grown = ideal | {t}
-                    if grown not in found and self.is_ideal(grown):
-                        found.add(grown)
-                        nxt.append(grown)
-            frontier = nxt
+        """All downward closed type sets, by size then lexicographically; in
+        topological order, each type joins every ideal so far holding all it covers."""
+        found = [frozenset()]
+        for t in self._topo:
+            below = {b for b, a in self.relations if a == t}
+            found += [ideal | {t} for ideal in found if below <= ideal]
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def to_dot(self) -> str:
@@ -104,16 +143,56 @@ class NaturalOrder:
         lines = ["digraph natural_order {"]
         for t in self.types:
             lines.append(f'  "{name(t)}";')
-        for below, above in self.covers:
+        for below, above in self.relations:
             lines.append(f'  "{name(below)}" -> "{name(above)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
+    def __eq__(self, other):
+        return (isinstance(other, AdmissibleOrder)
+                and (self.colors, self.d) == (other.colors, other.d)
+                and self._up == other._up)
 
-def natural_order(q: Cubillage) -> NaturalOrder:
+    def __hash__(self):
+        return hash((self.colors, self.d, tuple(sorted(self._up.items()))))
+
+    def to_json(self) -> str:
+        n = self.colors[-1] if self.colors else 0
+        if self.colors != tuple(range(1, n + 1)):
+            raise ValueError("JSON form requires contiguous colors 1..n")
+        return json.dumps({
+            "n": n,
+            "d": self.d,
+            "relations": [[list(a), list(b)] for a, b in self.relations],
+        })
+
+    @classmethod
+    def from_json(cls, text: str) -> "AdmissibleOrder":
+        data = json.loads(text)
+        return cls(range(1, data["n"] + 1), data["d"],
+                   [(a, b) for a, b in data["relations"]])
+
+
+def natural_order(q: Cubillage) -> AdmissibleOrder:
+    """The natural order on the cube types of q, cached on q: cube Q
+    precedes Q' when they share a facet invisible for Q and visible for Q',
+    closed reflexively and transitively.  A cycle means q is corrupt
+    (CubillageError).  The packet check is left to order_of."""
     if "natural_order" not in q._cache:
-        q._cache["natural_order"] = NaturalOrder(q)
+        order = AdmissibleOrder.__new__(AdmissibleOrder)
+        order._fill(q.colors, q.d, q.types(), cover_relations(q),
+                    CubillageError("precedence relation has a cycle; not a cubillage"))
+        q._cache["natural_order"] = order
     return q._cache["natural_order"]
+
+
+def _ideal(q: Cubillage, stack) -> frozenset[Colors]:
+    """The stack as canonical types; ValueError unless it is an order ideal
+    of the natural order of q."""
+    stack = frozenset(colorset(t) for t in stack)
+    if not natural_order(q).is_ideal(stack):
+        raise ValueError("stack is not a downward closed set of cube types")
+    return stack
 
 
 def membrane_of_stack(q: Cubillage, stack) -> frozenset[Facet]:
@@ -123,10 +202,7 @@ def membrane_of_stack(q: Cubillage, stack) -> frozenset[Facet]:
     cube is not, plus front boundary plates of cubes outside the stack and
     back boundary plates of cubes inside it.
     """
-    stack = frozenset(colorset(t) for t in stack)
-    if not natural_order(q).is_ideal(stack):
-        raise ValueError("stack is not a downward closed set of cube types")
-    return _membrane(q, stack)
+    return _membrane(q, _ideal(q, stack))
 
 
 def plate_vertices(plates) -> frozenset[Colors]:

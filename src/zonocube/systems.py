@@ -1,9 +1,10 @@
 """Set-system avatars of cubillages.
 
 A cubillage of Z(n,d) can be handed around as (a) the system of its vertex
-spectra, (b) the admissible order its natural order induces on d-subsets, or
-(c) its inversion system of (d+1)-subsets.  This module moves between all
-three and implements the completion/purity searches on separated systems.
+spectra, (b) its natural order on the d-subsets, an admissible order
+(order.AdmissibleOrder, re-exported here), or (c) its inversion system of
+(d+1)-subsets.  This module moves between all three and implements the
+completion/purity searches on separated systems.
 
 Dimension bookkeeping for inversions: the inversion system of a d-dimensional
 cubillage consists of (d+1)-subsets (parents with antilexicographic packets);
@@ -13,7 +14,6 @@ consistent systems of d-subsets of [n] correspond to membranes of Z(n,d).
 from __future__ import annotations
 
 import itertools
-import json
 from math import comb
 from typing import NamedTuple
 
@@ -27,7 +27,7 @@ from .colors import (
 )
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _membrane
 from .masks import _cubillage_of_mask, _mask, _mask_of_spectra, _steps
-from .order import _closure, natural_order
+from .order import AdmissibleOrder, natural_order
 
 
 class NotRealizableError(CubillageError):
@@ -68,85 +68,12 @@ def inversions(q: Cubillage) -> frozenset[Colors]:
                      if parent[-1] in q._root_by_type[parent[:-1]])
 
 
-class AdmissibleOrder:
-    """A partial order on d-subsets whose packet restrictions are all lex or
-    antilex chains.  Stored as generating relations; the closure is built and
-    the admissibility invariant is checked at construction.  leq and
-    packet_direction take canonical color sets."""
-
-    def __init__(self, colors, d: int, relations):
-        self._fill(colorset(colors), int(d), ((colorset(a), colorset(b)) for a, b in relations))
-
-    @classmethod
-    def _trusted(cls, colors: Colors, d: int, relations) -> "AdmissibleOrder":
-        """AdmissibleOrder(...) for canonical colors and types: every check, no colorset."""
-        order = cls.__new__(cls)
-        order._fill(colors, d, relations)
-        return order
-
-    def _fill(self, colors: Colors, d: int, relations):
-        self.colors = colors
-        self.d = d
-        self.relations = tuple(sorted(relations))
-        self._nodes = list(subsets(self.colors, self.d))
-        known = set(self._nodes)
-        for a, b in self.relations:
-            if a not in known or b not in known:
-                raise ValueError(f"relation {a} < {b} leaves the grassmannian")
-        closure = _closure(self._nodes, self.relations)
-        if closure is None:
-            raise ValueError("relations contain a cycle; not an order")
-        self._index, _, self._up = closure
-        for parent in subsets(self.colors, self.d + 1):
-            self.packet_direction(parent)
-
-    def leq(self, a, b) -> bool:
-        return bool(self._up[a] & (1 << self._index[b]))
-
-    def packet_direction(self, parent) -> str:
-        """"lex" or "antilex"; raises when the packet is not a full chain."""
-        chain = list(itertools.combinations(parent, self.d))
-        if all(self.leq(a, b) for a, b in zip(chain, chain[1:])):
-            return "lex"
-        if all(self.leq(b, a) for a, b in zip(chain, chain[1:])):
-            return "antilex"
-        raise ValueError(f"packet of {parent} is not a lex or antilex chain")
-
-    def linear_extension(self) -> list[Colors]:
-        return sorted(self._nodes, key=lambda t: (-bin(self._up[t]).count("1"), t))
-
-    def extends(self, other: "AdmissibleOrder") -> bool:
-        """True when every relation of other also holds here."""
-        return all(self.leq(a, b) for a, b in other.relations)
-
-    def __eq__(self, other):
-        return (isinstance(other, AdmissibleOrder)
-                and (self.colors, self.d) == (other.colors, other.d)
-                and self._up == other._up)
-
-    def __hash__(self):
-        return hash((self.colors, self.d, tuple(sorted(self._up.items()))))
-
-    def to_json(self) -> str:
-        n = self.colors[-1] if self.colors else 0
-        if self.colors != tuple(range(1, n + 1)):
-            raise ValueError("JSON form requires contiguous colors 1..n")
-        return json.dumps({
-            "n": n,
-            "d": self.d,
-            "relations": [[list(a), list(b)] for a, b in self.relations],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "AdmissibleOrder":
-        data = json.loads(text)
-        return cls(range(1, data["n"] + 1), data["d"],
-                   [(a, b) for a, b in data["relations"]])
-
-
 def order_of(q: Cubillage) -> AdmissibleOrder:
-    """Transport the natural order of the cubillage to its cube types."""
-    return AdmissibleOrder._trusted(q.colors, q.d, natural_order(q).covers)
+    """The natural order of the cubillage on its cube types, once it passes
+    the packet check: every packet is a lex or antilex chain."""
+    order = natural_order(q)
+    order._antilex()
+    return order
 
 
 def from_order(order: AdmissibleOrder) -> Cubillage:
@@ -154,13 +81,14 @@ def from_order(order: AdmissibleOrder) -> Cubillage:
     admissible order extends.
 
     Its inversion set is the set of parents whose packet the order runs
-    antilex; the root rule of the inversion masks builds it from that.
+    antilex, recorded by the packet check; the root rule of the inversion
+    masks builds the cubillage from that.
     """
     cs, d = order.colors, order.d
     if len(cs) < d:
         raise ValueError("fewer colors than the dimension")
-    inv = _mask(len(cs), d, lambda k: order.packet_direction(
-        tuple(cs[i - 1] for i in k)) == "antilex")
+    antilex = order._antilex()
+    inv = _mask(len(cs), d, lambda k: tuple(cs[i - 1] for i in k) in antilex)
     q = _cubillage_of_mask(len(cs), d, inv, cs)
     if not order.extends(order_of(q)):
         raise CubillageError("reconstructed cubillage order is not refined by the input")

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import shlex
 import subprocess
 import sys
@@ -8,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from zonocube import ScaleGuardError, cli, order_of
+from zonocube import ScaleGuardError, apply_flip, cli, find_flips, order_of
 from zonocube.cli import COMMANDS, build_parser, main
 from zonocube.cubillage import Cubillage, CubillageError, standard, validate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
+ORDER_GOLDEN = GOLDEN.with_name("order_cli.txt")
 
 
 def run_cli(args, stdin=None):
@@ -432,3 +434,41 @@ def test_readme_commands_match_golden_output():
     # tests/golden/readme_cli.txt was written by readme_transcript(); a change
     # to what any README command prints shows up here
     assert readme_transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+def raising_walk_json(n, d, steps, seed):
+    """The cubillage at the end of a seeded walk of raising flips from standard(n, d)."""
+    rng = random.Random(seed)
+    q = standard(range(1, n + 1), d)
+    for _ in range(steps):
+        q = apply_flip(q, rng.choice([p for p, way in find_flips(q) if way == "raising"]))
+    return q.to_json() + "\n"
+
+
+def run_stdout(argv, stdin):
+    code, out, err = run_inprocess(argv, stdin)
+    assert (code, err) == (0, ""), argv
+    return out
+
+
+def order_transcript():
+    """order -, order - --dot and from-order - on two fixed cubillages, each
+    input given first, then each command and its stdout."""
+    inputs = [("raising walk at Z(6,3), 12 steps, seed 6", raising_walk_json(6, 3, 12, 6)),
+              ("zonocube antistandard -n 5 -d 2",
+               run_stdout(["antistandard", "-n", "5", "-d", "2"], ""))]
+    parts = []
+    for label, cubillage in inputs:
+        order = run_stdout(["order", "-"], cubillage)
+        dot = run_stdout(["order", "-", "--dot"], cubillage)
+        rebuilt = run_stdout(["from-order", "-"], order)
+        assert rebuilt == cubillage
+        parts.append(f"# {label}\n{cubillage}$ zonocube order -\n{order}"
+                     f"$ zonocube order - --dot\n{dot}$ zonocube order - | zonocube from-order -\n"
+                     f"{rebuilt}")
+    return "".join(parts)
+
+
+def test_order_commands_match_golden_output():
+    # tests/golden/order_cli.txt was written by order_transcript()
+    assert order_transcript() == ORDER_GOLDEN.read_text(encoding="utf-8")

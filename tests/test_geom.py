@@ -148,7 +148,7 @@ def test_render_svg_arrow_overlay_exact_positions():
 
     q = standard(range(1, 6), 2)
     svg = render_svg(q, arrows=True)
-    assert svg.count('class="arrow"') == len(natural_order(q).covers)
+    assert svg.count('class="arrow"') == len(natural_order(q).relations)
 
 
 def test_render_svg_membrane_overlay():

@@ -81,6 +81,8 @@ def test_inversions_injective_and_match_packet_directions():
         assert inv not in seen
         seen.add(inv)
         order = order_of(q)
+        # the antilex parents recorded by the packet check
+        assert order._antilex() == inv
         for parent in subsets(crange(4), 3):
             expected = "antilex" if tuple(parent) in inv else "lex"
             assert order.packet_direction(parent) == expected
@@ -112,6 +114,13 @@ def test_admissible_order_rejects_cycle():
         AdmissibleOrder((1, 2, 3), 2, rels)
 
 
+def test_order_of_names_the_packet_a_missing_type_breaks():
+    # the natural order holds only the types the cubillage has
+    q = Cubillage((1, 2, 3), 2, [((), (1, 2)), ((), (2, 3))])
+    with pytest.raises(ValueError, match=r"^packet of \(1, 2, 3\) is not a lex or antilex chain$"):
+        order_of(q)
+
+
 def test_admissible_order_json_roundtrip():
     order = order_of(standard(crange(4), 2))
     again = AdmissibleOrder.from_json(order.to_json())
@@ -123,6 +132,28 @@ def test_admissible_order_json_roundtrip():
 def test_from_order_roundtrip():
     for q in enumerate_cubillages(4, 2):
         assert from_order(order_of(q)) == q
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_order_of_is_the_natural_order_on_sparse_colors(d, monkeypatch):
+    colors = (2, 4, 5, 7, 9)
+    for q in raising_walk(colors, d, 8, random.Random(d)):
+        order = order_of(q)
+        assert order is natural_order(q)
+        assert order == AdmissibleOrder(q.colors, q.d, natural_order(q).relations)
+        assert from_order(order) == q
+    closures, closure = [], zonocube.order._closure
+
+    def counted(nodes, relations):
+        closures.append(len(nodes))
+        return closure(nodes, relations)
+
+    monkeypatch.setattr(zonocube.order, "_closure", counted)
+    q = Cubillage.from_json(q.to_json())
+    assert validate(q) is None and len(closures) == 1
+    assert from_order(order_of(q)) == q
+    # only the natural order of the rebuilt cubillage, for the certificate
+    assert len(closures) == 2
 
 
 def test_from_order_lex_everywhere_gives_standard():
