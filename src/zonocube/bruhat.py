@@ -12,7 +12,7 @@ from .colors import Colors, is_r_separated
 # unused here, but bench/test_bench.py reaches them as bruhat.colorset and
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
-from .cubillage import Cubillage, CubillageError, _type_count_guard
+from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, _type_count_guard
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
 from .masks import _cubillage_of_mask, _mask_of, _steps
 from .order import find_flips  # noqa: F401
@@ -26,8 +26,11 @@ from .systems import (
 )
 
 
-def enumerate_cubillages(n: int, d: int, max_types: int = 70,
-                         max_states: int = 200000) -> tuple[Cubillage, ...]:
+# the default state cap of enumerate_cubillages, bruhat_poset and the CLI's --max-states
+MAX_STATES = 200_000
+
+
+def enumerate_cubillages(n: int, d: int, max_states: int = MAX_STATES) -> tuple[Cubillage, ...]:
     """All cubillages of Z(n,d), as the elements of the higher Bruhat order B(n,d).
 
     The search runs over the consistent inversion masks (see masks), from
@@ -36,13 +39,13 @@ def enumerate_cubillages(n: int, d: int, max_types: int = 70,
     non-standard cubillage admits a lowering flip.  Each result is then
     built once by the root rule.
 
-    Refuses when C(n,d) exceeds max_types or the state count passes
-    max_states.  The result is sorted canonically.
+    Refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state count
+    passes max_states.  The result is sorted canonically.
     """
     _check_dimensions(n, d)
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-    _type_count_guard(n, d, max_types)
+    _type_count_guard(n, d, MAX_ENUMERATION_TYPES)
     seen = {0}
     todo = [0]
     while todo:
@@ -153,8 +156,8 @@ class BruhatPoset:
         return "\n".join(lines) + "\n"
 
 
-def bruhat_poset(n: int, d: int, **caps) -> BruhatPoset:
-    return BruhatPoset(n, d, enumerate_cubillages(n, d, **caps))
+def bruhat_poset(n: int, d: int, max_states: int = MAX_STATES) -> BruhatPoset:
+    return BruhatPoset(n, d, enumerate_cubillages(n, d, max_states))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +244,10 @@ def polygon_triangulations(n: int) -> set[tuple[Colors, ...]]:
     return set(rec(1, n))
 
 
-def sec_surjectivity_experiment(n: int, d: int, **caps) -> dict:
+def sec_surjectivity_experiment(n: int, d: int, max_states: int = MAX_STATES) -> dict:
     """Compare the image of sec over all cubillages with the independently
     enumerated triangulations; exact for d <= 3, image size only beyond."""
-    image = {tuple(sec(q).simplices) for q in enumerate_cubillages(n, d, **caps)}
+    image = {tuple(sec(q).simplices) for q in enumerate_cubillages(n, d, max_states)}
     report = {"n": n, "d": d, "image_size": len(image)}
     if d == 2:
         universe = segment_subdivisions(n)

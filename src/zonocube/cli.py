@@ -51,6 +51,7 @@ from . import (
     standardize,
     weak_separation_suite,
 )
+from .bruhat import MAX_STATES
 from .geom import Realization
 from .masks import _mask_of
 
@@ -351,7 +352,7 @@ _SET_SYSTEM = _arg("input", nargs="?", help="set system JSON file")
 _N = _arg("-n", type=int, required=True)
 _D = _arg("-d", type=int, required=True)
 _COLOR = _arg("--color", type=int, required=True)
-_MAX_STATES = _arg("--max-states", type=int, default=200000)
+_MAX_STATES = _arg("--max-states", type=int, default=MAX_STATES)
 _T_PARAMS = _arg("--t-params", help="comma separated curve parameters")
 
 # name -> (help, arguments in the order they are added); the handler of

@@ -41,8 +41,11 @@ class ScaleGuardError(RuntimeError):
 
 
 # `zonocube standard -n 19 -d 9` (92,378 cubes, just under the cap) takes
-# 1.3 s on a 2-core Xeon with Python 3.11; the time grows with the cube count
+# 1.2 s on a 2-core Xeon with Python 3.11; the time grows with the cube count
 MAX_EXTREME_CUBES = 100_000
+
+# enumerate_cubillages refuses Z(n,d) with more cube types than this
+MAX_ENUMERATION_TYPES = 70
 
 
 def _type_count_guard(n: int, d: int, cap: int) -> None:

@@ -1,9 +1,10 @@
 """Inversion masks: a cubillage of Z(n,d) as a bitmask over the (d+1)-subsets
-of its colors, which fixes it, and the packet table behind consistency, flips
-and enumeration (Manin-Schechtman 1989; Ziegler, Topology 1993).  Colors are
-indexed by position, the k-th smallest color being k.  Tables hold bit numbers,
-never masks, so they stay linear in the number of packets; a mask is read
-through its flags, the string with bit k at index k.
+of its colors, which fixes it, the packet table behind consistency, flips
+and enumeration, and the lift rule of the canonical extension
+(Manin-Schechtman 1989; Ziegler, Topology 1993).  Colors are indexed by
+position, the k-th smallest color being k.  Tables hold bit numbers, never
+masks, so they stay linear in the number of packets; a mask is read through
+its flags, the string with bit k at index k.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def _flags(inv: int, size: int) -> str:
 def _mask(n: int, d: int, inverted) -> int:
     """The mask of the (d+1)-subsets K of [n] for which inverted(K) holds."""
     return int("".join("01"[inverted(k)] for k in _bits(n, d))[::-1] or "0", 2)
+
+
+def _lift(n: int, d: int, below) -> int:
+    """The mask of Z(n,d) inverting each (d+1)-subset K of [n] with K - max K
+    not in below, a consistent set of d-subsets: the canonical extension of
+    the cubillage of Z(n,d-1) whose inversion set is below.  Its cubillage
+    holds below as a stack, the membrane of which has inversion set below."""
+    return _mask(n, d, lambda k: k[:-1] not in below)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
-"""The natural order on the cubes of a cubillage and everything built on it:
-stacks and membranes, flips, avalanches, canonical extensions of
-membranes, and the garland bijection between the front and back rims.
+"""The natural order on the cubes of a cubillage and what is built on it,
+stacks, membranes and the garland bijection between the front and back
+rims; and the moves read off the inversion mask (masks): flips, avalanches,
+standardization and the canonical extension of a membrane.
 
 AdmissibleOrder is the one class for an order on d-subsets: natural_order
 gives the natural order of a cubillage on its cube types as one, and the
@@ -18,14 +19,12 @@ from .cubillage import (
     Cubillage,
     CubillageError,
     Facet,
-    _expand,
     _face_spectra,
     _membrane,
     boundary_plates,
     cover_relations,
-    reduce as reduce_color,
 )
-from .masks import _bits, _can_toggle, _flags, _mask_of, _steps
+from .masks import _bits, _can_toggle, _cubillage_of_mask, _flags, _lift, _mask, _mask_of, _steps
 
 
 def _closure(nodes, relations):
@@ -298,71 +297,44 @@ def apply_flip(q: Cubillage, parent) -> Cubillage:
     return flipped
 
 
+def _cut(q: Cubillage, top: int) -> Cubillage:
+    """q with every parent holding a color above the top-th one un-inverted."""
+    inv = _mask_of(q) & _mask(q.n, q.d, lambda k: k[-1] <= top)
+    return _cubillage_of_mask(q.n, q.d, inv, q.colors)
+
+
 def avalanche(q: Cubillage) -> Cubillage:
-    """Move the whole top-color layer flush to the back boundary in one step."""
-    m = q.colors[-1]
-    inner = reduce_color(q, m).cubillage
-    return _expand(inner, frozenset(inner.types()), m)
+    """Move the whole top-color layer flush to the back boundary in one step:
+    every parent holding the top color stops being an inversion.  Raises
+    CubillageError when q fails the certificate of masks._mask_of."""
+    return _cut(q, q.n - 1)
 
 
 def standardize(q: Cubillage) -> tuple[Cubillage, ...]:
     """The canonical avalanche sequence from q down to the standard cubillage.
 
-    Each step re-expands the reduction's standardization at the back, so the
-    sequence is deterministic; the first entry is q itself and the last is
-    standard(colors, d).
+    Step j un-inverts every parent holding one of the top j colors, so the
+    first entry is q itself and the last is standard(colors, d).  Raises
+    CubillageError when q fails the certificate of masks._mask_of.
     """
-    if q.n == q.d:
-        return (q,)
-    m = q.colors[-1]
-    inner_seq = standardize(reduce_color(q, m).cubillage)
-    return (q,) + tuple(_expand(s, frozenset(s.types()), m) for s in inner_seq)
-
-
-def _canonical_flip(r: Cubillage, direction: str) -> Colors | None:
-    """Parent of the next flip in the canonical (anti)standardization walk.
-
-    Decomposes the avalanche sequence into single flips: take the top color m
-    whose layer is not yet flush, and inside it the precedence-minimal cube
-    strictly behind the layer (lowering) or the maximal one strictly before
-    it (raising).  None once the walk has terminated.
-    """
-    if r.n == r.d:
-        return None
-    m = r.colors[-1]
-    behind = direction == "lowering"
-    movable = [t for t in r.types()
-               if m not in t and (m in r._root_by_type[t]) == behind]
-    if not movable:
-        return _canonical_flip(reduce_color(r, m).cubillage, direction)
-    topo = natural_order(r).topological()
-    pool = set(movable)
-    ordered = [t for t in topo if t in pool]
-    pick = ordered[0] if behind else ordered[-1]
-    return add(pick, m)
+    _mask_of(q)
+    return (q,) + tuple(_cut(q, top) for top in range(q.n - 1, q.d - 1, -1))
 
 
 def canonical_extension(qp: Cubillage) -> Cubillage:
     """Lift a cubillage one dimension up so that it becomes a membrane.
 
-    The region before the membrane is filled by walking qp down to the
-    standard cubillage along the canonical standardization flips, recording
-    one cube per flip at the flip's capsid position; the after region
-    symmetrically walks up to the antistandard cubillage.  The stack of the
-    membrane in the result is exactly the set of recorded before-cubes, and
-    no lowering flip of the result stays inside that stack.
+    The lift inverts a (d+2)-subset K exactly when K - max K is not an
+    inversion of qp (masks._lift).  The stack of the membrane in the result
+    is the inversion set of qp, and no lowering flip of the result stays
+    inside that stack.  Its test oracle is the canonical flip walk, which
+    records one cube per flip from qp down to the standard cubillage and up
+    to the antistandard one.  Raises CubillageError when qp fails the
+    certificate of masks._mask_of.
     """
-    cubes = []
-    for direction in ("lowering", "raising"):
-        cur = qp
-        while True:
-            parent = _canonical_flip(cur, direction)
-            if parent is None:
-                break
-            # the capsid's cubes share their root outside the parent
-            cubes.append((minus(cur._root_by_type[parent[1:]], parent), parent))
-            cur = apply_flip(cur, parent)
-    return Cubillage._trusted(qp.colors, qp.d + 1, cubes)
+    flags = _flags(_mask_of(qp), len(_bits(qp.n, qp.d)))
+    below = {k for k, i in _bits(qp.n, qp.d).items() if flags[i] == "1"}
+    return _cubillage_of_mask(qp.n, qp.d + 1, _lift(qp.n, qp.d + 1, below), qp.colors)
 
 
 class Garland(NamedTuple):

@@ -26,7 +26,7 @@ from .colors import (
     subsets,
 )
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _membrane
-from .masks import _cubillage_of_mask, _mask, _mask_of_spectra, _steps
+from .masks import _cubillage_of_mask, _lift, _mask, _mask_of_spectra, _steps
 from .order import AdmissibleOrder, natural_order
 
 
@@ -118,9 +118,9 @@ class MembraneWitness(NamedTuple):
 def from_consistent(sets, n: int, d: int) -> MembraneWitness:
     """Build the membrane of Z(n,d) whose inversion system is the given
     consistent family of d-subsets, cut from an ambient cubillage along the
-    stack whose type set is the input.  For d > 1 the ambient expands by each
-    color m in turn along the members below m: it inverts a parent K exactly
-    when K - max K is not a member.  The projected membrane is a
+    stack whose type set is the input.  For d > 1 the ambient is the
+    canonical extension of the input (masks._lift): it inverts a parent K
+    exactly when K - max K is not a member.  The projected membrane is a
     (d-1)-cubillage whose inversion system equals the input.
     """
     _check_dimensions(n, d)
@@ -131,12 +131,11 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
     if not is_consistent(members, n):
         raise ValueError("system is not consistent")
 
-    def inverted(k):
-        if d == 1:  # any chain will do: the one listing the members first
-            return (k[1],) in members and (k[0],) not in members
-        return k[:-1] not in members
-
-    ambient = _cubillage_of_mask(n, d, _mask(n, d, inverted))
+    if d == 1:  # any chain will do: the one listing the members first
+        inv = _mask(n, 1, lambda k: (k[1],) in members and (k[0],) not in members)
+    else:
+        inv = _lift(n, d, members)
+    ambient = _cubillage_of_mask(n, d, inv)
     if not natural_order(ambient).is_ideal(members):
         raise CubillageError("consistent system is not a stack of the ambient cubillage")
     plates = _membrane(ambient, members)

@@ -16,6 +16,7 @@ from zonocube.cubillage import Cubillage, CubillageError, standard, validate
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
 ORDER_GOLDEN = GOLDEN.with_name("order_cli.txt")
+STANDARDIZE_GOLDEN = GOLDEN.with_name("standardize_cli.txt")
 
 
 def run_cli(args, stdin=None):
@@ -472,3 +473,20 @@ def order_transcript():
 def test_order_commands_match_golden_output():
     # tests/golden/order_cli.txt was written by order_transcript()
     assert order_transcript() == ORDER_GOLDEN.read_text(encoding="utf-8")
+
+
+def standardize_transcript():
+    """standardize - on a seeded raising walk at Z(6,3) and on the
+    antistandard cubillage of Z(6,3), each input given first, then the
+    command and its stdout."""
+    inputs = [("raising walk at Z(6,3), 12 steps, seed 6", raising_walk_json(6, 3, 12, 6)),
+              ("zonocube antistandard -n 6 -d 3",
+               run_stdout(["antistandard", "-n", "6", "-d", "3"], ""))]
+    return "".join(f"# {label}\n{cubillage}$ zonocube standardize -\n"
+                   f"{run_stdout(['standardize', '-'], cubillage)}"
+                   for label, cubillage in inputs)
+
+
+def test_standardize_command_matches_golden_output():
+    # tests/golden/standardize_cli.txt was written by standardize_transcript()
+    assert standardize_transcript() == STANDARDIZE_GOLDEN.read_text(encoding="utf-8")

@@ -1,13 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from zonocube.bruhat import enumerate_cubillages
-from zonocube.colors import packet
+from zonocube.colors import Colors, add, minus, packet
 from zonocube.cubillage import (
     Cube,
     Cubillage,
     CubillageError,
+    _expand,
     antistandard,
     boundary_plates,
     contract,
@@ -33,7 +35,7 @@ from zonocube.order import (
     stack_of_membrane,
     standardize,
 )
-from zonocube.systems import inversions
+from zonocube.systems import from_consistent, inversions
 
 
 def crange(n):
@@ -299,9 +301,11 @@ def test_apply_flip_rejects_unflippable():
 # ------------------------------------------------- avalanches, extensions
 
 def test_avalanche_fixes_standard():
-    for n, d in ((4, 2), (5, 3)):
-        q = standard(crange(n), d)
+    # the last three are single cubes, Z(d,d), with no parent for an avalanche to move
+    for q in (standard(crange(4), 2), standard(crange(5), 3), standard((1, 2), 2),
+              standard((4,), 1), standard(crange(3), 3)):
         assert avalanche(q) == q
+        assert validate(avalanche(q)) is None
 
 
 def test_avalanche_validity_on_all_z42():
@@ -352,6 +356,133 @@ def test_canonical_extension_no_lowering_before_membrane():
             if direction == "lowering":
                 capsid_types = set(itertools.combinations(parent, ext.d))
                 assert not capsid_types <= stack
+
+
+# ------------------------------ oracle: reduce/expand and the flip walk
+
+def avalanche_oracle(q: Cubillage) -> Cubillage:
+    """Move the whole top-color layer flush to the back boundary in one step."""
+    m = q.colors[-1]
+    inner = reduce(q, m).cubillage
+    return _expand(inner, frozenset(inner.types()), m)
+
+
+def standardize_oracle(q: Cubillage) -> tuple[Cubillage, ...]:
+    """The canonical avalanche sequence from q down to the standard cubillage.
+
+    Each step re-expands the reduction's standardization at the back, so the
+    sequence is deterministic; the first entry is q itself and the last is
+    standard(colors, d).
+    """
+    if q.n == q.d:
+        return (q,)
+    m = q.colors[-1]
+    inner_seq = standardize_oracle(reduce(q, m).cubillage)
+    return (q,) + tuple(_expand(s, frozenset(s.types()), m) for s in inner_seq)
+
+
+def _canonical_flip(r: Cubillage, direction: str) -> Colors | None:
+    """Parent of the next flip in the canonical (anti)standardization walk.
+
+    Decomposes the avalanche sequence into single flips: take the top color m
+    whose layer is not yet flush, and inside it the precedence-minimal cube
+    strictly behind the layer (lowering) or the maximal one strictly before
+    it (raising).  None once the walk has terminated.
+    """
+    if r.n == r.d:
+        return None
+    m = r.colors[-1]
+    behind = direction == "lowering"
+    movable = [t for t in r.types()
+               if m not in t and (m in r._root_by_type[t]) == behind]
+    if not movable:
+        return _canonical_flip(reduce(r, m).cubillage, direction)
+    topo = natural_order(r).topological()
+    pool = set(movable)
+    ordered = [t for t in topo if t in pool]
+    pick = ordered[0] if behind else ordered[-1]
+    return add(pick, m)
+
+
+def canonical_extension_oracle(qp: Cubillage) -> Cubillage:
+    """Lift a cubillage one dimension up so that it becomes a membrane.
+
+    The region before the membrane is filled by walking qp down to the
+    standard cubillage along the canonical standardization flips, recording
+    one cube per flip at the flip's capsid position; the after region
+    symmetrically walks up to the antistandard cubillage.  The stack of the
+    membrane in the result is exactly the set of recorded before-cubes, and
+    no lowering flip of the result stays inside that stack.
+    """
+    cubes = []
+    for direction in ("lowering", "raising"):
+        cur = qp
+        while True:
+            parent = _canonical_flip(cur, direction)
+            if parent is None:
+                break
+            # the capsid's cubes share their root outside the parent
+            cubes.append((minus(cur._root_by_type[parent[1:]], parent), parent))
+            cur = apply_flip(cur, parent)
+    return Cubillage._trusted(qp.colors, qp.d + 1, cubes)
+
+
+ORACLE_SPACES = [(3, 1), (4, 1), (5, 1), (4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (6, 4),
+                 (7, 4), (3, 3), (4, 4)]
+
+# (colors, d, number of walks); fewer walks where the oracle walk is slow
+ORACLE_WALKS = [(crange(8), 3, 6), (crange(9), 4, 3), (crange(10), 5, 2),
+                ((2, 4, 5, 7, 9, 11), 2, 6), ((2, 4, 5, 7, 9, 11), 3, 6), ((3, 5, 8, 9), 1, 6)]
+
+
+def seeded_walk_ends(colors, d, walks, steps=30):
+    """The ends of seeded walks of random flips from the standard cubillage."""
+    rng = random.Random(len(colors) * 10 + d)
+    for _ in range(walks):
+        q = standard(colors, d)
+        for _ in range(steps):
+            q = apply_flip(q, rng.choice(find_flips(q))[0])
+        yield q
+
+
+def assert_matches_oracles(q):
+    # the oracle avalanche of Z(d,d) has no cubes; nothing there can move
+    assert avalanche(q) == (avalanche_oracle(q) if q.n > q.d else q)
+    assert standardize(q) == standardize_oracle(q)
+    assert canonical_extension(q) == canonical_extension_oracle(q)
+
+
+@pytest.mark.parametrize("n,d", ORACLE_SPACES, ids=[f"Z{n}_{d}" for n, d in ORACLE_SPACES])
+def test_mask_functions_match_oracles_on_all_cubillages(n, d):
+    for q in enumerate_cubillages(n, d):
+        assert_matches_oracles(q)
+
+
+@pytest.mark.parametrize("colors,d,walks", ORACLE_WALKS,
+                         ids=["Z8_3", "Z9_4", "Z10_5", "C6_2", "C6_3", "C4_1"])
+def test_mask_functions_match_oracles_on_seeded_walks(colors, d, walks):
+    for q in seeded_walk_ends(colors, d, walks):
+        assert_matches_oracles(q)
+
+
+def test_canonical_extension_is_the_ambient_of_from_consistent():
+    for n, d in ORACLE_SPACES:
+        if d < n <= 6:  # Z(n,d+1) needs n >= d+1
+            for q in enumerate_cubillages(n, d):
+                assert from_consistent(inversions(q), n, d + 1).ambient == canonical_extension(q)
+
+
+@pytest.mark.parametrize("q", [
+    Cubillage((1, 2), 1, [((), (1,))]),
+    # standard(6,3) with color 6 toggled in root(1,2,3), which is empty
+    Cubillage(crange(6), 3, [((6,) if c.type == (1, 2, 3) else c.root, c.type)
+                             for c in standard(crange(6), 3).cubes]),
+], ids=["Z2_1-missing-type", "Z6_3-root-toggled"])
+@pytest.mark.parametrize("f", [avalanche, standardize, canonical_extension])
+def test_mask_functions_refuse_invalid_tilings(q, f):
+    assert validate(q) is not None
+    with pytest.raises(CubillageError):
+        f(q)
 
 
 # ----------------------------------------------------------------- garland
