@@ -5,6 +5,8 @@ d-subset of the color set C (the cube's type) to the spectrum of the cube's
 root vertex.  The single source of geometric truth is the parity rule from
 colors.is_even; the geom module re-derives every visibility decision from
 exact determinants and is used in the tests to cross-check this module.
+Only validate reads facets, independently of the inversion masks (masks)
+that expand and the order module read.
 
 All values are immutable; operations return fresh objects.  Color sets are
 canonicalized where they enter: Cubillage(...), from_json, and public
@@ -202,9 +204,9 @@ def boundary_plates(colors, d: int, side: str) -> frozenset[Facet]:
 
 
 def _pairing(q: Cubillage):
-    """Facet incidence maps: facet -> owning type, per side.  Raises on clashes."""
-    if "pairing" in q._cache:
-        return q._cache["pairing"]
+    """Facet incidence maps, facet -> owning type, per side, and the sorted
+    pairs (below, above) of types sharing a facet invisible below, visible
+    above.  Raises on clashes."""
     visible = {}
     invisible = {}
     for typ, root in q._root_by_type.items():
@@ -214,36 +216,14 @@ def _pairing(q: Cubillage):
                     raise CubillageError(
                         f"facet {facet} claimed twice on the same side by {table[facet]} and {typ}")
                 table[facet] = typ
-    q._cache["pairing"] = (visible, invisible)
-    return visible, invisible
-
-
-def _membrane(q: Cubillage, stack: frozenset[Colors]) -> frozenset[Facet]:
-    """membrane_of_stack() for a stack of canonical types known to be an order ideal."""
-    visible, invisible = _pairing(q)
-    plates = set()
-    for facet, below in invisible.items():
-        above = visible.get(facet)
-        if above is None:
-            if below in stack:
-                plates.add(facet)
-        elif below in stack and above not in stack:
-            plates.add(facet)
-    for facet, above in visible.items():
-        if facet not in invisible and above not in stack:
-            plates.add(facet)
-    return frozenset(plates)
+    covers = sorted((below, visible[facet]) for facet, below in invisible.items()
+                    if facet in visible)
+    return visible, invisible, tuple(covers)
 
 
 def cover_relations(q: Cubillage) -> tuple[tuple[Colors, Colors], ...]:
     """Pairs (below, above) of types sharing a facet invisible below, visible above."""
-    visible, invisible = _pairing(q)
-    covers = []
-    for facet, below in invisible.items():
-        above = visible.get(facet)
-        if above is not None:
-            covers.append((below, above))
-    return tuple(sorted(covers))
+    return _pairing(q)[2]
 
 
 def validate(q: Cubillage):
@@ -253,9 +233,9 @@ def validate(q: Cubillage):
     (ii) facet pairing: every invisible facet is a back boundary plate or the
     visible facet of exactly one other cube, and symmetrically, (iii) the
     facet-induced precedence relation is acyclic, (iv) the vertex count is
-    C(n, <=d).
+    C(n, <=d).  It reads no inversion mask and no natural order.
     """
-    from .order import natural_order
+    from .order import _closure
 
     n, d = q.n, q.d
     if n < d:
@@ -271,7 +251,7 @@ def validate(q: Cubillage):
         if inter(root, typ) or any(c not in colors for c in root):
             return f"cube {typ} has invalid root {root}"
     try:
-        visible, invisible = _pairing(q)
+        visible, invisible, covers = _pairing(q)
     except CubillageError as exc:
         return str(exc)
     front = boundary_plates(q.colors, d, "front")
@@ -288,9 +268,7 @@ def validate(q: Cubillage):
     for plate in back:
         if plate not in invisible:
             return f"back plate {plate} not covered"
-    try:
-        natural_order(q)
-    except CubillageError:
+    if _closure(q.types(), covers) is None:
         return "precedence relation between cubes has a cycle"
     want = sum(comb(n, k) for k in range(d + 1))
     if len(q.vertices()) != want:
@@ -401,21 +379,21 @@ def expand(q: Cubillage, stack, i: int) -> Cubillage:
 
     The stack must be a downward closed set of types of q and i must exceed
     every existing color.  Cubes in the stack keep their roots, the rest gain
-    i, and each membrane plate grows into a new cube of type plate+i.
+    i, and each membrane plate grows into a new cube of type plate+i: the
+    root rule builds it from the inversions of q and each T ∪ {i} with T
+    outside the stack.  Certifies q by masks._mask_of.
     """
+    from .masks import _bits, _cubillage_of_mask, _flags, _mask, _mask_of
     from .order import _ideal
 
     if q.colors and i <= q.colors[-1]:
         raise ValueError(f"expansion color {i} must exceed max color {q.colors[-1]}")
-    return _expand(q, _ideal(q, stack), i)
-
-
-def _expand(q: Cubillage, stack: frozenset[Colors], i: int) -> Cubillage:
-    """expand() for a canonical order ideal stack and a color above all of q's."""
-    cubes = [(root if typ in stack else add(root, i), typ)
-             for typ, root in q._root_by_type.items()]
-    cubes += [(plate.root, add(plate.type, i)) for plate in _membrane(q, stack)]
-    return Cubillage._trusted(add(q.colors, i), q.d, cubes)
+    stack = _ideal(q, stack)
+    n, d, colors = q.n, q.d, add(q.colors, i)
+    bit, flags = _bits(n, d), _flags(_mask_of(q), len(_bits(n, d)))
+    inv = _mask(n + 1, d, lambda k: flags[bit[k]] == "1" if k[-1] <= n
+                else tuple(colors[c - 1] for c in k[:-1]) not in stack)
+    return _cubillage_of_mask(n + 1, d, inv, colors)
 
 
 def _expand_at_side(q: Cubillage, i: int, front: bool) -> Cubillage:

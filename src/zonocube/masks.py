@@ -1,6 +1,7 @@
 """Inversion masks: a cubillage of Z(n,d) as a bitmask over the (d+1)-subsets
 of its colors, which fixes it, the packet table behind consistency, flips
-and enumeration, and the lift rule of the canonical extension
+and enumeration, the root rule of cubillages and their membranes, the
+tunnel chains of the natural order, and the lift rule of the canonical extension
 (Manin-Schechtman 1989; Ziegler, Topology 1993).  Colors are indexed by
 position, the k-th smallest color being k.  Tables hold bit numbers, never
 masks, so they stay linear in the number of packets; a mask is read through
@@ -13,7 +14,7 @@ import functools
 import itertools
 import operator
 
-from .colors import Colors, add, is_even, subsets
+from .colors import Colors, add, is_even, subsets, union
 from .cubillage import Cubillage, CubillageError
 
 
@@ -112,6 +113,22 @@ def _cubillage_of_mask(n: int, d: int, inv: int, colors: Colors = ()) -> Cubilla
     q = Cubillage._trusted(colors or tuple(range(1, n + 1)), d, cubes)
     q._cache["mask"] = inv
     return q
+
+
+@functools.lru_cache(maxsize=None)
+def _tunnels(n: int, d: int) -> tuple:
+    """Per (d-1)-subset J of [n], the lex numbers of the d-subsets J ∪ {c}
+    of its tunnel, c outside J increasing, and per pair of indices a < b
+    into them, (a, b, bit of the union of the two).  In a cubillage the
+    tunnel is a chain, its a-th type below its b-th unless their union is
+    an inversion, and its consecutive types are covers of the natural order."""
+    number, bit, out = _bits(n, d - 1), _bits(n, d), []
+    for j in subsets(range(1, n + 1), d - 1):
+        tunnel = [add(j, c) for c in range(1, n + 1) if c not in j]
+        pairs = itertools.combinations(range(len(tunnel)), 2)
+        out.append((tuple(number[t] for t in tunnel),
+                    tuple((a, b, bit[union(tunnel[a], tunnel[b])]) for a, b in pairs)))
+    return tuple(out)
 
 
 def _mask_of(q: Cubillage) -> int:

@@ -15,16 +15,19 @@ import json
 from typing import NamedTuple
 
 from .colors import Colors, add, colorset, inter, minus, subsets, union
-from .cubillage import (
-    Cubillage,
-    CubillageError,
-    Facet,
-    _face_spectra,
-    _membrane,
-    boundary_plates,
-    cover_relations,
+from .cubillage import Cubillage, CubillageError, Facet, _face_spectra, boundary_plates
+from .masks import (
+    _bits,
+    _can_toggle,
+    _cubillage_of_mask,
+    _flags,
+    _lift,
+    _mask,
+    _mask_of,
+    _roots,
+    _steps,
+    _tunnels,
 )
-from .masks import _bits, _can_toggle, _cubillage_of_mask, _flags, _lift, _mask, _mask_of, _steps
 
 
 def _closure(nodes, relations):
@@ -59,43 +62,33 @@ class AdmissibleOrder:
     """A partial order on d-subsets whose packet restrictions are all lex
     or antilex chains (Manin-Schechtman 1989; Ziegler, Topology 1993), kept
     as its sorted generating relations and one closure.  The constructor
-    runs every check; natural_order leaves the packet check, which runs at
-    most once per order, to order_of.  Methods take canonical types."""
+    runs every check; natural_order reads the antilex packets off the
+    inversion mask, with no packet check.  Methods take canonical types."""
 
     def __init__(self, colors, d: int, relations):
         colors, d = colorset(colors), int(d)
-        types = list(subsets(colors, d))
         relations = [(colorset(a), colorset(b)) for a, b in relations]
-        known = set(types)
+        known = set(subsets(colors, d))
         for a, b in relations:
             if a not in known or b not in known:
                 raise ValueError(f"relation {a} < {b} leaves the grassmannian")
-        self._fill(colors, d, types, relations,
-                   ValueError("relations contain a cycle; not an order"))
-        self._antilex()
+        self._fill(colors, d, relations)
+        self._antilex_parents = frozenset(parent for parent in subsets(colors, d + 1)
+                                          if self.packet_direction(parent) == "antilex")
 
-    def _fill(self, colors: Colors, d: int, types, relations, on_cycle: Exception):
+    def _fill(self, colors: Colors, d: int, relations):
         self.colors = colors
         self.d = d
-        self.types = types
+        self.types = list(subsets(colors, d))
         self.relations = tuple(sorted(relations))
-        closure = _closure(types, self.relations)
+        closure = _closure(self.types, self.relations)
         if closure is None:
-            raise on_cycle
+            raise ValueError("relations contain a cycle; not an order")
         self._index, self._topo, self._up = closure
-        self._antilex_parents = None
 
     def _antilex(self) -> frozenset[Colors]:
-        """The parents whose packet runs antilex, found by the packet check
-        on the first call.  Raises ValueError when a packet is not a chain;
-        for the natural order of a corrupt cubillage, the error of the order
-        its relations make over the grassmannian."""
-        if self._antilex_parents is None:
-            if self.types != list(subsets(self.colors, self.d)):
-                AdmissibleOrder(self.colors, self.d, self.relations)
-            self._antilex_parents = frozenset(
-                parent for parent in subsets(self.colors, self.d + 1)
-                if self.packet_direction(parent) == "antilex")
+        """The parents whose packet runs antilex: for a natural order its
+        inversions, else what the packet check of the constructor found."""
         return self._antilex_parents
 
     def leq(self, a, b) -> bool:
@@ -173,14 +166,22 @@ class AdmissibleOrder:
 
 
 def natural_order(q: Cubillage) -> AdmissibleOrder:
-    """The natural order on the cube types of q, cached on q: cube Q
-    precedes Q' when they share a facet invisible for Q and visible for Q',
-    closed reflexively and transitively.  A cycle means q is corrupt
-    (CubillageError).  The packet check is left to order_of."""
+    """The natural order on the cube types of q, cached on q: the closure of
+    its tunnel chains (masks._tunnels), whose antilex packets are the
+    inversions, so no packet check runs.  Raises CubillageError when q
+    fails the certificate of masks._mask_of."""
     if "natural_order" not in q._cache:
+        flags, types, covers = _flags(_mask_of(q), len(_bits(q.n, q.d))), q.types(), []
+        for tunnel, pairs in _tunnels(q.n, q.d):
+            below = [0] * len(tunnel)  # per type, how many of its tunnel lie below it
+            for a, b, k in pairs:
+                below[a if flags[k] == "1" else b] += 1
+            chain = [types[t] for _, t in sorted(zip(below, tunnel))]
+            covers += zip(chain, chain[1:])
         order = AdmissibleOrder.__new__(AdmissibleOrder)
-        order._fill(q.colors, q.d, q.types(), cover_relations(q),
-                    CubillageError("precedence relation has a cycle; not a cubillage"))
+        order._fill(q.colors, q.d, covers)
+        order._antilex_parents = frozenset(
+            parent for parent, flag in zip(subsets(q.colors, q.d + 1), flags) if flag == "1")
         q._cache["natural_order"] = order
     return q._cache["natural_order"]
 
@@ -197,11 +198,16 @@ def _ideal(q: Cubillage, stack) -> frozenset[Colors]:
 def membrane_of_stack(q: Cubillage, stack) -> frozenset[Facet]:
     """The membrane swept out by an order ideal of cube types.
 
-    Plates are the internal facets whose below cube is in the stack and above
-    cube is not, plus front boundary plates of cubes outside the stack and
-    back boundary plates of cubes inside it.
+    Its plates are the internal facets whose below cube is in the stack and
+    above cube is not, plus front boundary plates of cubes outside the stack
+    and back boundary plates of cubes inside it.  They are the cubes the root
+    rule builds one dimension down with the stack as inversion set (at d = 1,
+    one point).  Certifies q by masks._mask_of.
     """
-    return _membrane(q, _ideal(q, stack))
+    stack, cs = _ideal(q, stack), q.colors
+    flags = "".join("01"[t in stack] for t in subsets(cs, q.d))
+    return frozenset(Facet(tuple(cs[c - 1] for c, k, flag in row if flags[k] == flag),
+                           tuple(cs[i - 1] for i in t)) for t, row in _roots(q.n, q.d - 1))
 
 
 def plate_vertices(plates) -> frozenset[Colors]:
@@ -217,11 +223,7 @@ def side_of_membrane(typ, membrane_vertices) -> str:
     {k_{d-1}, k_{d-3}, ...}.  Exactly one pattern occurs on an actual
     membrane; anything else raises.
     """
-    return _side(colorset(typ), membrane_vertices)
-
-
-def _side(t: Colors, membrane_vertices) -> str:
-    """side_of_membrane() for a canonical type."""
+    t = colorset(typ)
     before_pat = tuple(sorted(t[::-1][::2]))
     after_pat = tuple(sorted(t[::-1][1::2]))
     hit_before = hit_after = False
@@ -240,13 +242,15 @@ def _side(t: Colors, membrane_vertices) -> str:
 
 
 def stack_of_membrane(q: Cubillage, plates) -> frozenset[Colors]:
-    """Invert membrane_of_stack; raises when the plates are not a membrane of q."""
+    """Invert membrane_of_stack: by the root rule, T ∪ {c} with c above T
+    is in the stack when c is in the root of the plate of type T.  Raises
+    CubillageError when the plates are not a membrane of q or q fails the
+    certificate of masks._mask_of."""
     plates = frozenset(plates)
-    verts = plate_vertices(plates)
-    stack = frozenset(t for t in q.types() if _side(t, verts) == "before")
+    stack = frozenset(add(p.type, c) for p in plates for c in p.root if c > max(p.type, default=0))
     if not natural_order(q).is_ideal(stack):
-        raise CubillageError("membrane sides do not form an order ideal")
-    if _membrane(q, stack) != plates:
+        raise CubillageError("the stack read off the plates is not an order ideal")
+    if membrane_of_stack(q, stack) != plates:
         raise CubillageError("plates are not a membrane of this cubillage")
     return stack
 
@@ -257,7 +261,8 @@ def membrane_as_cubillage(q: Cubillage, plates) -> Cubillage:
 
 
 def enumerate_stacks(q: Cubillage) -> list[frozenset[Colors]]:
-    """Every stack; a distributive lattice under union and intersection."""
+    """Every stack; a distributive lattice under union and intersection.
+    Certifies q by masks._mask_of."""
     return natural_order(q).ideals()
 
 
@@ -330,9 +335,11 @@ def canonical_extension(qp: Cubillage) -> Cubillage:
     inside that stack.  Its test oracle is the canonical flip walk, which
     records one cube per flip from qp down to the standard cubillage and up
     to the antistandard one.  Raises CubillageError when qp fails the
-    certificate of masks._mask_of.
+    certificate of masks._mask_of, ValueError on Z(d,d): Z(d,d+1) is empty.
     """
     flags = _flags(_mask_of(qp), len(_bits(qp.n, qp.d)))
+    if qp.n == qp.d:
+        raise ValueError(f"a lift to Z({qp.n},{qp.d + 1}) needs more than {qp.d} colors")
     below = {k for k, i in _bits(qp.n, qp.d).items() if flags[i] == "1"}
     return _cubillage_of_mask(qp.n, qp.d + 1, _lift(qp.n, qp.d + 1, below), qp.colors)
 

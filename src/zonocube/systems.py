@@ -25,9 +25,9 @@ from .colors import (
     is_weakly_k_separated,
     subsets,
 )
-from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _membrane
+from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError
 from .masks import _cubillage_of_mask, _lift, _mask, _mask_of_spectra, _steps
-from .order import AdmissibleOrder, natural_order
+from .order import AdmissibleOrder, membrane_as_cubillage, membrane_of_stack, natural_order
 
 
 class NotRealizableError(CubillageError):
@@ -69,11 +69,9 @@ def inversions(q: Cubillage) -> frozenset[Colors]:
 
 
 def order_of(q: Cubillage) -> AdmissibleOrder:
-    """The natural order of the cubillage on its cube types, once it passes
-    the packet check: every packet is a lex or antilex chain."""
-    order = natural_order(q)
-    order._antilex()
-    return order
+    """The natural order of the cubillage on its cube types
+    (order.natural_order), whose antilex packets are its inversions."""
+    return natural_order(q)
 
 
 def from_order(order: AdmissibleOrder) -> Cubillage:
@@ -120,8 +118,9 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
     consistent family of d-subsets, cut from an ambient cubillage along the
     stack whose type set is the input.  For d > 1 the ambient is the
     canonical extension of the input (masks._lift): it inverts a parent K
-    exactly when K - max K is not a member.  The projected membrane is a
-    (d-1)-cubillage whose inversion system equals the input.
+    exactly when K - max K is not a member.  The plates are read off the
+    input by the root rule one dimension down (order.membrane_of_stack), so
+    the projected membrane is a (d-1)-cubillage whose inversion system is it.
     """
     _check_dimensions(n, d)
     members = frozenset(colorset(s) for s in sets)
@@ -136,13 +135,8 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
     else:
         inv = _lift(n, d, members)
     ambient = _cubillage_of_mask(n, d, inv)
-    if not natural_order(ambient).is_ideal(members):
-        raise CubillageError("consistent system is not a stack of the ambient cubillage")
-    plates = _membrane(ambient, members)
-    projected = (Cubillage._trusted(ambient.colors, d - 1, [(p.root, p.type) for p in plates])
-                 if d > 1 else None)
-    if projected is not None and inversions(projected) != members:
-        raise CubillageError("membrane inversion system does not reproduce the input")
+    plates = membrane_of_stack(ambient, members)
+    projected = membrane_as_cubillage(ambient, plates) if d > 1 else None
     return MembraneWitness(plates, projected, ambient, members)
 
 

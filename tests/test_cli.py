@@ -17,6 +17,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
 ORDER_GOLDEN = GOLDEN.with_name("order_cli.txt")
 STANDARDIZE_GOLDEN = GOLDEN.with_name("standardize_cli.txt")
+MEMBRANE_GOLDEN = GOLDEN.with_name("membrane_cli.txt")
 
 
 def run_cli(args, stdin=None):
@@ -490,3 +491,40 @@ def standardize_transcript():
 def test_standardize_command_matches_golden_output():
     # tests/golden/standardize_cli.txt was written by standardize_transcript()
     assert standardize_transcript() == STANDARDIZE_GOLDEN.read_text(encoding="utf-8")
+
+
+def membrane_transcript():
+    """membranes -, expand - (over the full stack and over one stack),
+    from-consistent (on the inversion system and on that stack), order -,
+    order - --dot and, at d = 2, render-svg - --arrows --sets on three fixed
+    cubillages; each input given first, then each command and its stdout.
+    The one stack is the middle one that membranes - lists."""
+    inputs = [("raising walk at Z(6,3), 12 steps, seed 6", raising_walk_json(6, 3, 12, 6)),
+              ("zonocube antistandard -n 5 -d 2",
+               run_stdout(["antistandard", "-n", "5", "-d", "2"], "")),
+              ("raising walk at Z(4,1), 3 steps, seed 4", raising_walk_json(4, 1, 3, 4))]
+    parts = []
+    for label, cubillage in inputs:
+        data = json.loads(cubillage)
+        n, d = str(len(data["colors"])), data["d"]
+        found = json.loads(run_stdout(["membranes", "-"], cubillage))
+        stack = json.dumps(found["membranes"][found["count"] // 2]["stack"])
+        inverted = run_stdout(["inversions", "-"], cubillage)
+        calls = [("membranes -", cubillage),
+                 (f"expand - --color {int(n) + 1}", cubillage),
+                 (f"expand - --color {int(n) + 1} --sets '{stack}'", cubillage),
+                 (f"from-consistent --sets '{stack}' -n {n} -d {d}", ""),
+                 ("order -", cubillage), ("order - --dot", cubillage)]
+        if d == 2:
+            calls.append((f"render-svg - --arrows --sets '{stack}'", cubillage))
+        parts.append(f"# {label}\n{cubillage}")
+        parts += [f"$ zonocube {call}\n{run_stdout(shlex.split(call), stdin)}"
+                  for call, stdin in calls]
+        parts.append(f"$ zonocube inversions - | zonocube from-consistent - -n {n} -d {d + 1}\n"
+                     f"{run_stdout(['from-consistent', '-', '-n', n, '-d', str(d + 1)], inverted)}")
+    return "".join(parts)
+
+
+def test_membrane_commands_match_golden_output():
+    # tests/golden/membrane_cli.txt was written by membrane_transcript()
+    assert membrane_transcript() == MEMBRANE_GOLDEN.read_text(encoding="utf-8")

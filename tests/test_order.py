@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from facet_oracles import _expand, _membrane
 
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import Colors, add, minus, packet
@@ -9,11 +10,11 @@ from zonocube.cubillage import (
     Cube,
     Cubillage,
     CubillageError,
-    _expand,
     antistandard,
     boundary_plates,
     contract,
     cover_relations,
+    expand,
     facet_sides,
     partition,
     reduce,
@@ -35,7 +36,7 @@ from zonocube.order import (
     stack_of_membrane,
     standardize,
 )
-from zonocube.systems import from_consistent, inversions
+from zonocube.systems import from_consistent, inversions, order_of
 
 
 def crange(n):
@@ -445,24 +446,45 @@ def seeded_walk_ends(colors, d, walks, steps=30):
         yield q
 
 
-def assert_matches_oracles(q):
+def oracle_stacks(q, cap=8):
+    """Every stack of q up to five colors; beyond, up to cap + 1 prefixes,
+    evenly spaced, of each of two linear extensions of its natural order."""
+    if q.n <= 5:
+        return enumerate_stacks(q)
+    order = natural_order(q)
+    step = max(1, len(q) // cap)
+    return {frozenset(line[:k]) for line in (order.topological(), order.linear_extension())
+            for k in range(0, len(q) + 1, step)}
+
+
+def assert_matches_oracles(q, stacks):
+    assert natural_order(q).relations == cover_relations(q)
     # the oracle avalanche of Z(d,d) has no cubes; nothing there can move
     assert avalanche(q) == (avalanche_oracle(q) if q.n > q.d else q)
     assert standardize(q) == standardize_oracle(q)
-    assert canonical_extension(q) == canonical_extension_oracle(q)
+    if q.n > q.d:
+        assert canonical_extension(q) == canonical_extension_oracle(q)
+    else:  # the oracle walk gives a Z(d,d+1) with no cubes
+        with pytest.raises(ValueError):
+            canonical_extension(q)
+    top = q.colors[-1] + 1
+    for stack in stacks:
+        assert membrane_of_stack(q, stack) == _membrane(q, stack)
+        assert expand(q, stack, top) == _expand(q, stack, top)
 
 
 @pytest.mark.parametrize("n,d", ORACLE_SPACES, ids=[f"Z{n}_{d}" for n, d in ORACLE_SPACES])
 def test_mask_functions_match_oracles_on_all_cubillages(n, d):
     for q in enumerate_cubillages(n, d):
-        assert_matches_oracles(q)
+        # stacks beyond five colors are sampled on the seeded walk ends
+        assert_matches_oracles(q, oracle_stacks(q) if n <= 5 else ())
 
 
 @pytest.mark.parametrize("colors,d,walks", ORACLE_WALKS,
                          ids=["Z8_3", "Z9_4", "Z10_5", "C6_2", "C6_3", "C4_1"])
 def test_mask_functions_match_oracles_on_seeded_walks(colors, d, walks):
     for q in seeded_walk_ends(colors, d, walks):
-        assert_matches_oracles(q)
+        assert_matches_oracles(q, oracle_stacks(q))
 
 
 def test_canonical_extension_is_the_ambient_of_from_consistent():
@@ -478,7 +500,13 @@ def test_canonical_extension_is_the_ambient_of_from_consistent():
     Cubillage(crange(6), 3, [((6,) if c.type == (1, 2, 3) else c.root, c.type)
                              for c in standard(crange(6), 3).cubes]),
 ], ids=["Z2_1-missing-type", "Z6_3-root-toggled"])
-@pytest.mark.parametrize("f", [avalanche, standardize, canonical_extension])
+@pytest.mark.parametrize("f", [
+    avalanche, standardize, canonical_extension, natural_order, order_of, enumerate_stacks,
+    pytest.param(lambda q: membrane_of_stack(q, []), id="membrane_of_stack"),
+    pytest.param(lambda q: stack_of_membrane(q, boundary_plates(q.colors, q.d, "front")),
+                 id="stack_of_membrane"),
+    pytest.param(lambda q: expand(q, [], q.colors[-1] + 1), id="expand"),
+])
 def test_mask_functions_refuse_invalid_tilings(q, f):
     assert validate(q) is not None
     with pytest.raises(CubillageError):

@@ -3,6 +3,7 @@ import random
 from math import comb
 
 import pytest
+from facet_oracles import _expand, _membrane
 from hypothesis import given, settings, strategies as st
 
 import zonocube
@@ -13,21 +14,19 @@ from zonocube.colors import Colors, colorset, is_r_separated, minus, packet, sub
 from zonocube.cubillage import (
     Cubillage,
     CubillageError,
-    _expand,
-    _membrane,
     antistandard,
     boundary_plates,
     standard,
     validate,
 )
 from zonocube.order import (
-    _side,
     apply_flip,
     enumerate_stacks,
     find_flips,
     membrane_of_stack,
     natural_order,
     plate_vertices,
+    side_of_membrane,
 )
 from zonocube.systems import (
     AdmissibleOrder,
@@ -115,9 +114,9 @@ def test_admissible_order_rejects_cycle():
 
 
 def test_order_of_names_the_packet_a_missing_type_breaks():
-    # the natural order holds only the types the cubillage has
+    # the certificate of the inversion masks refuses the missing type (1, 3)
     q = Cubillage((1, 2, 3), 2, [((), (1, 2)), ((), (2, 3))])
-    with pytest.raises(ValueError, match=r"^packet of \(1, 2, 3\) is not a lex or antilex chain$"):
+    with pytest.raises(CubillageError, match=r"^type map is not a bijection "):
         order_of(q)
 
 
@@ -143,17 +142,26 @@ def test_order_of_is_the_natural_order_on_sparse_colors(d, monkeypatch):
         assert order == AdmissibleOrder(q.colors, q.d, natural_order(q).relations)
         assert from_order(order) == q
     closures, closure = [], zonocube.order._closure
+    packets, packet_direction = [], AdmissibleOrder.packet_direction
 
     def counted(nodes, relations):
         closures.append(len(nodes))
         return closure(nodes, relations)
 
+    def counted_packet(order, parent):
+        packets.append(parent)
+        return packet_direction(order, parent)
+
     monkeypatch.setattr(zonocube.order, "_closure", counted)
+    monkeypatch.setattr(AdmissibleOrder, "packet_direction", counted_packet)
     q = Cubillage.from_json(q.to_json())
     assert validate(q) is None and len(closures) == 1
-    assert from_order(order_of(q)) == q
-    # only the natural order of the rebuilt cubillage, for the certificate
-    assert len(closures) == 2
+    # validate leaves no natural order behind; the mask gives its antilex packets
+    order = order_of(q)
+    assert len(closures) == 2 and not packets
+    assert from_order(order) == q
+    # and the natural order of the rebuilt cubillage, for the certificate
+    assert len(closures) == 3 and not packets
 
 
 def test_from_order_lex_everywhere_gives_standard():
@@ -304,7 +312,7 @@ def _from_spectra_oracle(members, cs: Colors, d: int) -> Cubillage:
     seam_vertices = s0 & s2
     try:
         stack = frozenset(
-            t for t in inner.types() if _side(t, seam_vertices) == "before")
+            t for t in inner.types() if side_of_membrane(t, seam_vertices) == "before")
     except CubillageError as exc:
         raise NotRealizableError(f"seam spectra do not describe a membrane: {exc}") from exc
     if not natural_order(inner).is_ideal(stack):
