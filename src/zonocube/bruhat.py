@@ -3,6 +3,7 @@ poset, and the slice map from cubillages to cyclic-polytope triangulations."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from math import comb
@@ -14,7 +15,7 @@ from .colors import Colors, is_r_separated
 from .colors import colorset  # noqa: F401
 from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, _type_count_guard
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
-from .masks import _cubillage_of_mask, _mask_of, _steps
+from .masks import _cubillage_of_mask, _roots_of_mask, _steps
 from .order import find_flips  # noqa: F401
 from .order import _closure
 from .systems import (
@@ -30,37 +31,49 @@ from .systems import (
 MAX_STATES = 200_000
 
 
-def enumerate_cubillages(n: int, d: int, max_states: int = MAX_STATES) -> tuple[Cubillage, ...]:
-    """All cubillages of Z(n,d), as the elements of the higher Bruhat order B(n,d).
+def _masks(n: int, d: int, max_states: int) -> dict[int, int]:
+    """The consistent inversion masks of Z(n,d), each mapped to its raising
+    steps (the bits whose addition keeps it consistent).
 
-    The search runs over the consistent inversion masks (see masks), from
-    the empty one (the standard cubillage) by raising flips, single
-    additions that keep every packet consistent.  Complete because every
-    non-standard cubillage admits a lowering flip.  Each result is then
-    built once by the root rule.
-
-    Refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state count
-    passes max_states.  The result is sorted canonically.
+    The search runs from the empty mask (the standard cubillage) by raising
+    flips.  Complete because every non-standard cubillage admits a lowering
+    flip.  Refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
+    count passes max_states.
     """
     _check_dimensions(n, d)
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
     _type_count_guard(n, d, MAX_ENUMERATION_TYPES)
-    seen = {0}
+    found = {0: 0}
     todo = [0]
     while todo:
         inv = todo.pop()
-        steps = _steps(n, d, inv) & ~inv
+        steps = found[inv] = _steps(n, d, inv) & ~inv
         while steps:
             b = steps & -steps
             steps ^= b
             up = inv | b
-            if up not in seen:
-                seen.add(up)
+            if up not in found:
+                found[up] = 0
                 todo.append(up)
-                if len(seen) > max_states:
+                if len(found) > max_states:
                     raise ScaleGuardError(f"state count passed the cap {max_states}")
-    return tuple(sorted((_cubillage_of_mask(n, d, inv) for inv in seen), key=Cubillage.key))
+    return found
+
+
+def enumerate_cubillages(n: int, d: int, max_states: int = MAX_STATES) -> tuple[Cubillage, ...]:
+    """All cubillages of Z(n,d), as the elements of the higher Bruhat order B(n,d).
+
+    The consistent inversion masks come from the raising-flip search _masks,
+    which refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
+    count passes max_states.  They are sorted canonically by their roots in
+    type order: every cubillage of Z(n,d) has the same types, so that tuple
+    orders as Cubillage.key does.  Each cubillage is then built once, from
+    the roots, by the root rule.
+    """
+    memo = {}
+    ranked = sorted((_roots_of_mask(n, d, inv, memo), inv) for inv in _masks(n, d, max_states))
+    return tuple(_cubillage_of_mask(n, d, inv, roots=roots) for roots, inv in ranked)
 
 
 def separated_system_count(n: int, d: int) -> int:
@@ -82,47 +95,62 @@ def separated_system_count(n: int, d: int) -> int:
 class BruhatPoset:
     """The higher Bruhat order B(n,d) on all cubillages of Z(n,d).
 
-    Each element is read as its inversion mask, the consistent family of
-    (d+1)-subsets of [n] from enumerate_cubillages.  The order is single-step
-    inclusion (Manin-Schechtman 1989; Ziegler, Topology 1993): the covers
-    are the single-bit additions that land on another element, i.e. the
-    raising flips, and the rank is the inversion count.  Elements are indexed
-    in (rank, canonical key) order.  Graded with the standard cubillage as
-    unique minimum and the antistandard as unique maximum.
+    Element i is held as its inversion mask masks[i], the consistent family
+    of (d+1)-subsets of [n]; the constructor takes the masks with their
+    raising steps, as _masks gives them.  The order is single-step inclusion
+    (Manin-Schechtman 1989; Ziegler, Topology 1993): the covers are the
+    raising steps, i.e. the raising flips, and the rank is the inversion
+    count.  Elements are indexed in (rank, canonical key) order, the key
+    being the roots in type order as in enumerate_cubillages.  Graded with
+    the standard cubillage as unique minimum and the antistandard as unique
+    maximum.
+
+    The masks give len, ranks, covers, the minimal and maximal elements,
+    is_graded and to_dot; elements (the cubillages) and the closure behind
+    leq and join_failures are built on first access.
     """
 
-    def __init__(self, n: int, d: int, elements: tuple[Cubillage, ...]):
+    def __init__(self, n: int, d: int, steps: dict[int, int]):
         self.n = n
         self.d = d
-        ranked = sorted(((_mask_of(q), q) for q in elements),
-                        key=lambda mq: (mq[0].bit_count(), mq[1].key()))
-        self.elements = tuple(q for _, q in ranked)
-        masks = [inv for inv, _ in ranked]
-        self.ranks = tuple(inv.bit_count() for inv in masks)
-        index = {inv: i for i, inv in enumerate(masks)}
-        bits = [1 << k for k in range(comb(n, d + 1))]
+        memo = {}
+        self.masks = tuple(sorted(steps, key=lambda inv: (inv.bit_count(),
+                                                           _roots_of_mask(n, d, inv, memo))))
+        self.ranks = tuple(inv.bit_count() for inv in self.masks)
+        index = {inv: i for i, inv in enumerate(self.masks)}
         covers = []
-        for i, inv in enumerate(masks):
-            for b in bits:
-                j = index.get(inv | b)
-                if j is not None and j != i:
-                    covers.append((i, j))
+        for i, inv in enumerate(self.masks):
+            up = steps[inv]
+            while up:
+                b = up & -up
+                up ^= b
+                covers.append((i, index[inv | b]))
         self.covers = tuple(sorted(covers))
-        _, _, self._up = _closure(range(len(self.elements)), self.covers)
+
+    @functools.cached_property
+    def elements(self) -> tuple[Cubillage, ...]:
+        memo = {}
+        return tuple(_cubillage_of_mask(self.n, self.d, inv,
+                                        roots=_roots_of_mask(self.n, self.d, inv, memo))
+                     for inv in self.masks)
+
+    @functools.cached_property
+    def _up(self) -> dict[int, int]:
+        return _closure(range(len(self.masks)), self.covers)[2]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.masks)
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] & (1 << j))
 
     def minimal_elements(self) -> tuple[int, ...]:
         above = set(j for _, j in self.covers)
-        return tuple(i for i in range(len(self.elements)) if i not in above)
+        return tuple(i for i in range(len(self)) if i not in above)
 
     def maximal_elements(self) -> tuple[int, ...]:
         below = set(i for i, _ in self.covers)
-        return tuple(i for i in range(len(self.elements)) if i not in below)
+        return tuple(i for i in range(len(self)) if i not in below)
 
     def is_graded(self) -> bool:
         return all(self.ranks[j] == self.ranks[i] + 1 for i, j in self.covers)
@@ -135,7 +163,7 @@ class BruhatPoset:
         every other common upper bound sits above m.
         """
         out = []
-        size = len(self.elements)
+        size = len(self)
         for i in range(size):
             for j in range(i + 1, size):
                 common = self._up[i] & self._up[j]
@@ -148,8 +176,8 @@ class BruhatPoset:
 
     def to_dot(self) -> str:
         lines = ["digraph bruhat {"]
-        for i, q in enumerate(self.elements):
-            lines.append(f'  q{i} [label="#{i} r{self.ranks[i]}"];')
+        for i, rank in enumerate(self.ranks):
+            lines.append(f'  q{i} [label="#{i} r{rank}"];')
         for i, j in self.covers:
             lines.append(f"  q{i} -> q{j};")
         lines.append("}")
@@ -157,7 +185,7 @@ class BruhatPoset:
 
 
 def bruhat_poset(n: int, d: int, max_states: int = MAX_STATES) -> BruhatPoset:
-    return BruhatPoset(n, d, enumerate_cubillages(n, d, max_states))
+    return BruhatPoset(n, d, _masks(n, d, max_states))
 
 
 # ---------------------------------------------------------------------------

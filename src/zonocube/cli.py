@@ -51,7 +51,7 @@ from . import (
     standardize,
     weak_separation_suite,
 )
-from .bruhat import MAX_STATES
+from .bruhat import MAX_STATES, _masks
 from .geom import Realization
 from .masks import _mask_of
 
@@ -238,10 +238,10 @@ def cmd_from_order(args):
 
 
 def cmd_enumerate(args):
-    qs = enumerate_cubillages(args.n, args.d, max_states=args.max_states)
     if args.count:
-        _emit(args, str(len(qs)))
+        _emit(args, str(len(_masks(args.n, args.d, args.max_states))))
     else:
+        qs = enumerate_cubillages(args.n, args.d, max_states=args.max_states)
         _emit(args, json.dumps([json.loads(q.to_json()) for q in qs]))
 
 

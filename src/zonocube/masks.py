@@ -102,14 +102,53 @@ def _roots(n: int, d: int) -> tuple[tuple[Colors, tuple[tuple[int, int, str], ..
         for t in subsets(colors, d))
 
 
-def _cubillage_of_mask(n: int, d: int, inv: int, colors: Colors = ()) -> Cubillage:
-    """The cubillage of Z(n,d) with the given consistent inversion mask, on
-    the given canonical n colors (by default 1..n)."""
+@functools.lru_cache(maxsize=None)
+def _root_rows(n: int, d: int) -> tuple[tuple[Colors, ...], tuple]:
+    """_roots(n, d) laid out for reading many masks: the types in lex order,
+    and per type a getter of the flags of its bits T ∪ {c} (from a flags
+    string), those colors c and their flags that put c in root(T)."""
+    types, rows = [], []
+    for t, row in _roots(n, d):
+        types.append(t)
+        # a lone bit reads as one character and no bit (n = d) as "", both
+        # zipped like the tuple of flags that several bits read as
+        get = operator.itemgetter(*(k for _, k, _ in row)) if row else operator.itemgetter(slice(0))
+        rows.append((get, tuple(c for c, _, _ in row), "".join(flag for _, _, flag in row)))
+    return tuple(types), tuple(rows)
+
+
+def _roots_of_mask(n: int, d: int, inv: int, memo: dict) -> tuple[Colors, ...]:
+    """The roots of the cubillage of Z(n,d) with the consistent inversion
+    mask inv, in type order.  memo maps the flags a row reads to the root
+    they give; one memo serves many masks of one Z(n,d), and the caller
+    drops it with them."""
     flags = _flags(inv, len(_bits(n, d)))
-    cubes = [(tuple(c for c, k, flag in row if flags[k] == flag), t) for t, row in _roots(n, d)]
+    out = []
+    for get, colors, want in _root_rows(n, d)[1]:
+        pattern = get(flags)
+        root = memo.get((get, pattern))
+        if root is None:
+            root = memo[get, pattern] = tuple(
+                c for c, flag, w in zip(colors, pattern, want) if flag == w)
+        out.append(root)
+    return tuple(out)
+
+
+def _cubillage_of_mask(n: int, d: int, inv: int, colors: Colors = (),
+                       roots: tuple[Colors, ...] | None = None) -> Cubillage:
+    """The cubillage of Z(n,d) with the given consistent inversion mask, on
+    the given canonical n colors (by default 1..n); roots, when given, are
+    its _roots_of_mask, else they are read here off _roots, which on a
+    single mask is faster than filling a memo."""
+    if roots is None:
+        flags = _flags(inv, len(_bits(n, d)))
+        roots = [tuple([c for c, k, flag in row if flags[k] == flag]) for _, row in _roots(n, d)]
+    types = _root_rows(n, d)[0]
     if colors and colors[-1] != n:
         cubes = [(tuple(colors[i - 1] for i in r), tuple(colors[i - 1] for i in t))
-                 for r, t in cubes]
+                 for r, t in zip(roots, types)]
+    else:
+        cubes = zip(roots, types)
     q = Cubillage._trusted(colors or tuple(range(1, n + 1)), d, cubes)
     q._cache["mask"] = inv
     return q

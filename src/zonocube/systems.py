@@ -26,7 +26,7 @@ from .colors import (
     subsets,
 )
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError
-from .masks import _cubillage_of_mask, _lift, _mask, _mask_of_spectra, _steps
+from .masks import _cubillage_of_mask, _flags, _lift, _mask, _mask_of, _mask_of_spectra, _steps
 from .order import AdmissibleOrder, membrane_as_cubillage, membrane_of_stack, natural_order
 
 
@@ -63,9 +63,12 @@ def inversions(q: Cubillage) -> frozenset[Colors]:
     K is an inversion exactly when the cube typed K - max(K) sits behind the
     top-color layer of K, i.e. max(K) belongs to its root.  Empty for the
     standard cubillage, all of Gr(colors,d+1) for the antistandard one.
+    Read off the mask of masks._mask_of, which certifies q (else
+    CubillageError).
     """
-    return frozenset(parent for parent in subsets(q.colors, q.d + 1)
-                     if parent[-1] in q._root_by_type[parent[:-1]])
+    flags = _flags(_mask_of(q), comb(q.n, q.d + 1))
+    return frozenset(parent for parent, flag in zip(subsets(q.colors, q.d + 1), flags)
+                     if flag == "1")
 
 
 def order_of(q: Cubillage) -> AdmissibleOrder:

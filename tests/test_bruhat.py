@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zonocube.bruhat
 from zonocube.bruhat import (
     ScaleGuardError,
     bruhat_poset,
@@ -32,7 +33,7 @@ from zonocube.cubillage import (
     standard,
     validate,
 )
-from zonocube.masks import _bits, _cubillage_of_mask, _mask_of, _steps
+from zonocube.masks import _bits, _cubillage_of_mask, _mask_of, _root_rows, _roots_of_mask, _steps
 from zonocube.order import apply_flip, find_flips
 from zonocube.systems import from_consistent, from_order, from_spectra, inversions, order_of
 
@@ -267,6 +268,32 @@ def test_engine_agrees_with_flips_on_random_walks(nd, data):
         assert r == q
 
 
+def raising_walk(n, d, data, label):
+    q = standard(crange(n), d)
+    for _ in range(data.draw(st.integers(0, comb(n, d + 1)), label=f"{label} steps")):
+        raising = [p for p, direction in find_flips(q) if direction == "raising"]
+        if not raising:
+            break
+        q = apply_flip(q, data.draw(st.sampled_from(raising), label=f"{label} parent"))
+    return q
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from([(8, 3), (9, 4)]), st.data())
+def test_root_tuple_orders_as_the_canonical_key(nd, data):
+    # enumerate_cubillages and BruhatPoset sort by the root tuple in place of key()
+    n, d = nd
+    first, second = raising_walk(n, d, data, "first"), raising_walk(n, d, data, "second")
+    flips = [p for p, _ in find_flips(first)]
+    qs = (first, second, apply_flip(first, data.draw(st.sampled_from(flips), label="flip")))
+    memo = {}
+    roots = [_roots_of_mask(n, d, _mask_of(q), memo) for q in qs]
+    for q, r in zip(qs, roots):
+        assert q.key() == (crange(n), d, tuple(zip(_root_rows(n, d)[0], r)))
+    for (a, ra), (b, rb) in itertools.combinations(zip(qs, roots), 2):
+        assert (ra < rb, ra == rb) == (a.key() < b.key(), a.key() == b.key())
+
+
 # ------------------------------------------------------------------- poset
 
 def test_poset_structure_small():
@@ -278,6 +305,30 @@ def test_poset_structure_small():
         assert poset.elements[0] == standard(crange(n), d)
         assert poset.elements[-1] == antistandard(crange(n), d)
         assert poset.ranks[-1] == comb(n, d + 1)
+
+
+def test_poset_builds_no_cubillage_or_closure_until_read(monkeypatch):
+    built, closures = [], []
+    fill, closure = Cubillage._fill, zonocube.bruhat._closure
+    monkeypatch.setattr(Cubillage, "_fill", lambda q, *args: built.append(q) or fill(q, *args))
+    monkeypatch.setattr(zonocube.bruhat, "_closure",
+                        lambda *args: closures.append(args) or closure(*args))
+    poset = bruhat_poset(6, 2)
+    assert (len(poset), poset.ranks[0], poset.ranks[-1]) == (908, 0, comb(6, 3))
+    assert len(poset.covers) > len(poset)
+    assert poset.minimal_elements() == (0,)
+    assert poset.maximal_elements() == (907,)
+    assert poset.is_graded()
+    assert poset.to_dot().count("->") == len(poset.covers)
+    assert (built, closures) == ([], [])
+    assert poset.leq(0, 907) and not poset.leq(907, 0)
+    assert (len(built), len(closures)) == (0, 1)
+    elements = poset.elements
+    assert len(built) == 908 and poset.elements is elements
+    assert [_mask_of(q) for q in elements] == list(poset.masks)
+    poset.leq(1, 2)
+    assert len(closures) == 1
+    assert elements[0] == standard(crange(6), 2) and elements[-1] == antistandard(crange(6), 2)
 
 
 def test_ring_posets_are_cycles():

@@ -18,6 +18,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
 ORDER_GOLDEN = GOLDEN.with_name("order_cli.txt")
 STANDARDIZE_GOLDEN = GOLDEN.with_name("standardize_cli.txt")
 MEMBRANE_GOLDEN = GOLDEN.with_name("membrane_cli.txt")
+POSET_GOLDEN = GOLDEN.with_name("poset_cli.txt")
 
 
 def run_cli(args, stdin=None):
@@ -40,6 +41,14 @@ def test_standard_command():
 def test_enumerate_count():
     code, out, _ = run_cli(["enumerate", "-n", "4", "-d", "2", "--count"])
     assert code == 0 and out.strip() == "8"
+
+
+def test_enumerate_count_builds_no_cubillage(monkeypatch):
+    built = []
+    fill = Cubillage._fill
+    monkeypatch.setattr(Cubillage, "_fill", lambda q, *args: built.append(q) or fill(q, *args))
+    assert run_inprocess(["enumerate", "-n", "6", "-d", "2", "--count"], "") == (0, "908\n", "")
+    assert built == []
 
 
 def test_extend_certificate():
@@ -528,3 +537,16 @@ def membrane_transcript():
 def test_membrane_commands_match_golden_output():
     # tests/golden/membrane_cli.txt was written by membrane_transcript()
     assert membrane_transcript() == MEMBRANE_GOLDEN.read_text(encoding="utf-8")
+
+
+def poset_transcript():
+    """poset -n 6 -d 2 (JSON) and poset -n 5 -d 3 --dot, each command and
+    its stdout; both pin the (rank, canonical key) index order."""
+    calls = ["poset -n 6 -d 2", "poset -n 5 -d 3 --dot"]
+    return "".join(f"$ zonocube {call}\n{run_stdout(shlex.split(call), '')}" for call in calls)
+
+
+def test_poset_commands_match_golden_output():
+    # tests/golden/poset_cli.txt was written by poset_transcript() before the
+    # poset moved onto masks; it pins the index order of elements and covers
+    assert poset_transcript() == POSET_GOLDEN.read_text(encoding="utf-8")

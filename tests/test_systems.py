@@ -87,6 +87,18 @@ def test_inversions_injective_and_match_packet_directions():
             assert order.packet_direction(parent) == expected
 
 
+@pytest.mark.parametrize("cubes", [
+    pytest.param([((3,), (1, 2)), ((), (1, 3)), ((), (2, 3))], id="roots-break-the-root-rule"),
+    pytest.param([((), (1, 2)), ((), (2, 3))], id="missing-type"),
+])
+def test_inversions_certify_their_input(cubes):
+    # read naively off the roots, these gave {(1, 2, 3)} and frozenset()
+    q = Cubillage((1, 2, 3), 2, cubes)
+    assert validate(q) is not None
+    with pytest.raises(CubillageError):
+        inversions(q)
+
+
 # -------------------------------------------------------- admissible order
 
 def test_order_of_standard_is_lex_chain():
