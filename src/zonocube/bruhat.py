@@ -71,9 +71,9 @@ def enumerate_cubillages(n: int, d: int, max_states: int = MAX_STATES) -> tuple[
     orders as Cubillage.key does.  Each cubillage is then built once, from
     the roots, by the root rule.
     """
-    memo = {}
-    ranked = sorted((_roots_of_mask(n, d, inv, memo), inv) for inv in _masks(n, d, max_states))
-    return tuple(_cubillage_of_mask(n, d, inv, roots=roots) for roots, inv in ranked)
+    colors, memo = tuple(range(1, n + 1)), {}
+    ranked = sorted((_roots_of_mask(colors, d, inv, memo), inv) for inv in _masks(n, d, max_states))
+    return tuple(_cubillage_of_mask(colors, d, inv, roots) for roots, inv in ranked)
 
 
 def separated_system_count(n: int, d: int) -> int:
@@ -113,9 +113,9 @@ class BruhatPoset:
     def __init__(self, n: int, d: int, steps: dict[int, int]):
         self.n = n
         self.d = d
-        memo = {}
+        colors, memo = tuple(range(1, n + 1)), {}
         self.masks = tuple(sorted(steps, key=lambda inv: (inv.bit_count(),
-                                                           _roots_of_mask(n, d, inv, memo))))
+                                                           _roots_of_mask(colors, d, inv, memo))))
         self.ranks = tuple(inv.bit_count() for inv in self.masks)
         index = {inv: i for i, inv in enumerate(self.masks)}
         covers = []
@@ -129,9 +129,8 @@ class BruhatPoset:
 
     @functools.cached_property
     def elements(self) -> tuple[Cubillage, ...]:
-        memo = {}
-        return tuple(_cubillage_of_mask(self.n, self.d, inv,
-                                        roots=_roots_of_mask(self.n, self.d, inv, memo))
+        colors, d, memo = tuple(range(1, self.n + 1)), self.d, {}
+        return tuple(_cubillage_of_mask(colors, d, inv, _roots_of_mask(colors, d, inv, memo))
                      for inv in self.masks)
 
     @functools.cached_property

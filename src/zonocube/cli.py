@@ -110,7 +110,7 @@ def _facet_json(plates):
 
 
 def _setsystem_json(q: Cubillage, sets) -> str:
-    return SetSystem(q.colors[-1] if q.colors else 0, sets).to_json()
+    return json.dumps({"n": q.colors[-1] if q.colors else 0, "sets": [list(s) for s in sets]})
 
 
 def _pairwise_violations(sets, violation) -> list:
@@ -150,7 +150,7 @@ def cmd_spectra(args):
 def cmd_reduce(args):
     red = reduce(_load_cubillage(args), args.color)
     _emit(args, json.dumps({
-        "cubillage": json.loads(red.cubillage.to_json()),
+        "cubillage": red.cubillage._data(),
         "seam": _facet_json(red.seam),
         "below": [list(t) for t in sorted(red.below)],
     }))
@@ -158,7 +158,7 @@ def cmd_reduce(args):
 
 def cmd_expand(args):
     q = _load_cubillage(args)
-    stack = [colorset(s) for s in json.loads(args.sets)] if args.sets else q.types()
+    stack = json.loads(args.sets) if args.sets else q.types()
     _emit(args, expand(q, stack, args.color).to_json())
 
 
@@ -181,7 +181,7 @@ def cmd_flip(args):
 
 def cmd_standardize(args):
     seq = standardize(_load_cubillage(args))
-    _emit(args, json.dumps([json.loads(q.to_json()) for q in seq]))
+    _emit(args, json.dumps([q._data() for q in seq]))
 
 
 def cmd_membranes(args):
@@ -226,8 +226,8 @@ def cmd_from_consistent(args):
     witness = from_consistent(_load_sets(args), args.n, args.d)
     _emit(args, json.dumps({
         "plates": _facet_json(witness.plates),
-        "projected": json.loads(witness.projected.to_json()) if witness.projected else None,
-        "ambient": json.loads(witness.ambient.to_json()),
+        "projected": witness.projected._data() if witness.projected else None,
+        "ambient": witness.ambient._data(),
         "stack": [list(t) for t in sorted(witness.stack)],
     }))
 
@@ -242,7 +242,8 @@ def cmd_enumerate(args):
         _emit(args, str(len(_masks(args.n, args.d, args.max_states))))
     else:
         qs = enumerate_cubillages(args.n, args.d, max_states=args.max_states)
-        _emit(args, json.dumps([json.loads(q.to_json()) for q in qs]))
+        # fresh trees of dicts and tuples hold no cycle to look for
+        _emit(args, json.dumps([q._data() for q in qs], check_circular=False))
 
 
 def cmd_poset(args):
@@ -273,6 +274,8 @@ def cmd_sec_surjectivity(args):
 
 def cmd_check_separated(args):
     sets = _load_sets(args)
+    if args.r is None and args.d is None:
+        raise ValueError("check-separated needs -d or -r")
     r = args.r if args.r is not None else args.d - 1
     if r < 0:
         raise ValueError("separation order r must be >= 0")
@@ -325,8 +328,7 @@ def cmd_render_svg(args):
     width, height = (int(part) for part in args.size.split("x"))
     membrane = None
     if args.sets:
-        stack = [colorset(s) for s in json.loads(args.sets)]
-        membrane = membrane_of_stack(q, stack)
+        membrane = membrane_of_stack(q, json.loads(args.sets))
     realization = Realization(q.colors, q.d, _t_params(args)) if args.t_params else None
     _emit(args, render_svg(q, size=(width, height), labels=args.labels,
                            arrows=args.arrows, membrane=membrane,

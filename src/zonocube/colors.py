@@ -20,6 +20,8 @@ Colors = tuple[int, ...]
 def colorset(items) -> Colors:
     """Canonicalize an iterable of colors into a strictly increasing tuple."""
     cs = tuple(sorted(items))
+    if not {int}.issuperset(map(type, cs)):
+        raise ValueError(f"colors must be integers, got {cs}")
     if any(b <= a for a, b in zip(cs, cs[1:])):
         raise ValueError(f"duplicate colors in {cs}")
     if cs and cs[0] < 1:

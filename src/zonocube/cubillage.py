@@ -42,12 +42,19 @@ class ScaleGuardError(RuntimeError):
     """The requested search exceeds the configured desk-scale caps."""
 
 
-# `zonocube standard -n 19 -d 9` (92,378 cubes, just under the cap) takes
-# 1.2 s on a 2-core Xeon with Python 3.11; the time grows with the cube count
-MAX_EXTREME_CUBES = 100_000
+# standard and antistandard walk the n colors once per each of the C(n,d)
+# roots, so their time grows with C(n,d)*n, which they cap: on a 2-core Xeon
+# with Python 3.11, `zonocube standard -n 19 -d 9` (C(19,9)*19 = 1,755,182,
+# just under the cap) takes about 1.2 s
+MAX_EXTREME_WORK = 2_000_000
 
 # enumerate_cubillages refuses Z(n,d) with more cube types than this
 MAX_ENUMERATION_TYPES = 70
+
+
+def _check_dimensions(n: int, d: int) -> None:
+    if d < 1 or n < d:
+        raise ValueError(f"need n >= d >= 1, got ({n},{d})")
 
 
 def _type_count_guard(n: int, d: int, cap: int) -> None:
@@ -130,12 +137,16 @@ class Cubillage:
                 v for v, _, _ in _face_spectra((r, t) for t, r in self._root_by_type.items()))
         return self._cache["vertices"]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "colors": list(self.colors),
+    def _data(self) -> dict:
+        """What to_json writes, to embed; json writes its tuples as arrays."""
+        return {
+            "colors": self.colors,
             "d": self.d,
-            "cubes": [{"root": list(c.root), "type": list(c.type)} for c in self.cubes],
-        })
+            "cubes": [{"root": r, "type": t} for t, r in sorted(self._root_by_type.items())],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self._data())
 
     @classmethod
     def from_json(cls, text: str) -> "Cubillage":
@@ -313,21 +324,24 @@ def _extreme(colors, d: int, even: bool, name: str) -> Cubillage:
     cs = colorset(colors)
     if len(cs) < d or d < 1:
         raise ValueError(f"{name} cubillage needs |colors| >= d >= 1, got {cs}, d={d}")
-    _type_count_guard(len(cs), d, MAX_EXTREME_CUBES)
+    work = comb(len(cs), d) * len(cs)
+    if work > MAX_EXTREME_WORK:
+        raise ScaleGuardError(
+            f"C({len(cs)},{d})*{len(cs)} = {work} exceeds the cap {MAX_EXTREME_WORK}")
     return Cubillage._trusted(cs, d, [(_parity_root(cs, t, even), t) for t in subsets(cs, d)])
 
 
 def standard(colors, d: int) -> Cubillage:
     """The standard cubillage, the one with no inversions: each cube of
     type T is rooted at the colors outside T that are odd relative to T.
-    Refuses more than MAX_EXTREME_CUBES cubes with ScaleGuardError."""
+    Refuses C(n,d)*n above MAX_EXTREME_WORK with ScaleGuardError."""
     return _extreme(colors, d, False, "standard")
 
 
 def antistandard(colors, d: int) -> Cubillage:
     """The antistandard cubillage, the one inverting every (d+1)-subset:
     each cube of type T is rooted at the colors outside T that are even
-    relative to T.  Refuses more than MAX_EXTREME_CUBES cubes with
+    relative to T.  Refuses C(n,d)*n above MAX_EXTREME_WORK with
     ScaleGuardError."""
     return _extreme(colors, d, True, "antistandard")
 
@@ -383,17 +397,15 @@ def expand(q: Cubillage, stack, i: int) -> Cubillage:
     root rule builds it from the inversions of q and each T ∪ {i} with T
     outside the stack.  Certifies q by masks._mask_of.
     """
-    from .masks import _bits, _cubillage_of_mask, _flags, _mask, _mask_of
+    from .masks import _cubillage_of_mask, _mask, _mask_of, _sets
     from .order import _ideal
 
     if q.colors and i <= q.colors[-1]:
         raise ValueError(f"expansion color {i} must exceed max color {q.colors[-1]}")
     stack = _ideal(q, stack)
-    n, d, colors = q.n, q.d, add(q.colors, i)
-    bit, flags = _bits(n, d), _flags(_mask_of(q), len(_bits(n, d)))
-    inv = _mask(n + 1, d, lambda k: flags[bit[k]] == "1" if k[-1] <= n
-                else tuple(colors[c - 1] for c in k[:-1]) not in stack)
-    return _cubillage_of_mask(n + 1, d, inv, colors)
+    inverted, colors = set(_sets(q.colors, q.d, _mask_of(q))), add(q.colors, i)
+    inv = _mask(colors, q.d, lambda k: k[:-1] not in stack if k[-1] == i else k in inverted)
+    return _cubillage_of_mask(colors, q.d, inv)
 
 
 def _expand_at_side(q: Cubillage, i: int, front: bool) -> Cubillage:
@@ -433,6 +445,7 @@ def embed_subcubillage(q_t: Cubillage, x, colors) -> Cubillage:
     """
     xs = colorset(x)
     cs = colorset(colors)
+    _check_dimensions(len(cs), q_t.d)
     w = set(q_t.colors)
     if w & set(xs):
         raise ValueError("x must avoid the colors of the embedded cubillage")

@@ -17,16 +17,15 @@ from typing import NamedTuple
 from .colors import Colors, add, colorset, inter, minus, subsets, union
 from .cubillage import Cubillage, CubillageError, Facet, _face_spectra, boundary_plates
 from .masks import (
-    _bits,
-    _can_toggle,
+    _cubes,
     _cubillage_of_mask,
-    _flags,
     _lift,
     _mask,
     _mask_of,
-    _roots,
+    _sets,
     _steps,
-    _tunnels,
+    _toggle,
+    _tunnel_covers,
 )
 
 
@@ -85,11 +84,6 @@ class AdmissibleOrder:
         if closure is None:
             raise ValueError("relations contain a cycle; not an order")
         self._index, self._topo, self._up = closure
-
-    def _antilex(self) -> frozenset[Colors]:
-        """The parents whose packet runs antilex: for a natural order its
-        inversions, else what the packet check of the constructor found."""
-        return self._antilex_parents
 
     def leq(self, a, b) -> bool:
         return bool(self._up[a] & (1 << self._index[b]))
@@ -167,21 +161,14 @@ class AdmissibleOrder:
 
 def natural_order(q: Cubillage) -> AdmissibleOrder:
     """The natural order on the cube types of q, cached on q: the closure of
-    its tunnel chains (masks._tunnels), whose antilex packets are the
+    its tunnel chains (masks._tunnel_covers), whose antilex packets are the
     inversions, so no packet check runs.  Raises CubillageError when q
     fails the certificate of masks._mask_of."""
     if "natural_order" not in q._cache:
-        flags, types, covers = _flags(_mask_of(q), len(_bits(q.n, q.d))), q.types(), []
-        for tunnel, pairs in _tunnels(q.n, q.d):
-            below = [0] * len(tunnel)  # per type, how many of its tunnel lie below it
-            for a, b, k in pairs:
-                below[a if flags[k] == "1" else b] += 1
-            chain = [types[t] for _, t in sorted(zip(below, tunnel))]
-            covers += zip(chain, chain[1:])
+        inv = _mask_of(q)
         order = AdmissibleOrder.__new__(AdmissibleOrder)
-        order._fill(q.colors, q.d, covers)
-        order._antilex_parents = frozenset(
-            parent for parent, flag in zip(subsets(q.colors, q.d + 1), flags) if flag == "1")
+        order._fill(q.colors, q.d, _tunnel_covers(q.colors, q.d, inv))
+        order._antilex_parents = frozenset(_sets(q.colors, q.d, inv))
         q._cache["natural_order"] = order
     return q._cache["natural_order"]
 
@@ -204,10 +191,9 @@ def membrane_of_stack(q: Cubillage, stack) -> frozenset[Facet]:
     rule builds one dimension down with the stack as inversion set (at d = 1,
     one point).  Certifies q by masks._mask_of.
     """
-    stack, cs = _ideal(q, stack), q.colors
-    flags = "".join("01"[t in stack] for t in subsets(cs, q.d))
-    return frozenset(Facet(tuple(cs[c - 1] for c, k, flag in row if flags[k] == flag),
-                           tuple(cs[i - 1] for i in t)) for t, row in _roots(q.n, q.d - 1))
+    stack = _ideal(q, stack)
+    return frozenset(itertools.starmap(
+        Facet, _cubes(q.colors, q.d - 1, _mask(q.colors, q.d - 1, stack.__contains__))))
 
 
 def plate_vertices(plates) -> frozenset[Colors]:
@@ -274,11 +260,10 @@ def find_flips(q: Cubillage) -> tuple[tuple[Colors, str], ...]:
     suffix; the flip raises when K is not an inversion, else it lowers.
     Raises CubillageError when q fails the certificate of masks._mask_of."""
     inv = _mask_of(q)
-    bits = _bits(q.n, q.d)
-    flags, free = _flags(inv, len(bits)), _flags(_steps(q.n, q.d, inv), len(bits))
-    return tuple((tuple(q.colors[i - 1] for i in parent),
-                  "lowering" if flags[k] == "1" else "raising")
-                 for parent, k in bits.items() if free[k] == "1")
+    free = _steps(q.n, q.d, inv)
+    lowering = set(_sets(q.colors, q.d, free & inv))
+    return tuple((parent, "lowering" if parent in lowering else "raising")
+                 for parent in _sets(q.colors, q.d, free))
 
 
 def apply_flip(q: Cubillage, parent) -> Cubillage:
@@ -287,25 +272,22 @@ def apply_flip(q: Cubillage, parent) -> Cubillage:
     when the packets through K do not allow it, and CubillageError when q
     fails the certificate of masks._mask_of."""
     parent = colorset(parent)
-    inv = _mask_of(q)
-    pos = {c: i for i, c in enumerate(q.colors, 1)}
-    at = tuple(pos.get(c, 0) for c in parent)
-    k = _bits(q.n, q.d).get(at)
-    if k is None or not _can_toggle(q.n, q.d, inv, at):
+    toggled = _toggle(q.colors, q.d, _mask_of(q), parent)
+    if toggled is None:
         raise ValueError(f"parent {parent} is not flippable")
     roots = dict(q._root_by_type)
     for c in parent:
         t = minus(parent, (c,))
         roots[t] = minus(roots[t], (c,)) if c in roots[t] else add(roots[t], c)
     flipped = Cubillage._trusted(q.colors, q.d, ((r, t) for t, r in roots.items()))
-    flipped._cache["mask"] = inv ^ 1 << k
+    flipped._cache["mask"] = toggled
     return flipped
 
 
 def _cut(q: Cubillage, top: int) -> Cubillage:
     """q with every parent holding a color above the top-th one un-inverted."""
-    inv = _mask_of(q) & _mask(q.n, q.d, lambda k: k[-1] <= top)
-    return _cubillage_of_mask(q.n, q.d, inv, q.colors)
+    inv, kept = _mask_of(q), q.colors[:top]
+    return _cubillage_of_mask(q.colors, q.d, inv & _mask(q.colors, q.d, lambda k: k[-1] in kept))
 
 
 def avalanche(q: Cubillage) -> Cubillage:
@@ -337,11 +319,10 @@ def canonical_extension(qp: Cubillage) -> Cubillage:
     to the antistandard one.  Raises CubillageError when qp fails the
     certificate of masks._mask_of, ValueError on Z(d,d): Z(d,d+1) is empty.
     """
-    flags = _flags(_mask_of(qp), len(_bits(qp.n, qp.d)))
+    below = set(_sets(qp.colors, qp.d, _mask_of(qp)))
     if qp.n == qp.d:
         raise ValueError(f"a lift to Z({qp.n},{qp.d + 1}) needs more than {qp.d} colors")
-    below = {k for k, i in _bits(qp.n, qp.d).items() if flags[i] == "1"}
-    return _cubillage_of_mask(qp.n, qp.d + 1, _lift(qp.n, qp.d + 1, below), qp.colors)
+    return _cubillage_of_mask(qp.colors, qp.d + 1, _lift(qp.colors, qp.d + 1, below))
 
 
 class Garland(NamedTuple):

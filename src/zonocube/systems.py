@@ -25,9 +25,10 @@ from .colors import (
     is_weakly_k_separated,
     subsets,
 )
-from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError
-from .masks import _cubillage_of_mask, _flags, _lift, _mask, _mask_of, _mask_of_spectra, _steps
-from .order import AdmissibleOrder, membrane_as_cubillage, membrane_of_stack, natural_order
+from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
+from .masks import _cubes, _cubillage_of_mask, _lift, _mask, _mask_of, _mask_of_spectra
+from .masks import _sets, _steps
+from .order import AdmissibleOrder, natural_order
 
 
 class NotRealizableError(CubillageError):
@@ -46,11 +47,6 @@ def _separation_scale_guard(n: int) -> None:
             f"n = {n} exceeds the cap {MAX_SEPARATION_N} for searches over all subsets of [n]")
 
 
-def _check_dimensions(n: int, d: int) -> None:
-    if d < 1 or n < d:
-        raise ValueError(f"need n >= d >= 1, got ({n},{d})")
-
-
 def _check_inside(members, n: int) -> None:
     outside = sorted(s for s in members if s and s[-1] > n)
     if outside:
@@ -66,9 +62,7 @@ def inversions(q: Cubillage) -> frozenset[Colors]:
     Read off the mask of masks._mask_of, which certifies q (else
     CubillageError).
     """
-    flags = _flags(_mask_of(q), comb(q.n, q.d + 1))
-    return frozenset(parent for parent, flag in zip(subsets(q.colors, q.d + 1), flags)
-                     if flag == "1")
+    return frozenset(_sets(q.colors, q.d, _mask_of(q)))
 
 
 def order_of(q: Cubillage) -> AdmissibleOrder:
@@ -88,9 +82,7 @@ def from_order(order: AdmissibleOrder) -> Cubillage:
     cs, d = order.colors, order.d
     if len(cs) < d:
         raise ValueError("fewer colors than the dimension")
-    antilex = order._antilex()
-    inv = _mask(len(cs), d, lambda k: tuple(cs[i - 1] for i in k) in antilex)
-    q = _cubillage_of_mask(len(cs), d, inv, cs)
+    q = _cubillage_of_mask(cs, d, _mask(cs, d, order._antilex_parents.__contains__))
     if not order.extends(order_of(q)):
         raise CubillageError("reconstructed cubillage order is not refined by the input")
     return q
@@ -106,7 +98,7 @@ def is_consistent(sets, n: int) -> bool:
     if len(sizes) > 1:
         raise ValueError(f"mixed member sizes {sorted(sizes)}")
     d = sizes.pop() if sizes else 1  # with no members any size will do
-    return _steps(n, d - 1, _mask(n, d - 1, members.__contains__)) is not None
+    return _steps(n, d - 1, _mask(tuple(range(1, n + 1)), d - 1, members.__contains__)) is not None
 
 
 class MembraneWitness(NamedTuple):
@@ -121,26 +113,29 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
     consistent family of d-subsets, cut from an ambient cubillage along the
     stack whose type set is the input.  For d > 1 the ambient is the
     canonical extension of the input (masks._lift): it inverts a parent K
-    exactly when K - max K is not a member.  The plates are read off the
-    input by the root rule one dimension down (order.membrane_of_stack), so
-    the projected membrane is a (d-1)-cubillage whose inversion system is it.
+    exactly when K - max K is not a member.  The plates are the cubes the
+    root rule builds from the input one dimension down, as in
+    order.membrane_of_stack: the projected membrane is the (d-1)-cubillage
+    whose inversion system is the input.
     """
     _check_dimensions(n, d)
     members = frozenset(colorset(s) for s in sets)
     if any(len(s) != d for s in members):
         raise ValueError(f"members must be {d}-subsets")
     _check_inside(members, n)
-    if not is_consistent(members, n):
+    colors = tuple(range(1, n + 1))
+    stack = _mask(colors, d - 1, members.__contains__)
+    if _steps(n, d - 1, stack) is None:
         raise ValueError("system is not consistent")
 
     if d == 1:  # any chain will do: the one listing the members first
-        inv = _mask(n, 1, lambda k: (k[1],) in members and (k[0],) not in members)
+        inv = _mask(colors, 1, lambda k: (k[1],) in members and (k[0],) not in members)
     else:
-        inv = _lift(n, d, members)
-    ambient = _cubillage_of_mask(n, d, inv)
-    plates = membrane_of_stack(ambient, members)
-    projected = membrane_as_cubillage(ambient, plates) if d > 1 else None
-    return MembraneWitness(plates, projected, ambient, members)
+        inv = _lift(colors, d, members)
+    plates = _cubes(colors, d - 1, stack)
+    projected = Cubillage._trusted(colors, d - 1, plates) if d > 1 else None
+    return MembraneWitness(frozenset(itertools.starmap(Facet, plates)), projected,
+                           _cubillage_of_mask(colors, d, inv), members)
 
 
 def _check_separated(sets, r: int):
@@ -172,11 +167,9 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
     _check_dimensions(len(cs), d)
     if len(members) != sum(comb(len(cs), j) for j in range(d + 1)):
         raise ValueError("system size is not C(n,<=d)")
-    # a color outside the universe reads as none; the spectrum comparison rejects it
-    bit = {c: 1 << i for i, c in enumerate(cs)}
-    inv = _mask_of_spectra(len(cs), d, [sum(bit.get(c, 0) for c in s) for s in members])
+    inv = _mask_of_spectra(cs, d, members)
     if inv is not None:
-        q = _cubillage_of_mask(len(cs), d, inv, cs)
+        q = _cubillage_of_mask(cs, d, inv)
         if q.vertices() == members:
             return q
     _check_separated(members, d - 1)

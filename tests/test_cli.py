@@ -5,13 +5,14 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from zonocube import ScaleGuardError, apply_flip, cli, find_flips, order_of
 from zonocube.cli import COMMANDS, build_parser, main
-from zonocube.cubillage import Cubillage, CubillageError, standard, validate
+from zonocube.cubillage import MAX_EXTREME_WORK, Cubillage, CubillageError, standard, validate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
@@ -19,6 +20,7 @@ ORDER_GOLDEN = GOLDEN.with_name("order_cli.txt")
 STANDARDIZE_GOLDEN = GOLDEN.with_name("standardize_cli.txt")
 MEMBRANE_GOLDEN = GOLDEN.with_name("membrane_cli.txt")
 POSET_GOLDEN = GOLDEN.with_name("poset_cli.txt")
+RELABEL_GOLDEN = GOLDEN.with_name("relabel_cli.txt")
 
 
 def run_cli(args, stdin=None):
@@ -162,11 +164,14 @@ def test_extend_scale_guard_exits_one():
 
 
 def test_standard_scale_guard_exits_one():
+    # the cap is on C(n,d)*n, the work of the root walks, not on the cube
+    # count: Z(100000,1) and Z(447,2) have fewer than 100,000 cubes
     for cmd in ("standard", "antistandard"):
-        proc = subprocess.run([sys.executable, "-m", "zonocube.cli", cmd, "-n", "40", "-d", "20"],
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1 and not proc.stdout
-        assert proc.stderr == "error: C(40,20) = 137846528820 exceeds the cap 100000\n"
+        for n, d, work in ((40, 20, 5513861152800), (100000, 1, 10**10), (447, 2, 44557407)):
+            assert run_inprocess([cmd, "-n", str(n), "-d", str(d)], "") == (
+                1, "", f"error: C({n},{d})*{n} = {work} exceeds the cap 2000000\n")
+    # the largest Z(n,d) with n < 20, Z(19,9), stays under the cap
+    assert comb(19, 9) * 19 <= MAX_EXTREME_WORK
 
 
 def test_max_states_below_one_is_bad_input():
@@ -550,3 +555,110 @@ def test_poset_commands_match_golden_output():
     # tests/golden/poset_cli.txt was written by poset_transcript() before the
     # poset moved onto masks; it pins the index order of elements and covers
     assert poset_transcript() == POSET_GOLDEN.read_text(encoding="utf-8")
+
+
+def relabel_transcript():
+    """enumerate -n 4 -d 2, then a cubillage on the non-contiguous colors
+    1, 2, 4, 5, 6 (standard -n 6 -d 2, flipped at [1,2,3] and [1,2,4], with
+    color 3 reduced away) run through every command that maps colors to
+    their positions and back; each command with its exit code, stdout and
+    stderr."""
+    def call(command, stdin=""):
+        code, out, err = run_inprocess(shlex.split(command), stdin)
+        return out, f"$ zonocube {command}\n[exit {code}]\n{out}{err}"
+
+    parts = [call("enumerate -n 4 -d 2")[1]]
+    out = ""
+    for stage in ("standard -n 6 -d 2", "flip - --parent [1,2,3]", "flip - --parent [1,2,4]",
+                  "reduce - --color 3"):
+        out, part = call(stage, out)
+        parts.append(part)
+    reduced = json.dumps(json.loads(out)["cubillage"]) + "\n"
+    for command in ("validate -", "flips -", "flip - --parent [1,2,5]", "inversions -",
+                    "spectra -", "standardize -", "membranes -", "garland -", "order - --dot",
+                    "order -", "expand - --color 7"):
+        parts.append(call(command, reduced)[1])
+    return "".join(parts)
+
+
+def test_relabelling_commands_match_golden_output():
+    # tests/golden/relabel_cli.txt was written by relabel_transcript() before
+    # the color relabelling moved into masks
+    assert relabel_transcript() == RELABEL_GOLDEN.read_text(encoding="utf-8")
+
+
+Z21_FLOAT_ROOT = ('{"colors": [1, 2], "d": 1, "cubes": [{"root": [], "type": [1]}, '
+                  '{"root": [1.0], "type": [2]}]}')
+Z21_FLOAT_COLORS = '{"colors": [1.5, 2], "d": 1, "cubes": []}'
+Z21_BOOL_COLORS = ('{"colors": [true, 2], "d": 1, "cubes": [{"root": [], "type": [true]}, '
+                   '{"root": [true], "type": [2]}]}')
+Z3_NON_CONTIGUOUS = json.dumps({"colors": [1, 2, 4], "d": 2, "cubes": [
+    {"root": [], "type": [1, 2]}, {"root": [2], "type": [1, 4]}, {"root": [], "type": [2, 4]}]})
+# malformed input for every command: (argv, stdin, exit code, part of the message)
+MALFORMED = [
+    (["standard", "-n", "100000", "-d", "1"], "", 1, "exceeds the cap"),
+    (["standard", "-n", "2", "-d", "3"], "", 2, ""),
+    (["antistandard", "-n", "447", "-d", "2"], "", 1, "exceeds the cap"),
+    (["validate", "-"], Z21_FLOAT_ROOT, 2, "integers"),
+    (["validate", "-"], Z21_FLOAT_COLORS, 2, "integers"),
+    (["validate", "-"], Z21_BOOL_COLORS, 2, "integers"),
+    (["validate", "-"], "{", 2, ""),
+    (["validate", "-"], "[1]", 2, ""),
+    (["validate", "-"], "null", 2, ""),
+    (["spectra", "-"], Z21_FLOAT_ROOT, 2, "integers"),
+    (["spectra", "-"], Z21_BOOL_COLORS, 2, "integers"),
+    (["reduce", "-", "--color", "9"], Z42, 2, ""),
+    (["expand", "-", "--color", "2"], Z42, 2, ""),
+    (["expand", "-", "--color", "5", "--sets", "[[1.5, 2]]"], Z42, 2, "integers"),
+    (["expand", "-", "--color", "5", "--sets", "5"], Z42, 2, ""),
+    (["contract", "-", "--color", "9"], Z42, 2, ""),
+    (["flips", "-"], '{"colors": [1, 2], "d": 1, "cubes": [5]}', 2, ""),
+    (["flip", "-", "--parent", "[1, 2]"], Z42, 2, ""),
+    (["flip", "-", "--parent", "[1.5, 2, 3]"], Z42, 2, "integers"),
+    (["flip", "-", "--parent", "\"abc\""], Z42, 2, ""),
+    (["standardize", "-"], '{"colors": [1, 2], "d": 1.0, "cubes": []}', 2, ""),
+    (["membranes", "-"], '{"colors": [1, 2], "d": 0, "cubes": []}', 2, ""),
+    (["garland", "-"], '{"colors": "ab", "d": 1, "cubes": []}', 2, ""),
+    (["inversions", "-"], '{"colors": [1, 2], "d": 1}', 2, ""),
+    (["order", "-"], Z3_NON_CONTIGUOUS, 2, "contiguous"),
+    (["order", "-", "--dot"], "{}", 2, ""),
+    (["from-spectra", "--sets", "[[], [1.5]]"], "", 2, "integers"),
+    (["from-spectra", "--sets", "{}"], "", 2, ""),
+    (["from-spectra", "--sets", "[[], [1], [1, 2]]", "-d", "0"], "", 2, ""),
+    (["from-consistent", "--sets", "[[1, 2]]", "-n", "3", "-d", "5"], "", 2, ""),
+    (["from-consistent", "--sets", "[[true]]", "-n", "2", "-d", "1"], "", 2, "integers"),
+    (["from-order", "-"], '{"n": 3, "d": 2, "relations": [[[1, 2], [1, 3]], [[1, 3], [1, 2]]]}',
+     2, "cycle"),
+    (["from-order", "-"], '{"n": 2.5, "d": 1, "relations": []}', 2, ""),
+    (["enumerate", "-n", "2", "-d", "3"], "", 2, ""),
+    (["enumerate", "-n", "12", "-d", "6"], "", 1, "exceeds the cap"),
+    (["poset", "-n", "2", "-d", "0"], "", 2, ""),
+    (["sec", "-", "--t-params", "x"], Z42, 2, ""),
+    (["sec-surjectivity", "-n", "3", "-d", "5"], "", 2, ""),
+    (["check-separated", "--sets", "[[1], [2]]"], "", 2, "check-separated needs -d or -r"),
+    (["check-separated", "--sets", "[[1.5]]", "-d", "2"], "", 2, "integers"),
+    (["extend", "-n", "4", "-d", "2", "--sets", "[[1.5]]"], "", 2, "integers"),
+    (["extend", "-n", "4", "-d", "2", "--sets", "[[true]]"], "", 2, "integers"),
+    (["weak-sep", "-n", "4", "-k", "2"], "", 2, ""),
+    (["weak-sep", "-k", "1"], "", 2, ""),
+    (["weak-sep", "-k", "1", "--sets", "[[1.5], [2]]"], "", 2, "integers"),
+    (["render-svg", "-", "--size", "1x2x3"], Z42, 2, ""),
+    (["render-svg", "-", "--sets", "[[9]]"], Z42, 2, ""),
+    (["embed", "--sets", "[[1]]", "-n", "4", "-d", "5"], "", 2, "need n >= d >= 1"),
+    (["embed", "--sets", "[[1], [2]]", "-n", "4", "-d", "2"], "", 2, ""),
+    (["embed", "--sets", "[[0]]", "-n", "4", "-d", "2"], "", 2, ""),
+]
+
+
+def test_malformed_calls_cover_every_command():
+    assert {argv[0] for argv, *_ in MALFORMED} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv,stdin,code,message", [
+    pytest.param(*row, id=" ".join(row[0])) for row in MALFORMED])
+def test_malformed_input_exits_with_a_message(argv, stdin, code, message):
+    # exit 1 for a diagnostic or a scale guard, 2 for malformed input; one
+    # line on stderr, no traceback, nothing on stdout
+    got_code, out, err = run_inprocess(argv, stdin)
+    assert (got_code, out) == (code, "")
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err

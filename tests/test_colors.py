@@ -208,3 +208,7 @@ def test_colorset_rejects_bad_input():
         colorset((1, 1))
     with pytest.raises(ValueError):
         colorset((0, 2))
+    # only int members: no float, even a whole one, no bool, no string
+    for items in ((1.0,), (1.5, 2), (True, 2), (False,), ("1",)):
+        with pytest.raises(ValueError, match="colors must be integers"):
+            colorset(items)

@@ -353,6 +353,12 @@ def test_embed_identity():
     assert embed_subcubillage(q, (), (1, 2)) == q
 
 
+def test_embed_refuses_fewer_colors_than_the_dimension():
+    # Z(4,5) has no cubillage; the empty tiling used to come back
+    with pytest.raises(ValueError, match=r"need n >= d >= 1, got \(4,5\)"):
+        embed_subcubillage(point_cubillage(5), (1,), crange(4))
+
+
 def test_embed_every_vertex_of_z52():
     for k in range(6):
         for x in itertools.combinations(range(1, 6), k):

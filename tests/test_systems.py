@@ -81,7 +81,7 @@ def test_inversions_injective_and_match_packet_directions():
         seen.add(inv)
         order = order_of(q)
         # the antilex parents recorded by the packet check
-        assert order._antilex() == inv
+        assert order._antilex_parents == inv
         for parent in subsets(crange(4), 3):
             expected = "antilex" if tuple(parent) in inv else "lex"
             assert order.packet_direction(parent) == expected
