@@ -54,6 +54,7 @@ from . import (
 from .bruhat import MAX_STATES, _masks
 from .geom import Realization
 from .masks import _mask_of
+from .order import _plates
 
 
 def _read_text(path: str) -> str:
@@ -186,14 +187,10 @@ def cmd_standardize(args):
 
 def cmd_membranes(args):
     q = _load_cubillage(args)
-    stacks = enumerate_stacks(q)
-    out = []
-    for stack in stacks:
-        plates = membrane_of_stack(q, stack)
-        out.append({
-            "stack": [list(t) for t in sorted(stack)],
-            "plates": _facet_json(plates),
-        })
+    stacks = enumerate_stacks(q)  # canonical order ideals, so _plates need not check them
+    # json writes the color tuples as lists
+    out = [{"stack": sorted(stack), "plates": [{"root": r, "type": t} for r, t in _plates(q, stack)]}
+           for stack in stacks]
     _emit(args, json.dumps({"count": len(stacks), "membranes": out}))
 
 

@@ -159,7 +159,9 @@ class SetSystem:
     """A duplicate-free collection of subsets of [n], kept canonically sorted."""
 
     def __init__(self, n: int, sets):
-        self.n = int(n)
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        self.n = n
         members = [colorset(s) for s in sets]
         canon = sorted(set(members))
         if len(canon) != len(members):

@@ -43,7 +43,8 @@ class ScaleGuardError(RuntimeError):
 
 
 # standard and antistandard walk the n colors once per each of the C(n,d)
-# roots, so their time grows with C(n,d)*n, which they cap: on a 2-core Xeon
+# roots, so their time grows with C(n,d)*n, which they cap, as does
+# embed_subcubillage, whose n insertions each rebuild the cubes: on a 2-core Xeon
 # with Python 3.11, `zonocube standard -n 19 -d 9` (C(19,9)*19 = 1,755,182,
 # just under the cap) takes about 1.2 s
 MAX_EXTREME_WORK = 2_000_000
@@ -55,6 +56,14 @@ MAX_ENUMERATION_TYPES = 70
 def _check_dimensions(n: int, d: int) -> None:
     if d < 1 or n < d:
         raise ValueError(f"need n >= d >= 1, got ({n},{d})")
+
+
+def _extreme_work_guard(n: int, d: int) -> None:
+    """Refuse C(n,d)*n, the work of building the standard cubillage, above
+    MAX_EXTREME_WORK."""
+    if comb(n, d) * n > MAX_EXTREME_WORK:
+        raise ScaleGuardError(
+            f"C({n},{d})*{n} = {comb(n, d) * n} exceeds the cap {MAX_EXTREME_WORK}")
 
 
 def _type_count_guard(n: int, d: int, cap: int) -> None:
@@ -320,14 +329,14 @@ def snakes(q: Cubillage):
 
 
 def _extreme(colors, d: int, even: bool, name: str) -> Cubillage:
-    """The bottom (odd roots) or top (even roots) of the higher Bruhat order."""
-    cs = colorset(colors)
+    """The bottom (odd roots) or top (even roots) of the higher Bruhat order.
+    A range of colors is sized and guarded before its colors are listed."""
+    cs = colors if isinstance(colors, range) else colorset(colors)
     if len(cs) < d or d < 1:
-        raise ValueError(f"{name} cubillage needs |colors| >= d >= 1, got {cs}, d={d}")
-    work = comb(len(cs), d) * len(cs)
-    if work > MAX_EXTREME_WORK:
-        raise ScaleGuardError(
-            f"C({len(cs)},{d})*{len(cs)} = {work} exceeds the cap {MAX_EXTREME_WORK}")
+        raise ValueError(f"{name} cubillage needs |colors| >= d >= 1, got {len(cs)} colors, d={d}")
+    _extreme_work_guard(len(cs), d)
+    if isinstance(cs, range):
+        cs = colorset(cs)
     return Cubillage._trusted(cs, d, [(_parity_root(cs, t, even), t) for t in subsets(cs, d)])
 
 
@@ -442,10 +451,13 @@ def embed_subcubillage(q_t: Cubillage, x, colors) -> Cubillage:
     colors outside x are inserted at the back (roots preserved), colors of x
     at the front (roots all gain the color), so every cube (r,t) of q_t ends
     up as (x ∪ r, t) and every spectrum x ∪ s occurs in the result.
+    Refuses C(n,d)*n above MAX_EXTREME_WORK with ScaleGuardError, as
+    standard does, before the first insertion.
     """
     xs = colorset(x)
     cs = colorset(colors)
     _check_dimensions(len(cs), q_t.d)
+    _extreme_work_guard(len(cs), q_t.d)
     w = set(q_t.colors)
     if w & set(xs):
         raise ValueError("x must avoid the colors of the embedded cubillage")

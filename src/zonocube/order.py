@@ -191,9 +191,13 @@ def membrane_of_stack(q: Cubillage, stack) -> frozenset[Facet]:
     rule builds one dimension down with the stack as inversion set (at d = 1,
     one point).  Certifies q by masks._mask_of.
     """
-    stack = _ideal(q, stack)
-    return frozenset(itertools.starmap(
-        Facet, _cubes(q.colors, q.d - 1, _mask(q.colors, q.d - 1, stack.__contains__))))
+    return frozenset(itertools.starmap(Facet, _plates(q, _ideal(q, stack))))
+
+
+def _plates(q: Cubillage, ideal) -> list[tuple[Colors, Colors]]:
+    """(root, type) of the plates of membrane_of_stack, types in lex order,
+    for a stack already known to be a canonical order ideal of q."""
+    return _cubes(q.colors, q.d - 1, _mask(q.colors, q.d - 1, ideal.__contains__))
 
 
 def plate_vertices(plates) -> frozenset[Colors]:

@@ -190,8 +190,10 @@ def _bits(mask: int):
         yield v
 
 
-def _degeneracy_order(adj: list[int], cand_mask: int) -> list[int]:
-    """The candidates in min-degree removal order, ties to the lowest index."""
+def _core_first(adj: list[int], cand_mask: int) -> list[int]:
+    """Adjacency of the subgraph induced on cand_mask, relabelled in reverse
+    min-degree removal order (ties to the lowest index): the high-core
+    vertices get the low bits, which _coloring puts in the early classes."""
     degree = {v: (adj[v] & cand_mask).bit_count() for v in _bits(cand_mask)}
     order = []
     left = cand_mask
@@ -201,57 +203,69 @@ def _degeneracy_order(adj: list[int], cand_mask: int) -> list[int]:
         left &= ~(1 << v)
         for u in _bits(adj[v] & left):
             degree[u] -= 1
-    return order
-
-
-def _relabel(adj: list[int], order: list[int]) -> list[int]:
-    """Adjacency of the subgraph induced on order, vertex order[i] renamed i."""
+    order.reverse()
     pos = {v: i for i, v in enumerate(order)}
-    return [sum(1 << pos[u] for u in _bits(adj[v]) if u in pos) for v in order]
+    return [sum(1 << pos[u] for u in _bits(adj[v] & cand_mask)) for v in order]
+
+
+def _coloring(adj: list[int], mask: int) -> tuple[list[int], list[int]]:
+    """The vertices of mask in greedy class order, lowest free bit first,
+    and the position where each class starts: a clique among the vertices
+    before the start of class c + 1 has at most c members."""
+    verts, starts = [], []
+    while mask:
+        starts.append(len(verts))
+        avail = mask
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            verts.append(v)
+            mask ^= low
+            avail &= ~adj[v] & (avail ^ low)
+    return verts, starts
+
+
+def _cliques(adj: list[int], cand_mask: int, size: int):
+    """The cliques of exactly the given size inside cand_mask, as bitmasks.
+    Each node branches on its _coloring from the last vertex down to the
+    first one of class size (classes count from 1): the vertices before it
+    hold no clique of that size."""
+
+    def grow(mask, size, chosen):
+        if size == 0:
+            yield chosen
+            return
+        verts, starts = _coloring(adj, mask)
+        if len(starts) < size:
+            return
+        for v in reversed(verts[starts[size - 1]:]):
+            yield from grow(mask & adj[v], size - 1, chosen | 1 << v)
+            mask &= ~(1 << v)
+
+    return grow(cand_mask, size, 0)
 
 
 def _max_clique(adj: list[int], cand_mask: int) -> int:
-    """Largest clique size inside cand_mask; greedy-colored branch and bound.
-
-    The candidates are relabelled once in reverse degeneracy order, so the
-    high-core vertices get the low bits and the greedy coloring, which
-    takes the lowest free bit first, puts them in the early classes.  Each
-    node branches from the last color class down and stops as soon as
-    size + color of the vertex cannot beat the best clique so far.
-    """
-    order = _degeneracy_order(adj, cand_mask)[::-1]
-    adj = _relabel(adj, order)
-    best = 0
-
-    def grow(mask, size):
-        nonlocal best
-        verts = []
-        bounds = []
-        color = 0
-        m = mask
-        while m:
-            color += 1
-            avail = m
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                verts.append(v)
-                bounds.append(color)
-                m ^= low
-                avail &= ~adj[v] & (avail ^ low)
-        for i in range(len(verts) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
-            v = verts[i]
-            nxt = mask & adj[v]
-            if nxt:
-                grow(nxt, size + 1)
-            elif size >= best:
-                best = size + 1
-            mask &= ~(1 << v)
-
-    grow((1 << len(order)) - 1, 0)
+    """Largest clique size inside cand_mask, on the _core_first relabelling:
+    the greedy clique that keeps taking the lowest common neighbour is a
+    lower bound, and the size goes one up while _cliques finds a clique of
+    the next size."""
+    adj = _core_first(adj, cand_mask)
+    full = (1 << len(adj)) - 1
+    best, common = 0, full
+    while common:
+        best += 1
+        common &= adj[(common & -common).bit_length() - 1]
+    while next(_cliques(adj, full, best + 1), None) is not None:
+        best += 1
     return best
+
+
+def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
+    """Number of cliques of exactly the given size inside cand_mask, counted
+    by _cliques on the _core_first relabelling."""
+    adj = _core_first(adj, cand_mask)
+    return sum(1 for _ in _cliques(adj, (1 << len(adj)) - 1, size))
 
 
 def _maximal_cliques(adj: list[int], cand_mask: int):
@@ -284,32 +298,18 @@ def _maximal_cliques(adj: list[int], cand_mask: int):
 
 
 def _exact_cliques(adj: list[int], cand_mask: int, size: int):
-    """The cliques of exactly the given size inside cand_mask, as bitmasks.
-
-    Yielded in lexicographic order of their sorted vertex lists: each clique
-    is grown from its lowest vertex through its later neighbors.  A node is
-    pruned when a greedy coloring of its candidates uses fewer colors than
-    the vertices still needed.
+    """The cliques of exactly the given size inside cand_mask, as bitmasks,
+    in lex order of their sorted vertex lists (the first is the witness of
+    extension_search): each is grown from its lowest vertex through its
+    later neighbors, and a node is pruned when _coloring of its candidates
+    has fewer classes than the vertices still needed.
     """
-
-    def too_few_colors(mask, need):
-        # greedy classes, lowest free bit first, until need of them are found
-        while mask:
-            need -= 1
-            if need <= 0:
-                return False
-            avail = mask
-            while avail:
-                low = avail & -avail
-                mask ^= low
-                avail &= ~adj[low.bit_length() - 1] & (avail ^ low)
-        return True
 
     def grow(mask, size, chosen):
         if size == 0:
             yield chosen
             return
-        if too_few_colors(mask, size):
+        if len(_coloring(adj, mask)[1]) < size:
             return
         while mask:
             low = mask & -mask
@@ -319,17 +319,6 @@ def _exact_cliques(adj: list[int], cand_mask: int, size: int):
                 yield from grow(nxt, size - 1, chosen | low)
 
     return grow(cand_mask, size, 0)
-
-
-def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
-    """Number of cliques of exactly the given size inside cand_mask.
-
-    Counted over the candidates relabelled in degeneracy (min-degree
-    removal) order, so no vertex has more than the degeneracy of later
-    neighbors to grow through.
-    """
-    order = _degeneracy_order(adj, cand_mask)
-    return sum(1 for _ in _exact_cliques(_relabel(adj, order), (1 << len(order)) - 1, size))
 
 
 def _separation_graph(n: int, d: int, compatible, keep=None):

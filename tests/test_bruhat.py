@@ -62,8 +62,9 @@ def test_enumeration_is_valid_and_unique():
 
 
 def test_flip_count_matches_separated_system_count():
-    for n, d in ((4, 2), (5, 2), (5, 3), (6, 2), (7, 4), (8, 5)):
-        assert len(enumerate_cubillages(n, d)) == separated_system_count(n, d)
+    for n, d, count in ((4, 2, 8), (5, 2, 62), (5, 3, 10), (6, 2, 908), (6, 3, 148),
+                        (7, 3, 7686), (7, 4, 338), (8, 5, 752)):
+        assert len(enumerate_cubillages(n, d)) == separated_system_count(n, d) == count
 
 
 def test_separated_system_count_refusals():

@@ -637,7 +637,10 @@ MALFORMED = [
     (["sec-surjectivity", "-n", "3", "-d", "5"], "", 2, ""),
     (["check-separated", "--sets", "[[1], [2]]"], "", 2, "check-separated needs -d or -r"),
     (["check-separated", "--sets", "[[1.5]]", "-d", "2"], "", 2, "integers"),
+    (["check-separated", "-", "-d", "2"], '{"n": 4.5, "sets": [[1]]}', 2, "n must be an integer"),
     (["extend", "-n", "4", "-d", "2", "--sets", "[[1.5]]"], "", 2, "integers"),
+    (["extend", "-", "-n", "4", "-d", "2"], '{"n": true, "sets": [[1]]}', 2,
+     "n must be an integer"),
     (["extend", "-n", "4", "-d", "2", "--sets", "[[true]]"], "", 2, "integers"),
     (["weak-sep", "-n", "4", "-k", "2"], "", 2, ""),
     (["weak-sep", "-k", "1"], "", 2, ""),
@@ -647,6 +650,7 @@ MALFORMED = [
     (["embed", "--sets", "[[1]]", "-n", "4", "-d", "5"], "", 2, "need n >= d >= 1"),
     (["embed", "--sets", "[[1], [2]]", "-n", "4", "-d", "2"], "", 2, ""),
     (["embed", "--sets", "[[0]]", "-n", "4", "-d", "2"], "", 2, ""),
+    (["embed", "--sets", "[[1]]", "-n", "40", "-d", "20"], "", 1, "exceeds the cap"),
 ]
 
 

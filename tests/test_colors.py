@@ -201,6 +201,9 @@ def test_setsystem_rejects_duplicates_and_strays():
         SetSystem(4, [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         SetSystem(3, [(4,)])
+    for n in (4.5, 4.0, True, "4", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            SetSystem(n, [(1,)])
 
 
 def test_colorset_rejects_bad_input():

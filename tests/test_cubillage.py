@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ from zonocube.cubillage import (
     Cube,
     Cubillage,
     Facet,
+    ScaleGuardError,
     _face_spectra,
     antistandard,
     boundary_plates,
@@ -135,6 +137,22 @@ def test_standard_requires_enough_colors():
         standard((1,), 2)
     with pytest.raises(ValueError):
         antistandard((1, 2), 0)
+
+
+def test_standard_guards_a_range_before_listing_it():
+    # two million colors would take about 100 MB as a tuple
+    tracemalloc.start()
+    try:
+        for build in (standard, antistandard):
+            with pytest.raises(ScaleGuardError):
+                build(range(1, 2_000_001), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    with pytest.raises(ValueError):
+        standard(range(1, 3), 3)
+    assert standard(range(1, 5), 2) == standard((4, 2, 3, 1), 2)
 
 
 def standard_oracle(colors, d):

@@ -603,6 +603,14 @@ def test_strong_counterexample_extends_weakly():
         assert is_weakly_k_separated(a, b, 3)
 
 
+@pytest.mark.parametrize("n,k,peripheral,clique", [
+    (7, 1, 14, 15), (7, 3, 84, 15), (8, 5, 240, 7), (9, 5, 438, 28)])
+def test_weak_separation_maxima(n, k, peripheral, clique):
+    report = weak_separation_suite(n, k)
+    assert (report["peripheral"], report["non_peripheral_clique"]) == (peripheral, clique)
+    assert report["max_size"] == peripheral + clique
+
+
 def test_weak_suite_rejects_even_k():
     with pytest.raises(ValueError):
         weak_separation_suite(5, 2)
