@@ -6,7 +6,8 @@ root vertex.  The single source of geometric truth is the parity rule from
 colors.is_even; the geom module re-derives every visibility decision from
 exact determinants and is used in the tests to cross-check this module.
 Only validate reads facets, independently of the inversion masks (masks)
-that expand and the order module read.
+that the order module reads.  All three expansions insert a color by one
+rule, _insert, which reduce inverts.
 
 All values are immutable; operations return fresh objects.  Color sets are
 canonicalized where they enter: Cubillage(...), from_json, and public
@@ -377,12 +378,16 @@ def tunnel(q: Cubillage, dset) -> tuple[Cube, ...]:
 def reduce(q: Cubillage, i: int) -> Reduction:
     """Delete color i: drop its partition and close the gap.
 
-    Kept cubes lose i from their root when present; the seam records where
-    the partition collapsed and below lists the kept types that stayed in
-    front of it.  For the top color the seam is a membrane of the result.
+    Kept cubes lose i from their root when present; the seam holds the
+    partition with i taken from its types, and below the kept types in
+    front of it: _insert(red.cubillage, i, red.below, red.seam) gives q
+    back.  For the top color the seam is a membrane of the result.  Refuses
+    Z(d,d), whose Z(d-1,d) has no cubes, with ValueError.
     """
     if i not in set(q.colors):
         raise ValueError(f"color {i} not in {q.colors}")
+    if q.n == q.d:
+        raise ValueError(f"deleting a color of Z({q.n},{q.d}) leaves fewer colors than d")
     kept = []
     seam = set()
     below = set()
@@ -397,33 +402,40 @@ def reduce(q: Cubillage, i: int) -> Reduction:
     return Reduction(out, frozenset(seam), frozenset(below))
 
 
+def _insert(q: Cubillage, i: int, stack, layer) -> Cubillage:
+    """Insert the fresh color i: cubes with types in the stack keep their
+    roots, the others gain i, and each (root, J) of the layer becomes the
+    cube (root, J ∪ {i}).  reduce(result, i) gives back q, stack and layer."""
+    cubes = [(root if t in stack else add(root, i), t) for t, root in q._root_by_type.items()]
+    cubes += [(root, add(j, i)) for root, j in layer]
+    return Cubillage._trusted(add(q.colors, i), q.d, cubes)
+
+
 def expand(q: Cubillage, stack, i: int) -> Cubillage:
     """Insert a new top color i by pushing apart the membrane over the stack.
 
     The stack must be a downward closed set of types of q and i must exceed
     every existing color.  Cubes in the stack keep their roots, the rest gain
-    i, and each membrane plate grows into a new cube of type plate+i: the
-    root rule builds it from the inversions of q and each T ∪ {i} with T
-    outside the stack.  Certifies q by masks._mask_of.
+    i, and each plate of the membrane of the stack grows into a new cube of
+    type plate+i at the plate's root (_insert).  Certifies q by
+    masks._mask_of, through the natural order that checks the stack.
     """
-    from .masks import _cubillage_of_mask, _mask, _mask_of, _sets
-    from .order import _ideal
+    from .order import _ideal, _plates
 
     if q.colors and i <= q.colors[-1]:
         raise ValueError(f"expansion color {i} must exceed max color {q.colors[-1]}")
     stack = _ideal(q, stack)
-    inverted, colors = set(_sets(q.colors, q.d, _mask_of(q))), add(q.colors, i)
-    inv = _mask(colors, q.d, lambda k: k[:-1] not in stack if k[-1] == i else k in inverted)
-    return _cubillage_of_mask(colors, q.d, inv)
+    return _insert(q, i, stack, _plates(q, stack))
 
 
 def _expand_at_side(q: Cubillage, i: int, front: bool) -> Cubillage:
+    """_insert with every old cube (at the back) or none (at the front) in
+    the stack, and the v_i-invisible or v_i-visible boundary as the layer."""
     if i in set(q.colors):
         raise ValueError(f"color {i} already present")
-    cubes = [(add(root, i) if front else root, typ) for typ, root in q._root_by_type.items()]
-    for j in subsets(q.colors, q.d - 1):
-        cubes.append((_parity_root(q.colors, j, is_even(i, j) != front), add(j, i)))
-    return Cubillage._trusted(add(q.colors, i), q.d, cubes)
+    layer = [(_parity_root(q.colors, j, is_even(i, j) != front), j)
+             for j in subsets(q.colors, q.d - 1)]
+    return _insert(q, i, () if front else q._root_by_type, layer)
 
 
 def expand_at_back(q: Cubillage, i: int) -> Cubillage:
@@ -475,11 +487,16 @@ def embed_subcubillage(q_t: Cubillage, x, colors) -> Cubillage:
 def contract(q: Cubillage, i: int) -> Cubillage:
     """Project the color-i partition one dimension down.
 
-    Guaranteed to be a cubillage of Z(colors-i, d-1) when i is the top color;
-    for lower colors the result is returned unvalidated.
+    Always a cubillage of Z(colors-i, d-1) when i is the top color; for a
+    lower color the projection can overlap itself, and then validate's
+    diagnostic is raised as CubillageError.
     """
     cubes = [(c.root, minus(c.type, (i,))) for c in partition(q, i)]
-    return Cubillage._trusted(minus(q.colors, (i,)), q.d - 1, cubes)
+    out = Cubillage._trusted(minus(q.colors, (i,)), q.d - 1, cubes)
+    diagnostic = validate(out)
+    if diagnostic is not None:
+        raise CubillageError(f"contracting color {i} gives no tiling: {diagnostic}")
+    return out
 
 
 def central_symmetry(q: Cubillage) -> Cubillage:

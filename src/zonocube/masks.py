@@ -211,16 +211,12 @@ def _mask_of(q: Cubillage) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _restrictions(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
-    """Per (d+1)-subset K of [n] in bit order, as vertex bits (bit i-1 for
-    color i): K, and the one subset of K missing from the spectrum of the
-    standard and of the antistandard cubillage of Z(K,d)."""
-    colors = tuple(range(1, d + 2))
-    every = set(itertools.chain.from_iterable(subsets(colors, k) for k in range(d + 2)))
-    standard, antistandard = ((every - _cubillage_of_mask(colors, d, inv).vertices()).pop()
-                              for inv in (0, 1))
-    return tuple((sum(1 << (c - 1) for c in k),
-                  sum(1 << (k[i - 1] - 1) for i in standard),
-                  sum(1 << (k[i - 1] - 1) for i in antistandard)) for k in _bits(n, d))
+    """Per (d+1)-subset K = {k_1 < ... < k_{d+1}} of [n] in bit order, as
+    vertex bits (bit i-1 for color i): K, and the one subset of K missing
+    from the spectrum of the standard cubillage of Z(K,d), {k_{d+1},
+    k_{d-1}, ...}, and of the antistandard one, {k_d, k_{d-2}, ...}."""
+    return tuple(tuple(sum(1 << (c - 1) for c in part) for part in (k, k[::-1][::2], k[::-1][1::2]))
+                 for k in _bits(n, d))
 
 
 def _mask_of_spectra(colors: Colors, d: int, sets) -> int | None:

@@ -269,30 +269,20 @@ def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
 
 
 def _maximal_cliques(adj: list[int], cand_mask: int):
-    """Bron-Kerbosch with pivoting over the masked vertex set."""
+    """Bron-Kerbosch over the masked vertex set, pivoting on the first vertex
+    of p | x with the most neighbours in p."""
     out = []
 
     def bk(r, p, x):
         if not p and not x:
             out.append(r)
             return
-        pivot_pool = p | x
-        u = (pivot_pool & -pivot_pool).bit_length() - 1
-        best_u, best_cnt = u, -1
-        mm = pivot_pool
-        while mm:
-            v = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            cnt = bin(p & adj[v]).count("1")
-            if cnt > best_cnt:
-                best_u, best_cnt = v, cnt
-        ext = p & ~adj[best_u]
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            bk(r | (1 << v), p & adj[v], x & adj[v])
+        pivot = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
+        for v in _bits(p & ~adj[pivot]):
+            bk(r | 1 << v, p & adj[v], x & adj[v])
             p &= ~(1 << v)
             x |= 1 << v
+
     bk(0, cand_mask, 0)
     return out
 

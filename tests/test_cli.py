@@ -358,6 +358,7 @@ def full_parser_main(argv):
         return 2
 
 
+Z22 = standard(range(1, 3), 2).to_json()
 Z42 = standard(range(1, 5), 2).to_json()
 Z53 = standard(range(1, 6), 3).to_json()
 # one successful call per command, with its stdin
@@ -608,10 +609,12 @@ MALFORMED = [
     (["spectra", "-"], Z21_FLOAT_ROOT, 2, "integers"),
     (["spectra", "-"], Z21_BOOL_COLORS, 2, "integers"),
     (["reduce", "-", "--color", "9"], Z42, 2, ""),
+    (["reduce", "-", "--color", "1"], Z22, 2, "fewer colors than d"),
     (["expand", "-", "--color", "2"], Z42, 2, ""),
     (["expand", "-", "--color", "5", "--sets", "[[1.5, 2]]"], Z42, 2, "integers"),
     (["expand", "-", "--color", "5", "--sets", "5"], Z42, 2, ""),
     (["contract", "-", "--color", "9"], Z42, 2, ""),
+    (["contract", "-", "--color", "2"], Z42, 1, "claimed twice"),
     (["flips", "-"], '{"colors": [1, 2], "d": 1, "cubes": [5]}', 2, ""),
     (["flip", "-", "--parent", "[1, 2]"], Z42, 2, ""),
     (["flip", "-", "--parent", "[1.5, 2, 3]"], Z42, 2, "integers"),

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import tracemalloc
 from math import comb
 
@@ -10,9 +11,11 @@ from zonocube.colors import is_r_separated, union
 from zonocube.cubillage import (
     Cube,
     Cubillage,
+    CubillageError,
     Facet,
     ScaleGuardError,
     _face_spectra,
+    _insert,
     antistandard,
     boundary_plates,
     central_symmetry,
@@ -32,7 +35,7 @@ from zonocube.cubillage import (
     tunnel,
     validate,
 )
-from zonocube.order import membrane_of_stack, plate_vertices
+from zonocube.order import apply_flip, find_flips, membrane_of_stack, plate_vertices
 
 
 def crange(n):
@@ -319,6 +322,29 @@ def test_reduce_expand_roundtrip_enumerated():
             assert expand(red.cubillage, red.below, n) == q
 
 
+def test_reduce_refuses_z_d_d():
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match="not in"):
+            reduce(standard(crange(d), d), d + 1)  # the unknown color is named first
+        for i in crange(d):
+            with pytest.raises(ValueError, match="fewer colors than d"):
+                reduce(standard(crange(d), d), i)
+
+
+@pytest.mark.parametrize("colors,d", [(crange(8), 3), (crange(9), 4),
+                                      ((2, 4, 5, 7, 9, 11), 2), ((2, 4, 5, 7, 9, 11), 3)],
+                         ids=["Z8_3", "Z9_4", "C6_2", "C6_3"])
+def test_insert_undoes_reduce_for_every_color(colors, d):
+    rng = random.Random(len(colors) * 10 + d)
+    for _ in range(3):
+        q = standard(colors, d)
+        for _ in range(30):
+            q = apply_flip(q, rng.choice(find_flips(q))[0])
+        for i in colors:
+            red = reduce(q, i)
+            assert _insert(red.cubillage, i, red.below, red.seam) == q
+
+
 def test_expand_examples():
     base = standard((1, 2), 2)
     assert expand(base, base.types(), 3) == standard((1, 2, 3), 2)
@@ -418,6 +444,21 @@ def test_top_contraction_of_standard_is_antistandard():
     for d in range(2, 5):
         for n in range(d + 1, 8):
             assert contract(standard(crange(n), d), n) == antistandard(crange(n - 1), d - 1)
+
+
+def test_contract_validates_its_result():
+    # lower colors can project the partition onto an overlapping tiling
+    refused = 0
+    for q in enumerate_cubillages(5, 3):
+        for i in q.colors:
+            try:
+                out = contract(q, i)
+            except CubillageError:
+                assert i != 5
+                refused += 1
+                continue
+            assert validate(out) is None
+    assert refused > 0
 
 
 # ------------------------------------------------------- global properties

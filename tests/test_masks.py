@@ -1,6 +1,7 @@
 """The validity certificate of the inversion masks against validate()."""
 
 import io
+import itertools
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,8 +10,9 @@ import pytest
 
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.cli import main
-from zonocube.cubillage import Cubillage, CubillageError, standard, validate
-from zonocube.masks import _mask_of
+from zonocube.colors import subsets
+from zonocube.cubillage import Cubillage, CubillageError, antistandard, standard, validate
+from zonocube.masks import _mask_of, _restrictions
 from zonocube.order import apply_flip, find_flips
 
 
@@ -105,3 +107,22 @@ def test_certificate_rejects_malformed_type_maps(colors, d, cubes):
         apply_flip(q, colors[:d + 1] if len(colors) > d else (1, 2, 3))
     code, out, err = flips_cli(q)
     assert code == 1 and not out and err.startswith("error: ")
+
+
+def restrictions_oracle(n, d):
+    """Per (d+1)-subset K of [n] in lex order, as vertex bits: K, and the
+    subset of K missing from the vertices of standard and of antistandard
+    Z(K,d), read off the vertex sets of Z(d+1,d)."""
+    colors = tuple(range(1, d + 2))
+    every = {s for k in range(d + 2) for s in itertools.combinations(colors, k)}
+    missing = [(every - extreme(colors, d).vertices()).pop()
+               for extreme in (standard, antistandard)]
+    return tuple((sum(1 << (c - 1) for c in k),
+                  *(sum(1 << (k[i - 1] - 1) for i in m) for m in missing))
+                 for k in subsets(range(1, n + 1), d + 1))
+
+
+def test_restrictions_match_the_extreme_cubillages():
+    for d in range(1, 7):
+        for n in range(d + 1, 11):
+            assert _restrictions(n, d) == restrictions_oracle(n, d), (n, d)

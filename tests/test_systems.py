@@ -37,6 +37,7 @@ from zonocube.systems import (
     _count_cliques,
     _exact_cliques,
     _max_clique,
+    _maximal_cliques,
     extension_search,
     from_consistent,
     from_order,
@@ -487,6 +488,22 @@ def clique_witness_oracle(adj: list[int], cand_mask: int, size: int):
     return None
 
 
+def maximal_cliques_oracle(adj, cand_mask):
+    """Every clique inside cand_mask, grown in increasing vertex order, kept
+    when no vertex of cand_mask is adjacent to all of its members."""
+    out = []
+
+    def grow(chosen, common, last):
+        if common == 0:
+            out.append(chosen)
+        for v in range(last + 1, len(adj)):
+            if common >> v & 1:
+                grow(chosen | 1 << v, common & adj[v], v)
+
+    grow(0, cand_mask, -1)
+    return out
+
+
 # denser graphs get fewer vertices, so that the oracles' clique counts stay small
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from([(40, 0.1), (40, 0.3), (40, 0.5), (30, 0.7), (20, 0.9)]),
@@ -508,6 +525,9 @@ def test_clique_engines_match_oracles(shape, keep, seed, data):
         first = next(_exact_cliques(adj, cand, k), None)
         witness = clique_witness_oracle(adj, cand, k)
         assert (None if first is None else [v for v in range(size) if first >> v & 1]) == witness
+    maximal = _maximal_cliques(adj, cand)
+    assert len(set(maximal)) == len(maximal)
+    assert sorted(maximal) == sorted(maximal_cliques_oracle(adj, cand))
 
 
 def test_scale_guard_is_one_class():
