@@ -13,7 +13,7 @@ from .colors import Colors, is_r_separated
 # unused here, but bench/test_bench.py reaches them as bruhat.colorset and
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
-from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, _type_count_guard
+from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, _vertex_count
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
 from .masks import _cubillage_of_mask, _roots_of_mask, _steps
 from .order import find_flips  # noqa: F401
@@ -43,7 +43,8 @@ def _masks(n: int, d: int, max_states: int) -> dict[int, int]:
     _check_dimensions(n, d)
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-    _type_count_guard(n, d, MAX_ENUMERATION_TYPES)
+    if comb(n, d) > MAX_ENUMERATION_TYPES:
+        raise ScaleGuardError(f"C({n},{d}) = {comb(n, d)} exceeds the cap {MAX_ENUMERATION_TYPES}")
     found = {0: 0}
     todo = [0]
     while todo:
@@ -88,7 +89,7 @@ def separated_system_count(n: int, d: int) -> int:
     _check_dimensions(n, d)
     _separation_scale_guard(n)
     peripheral, others, adj = _separation_graph(n, d, lambda a, b: is_r_separated(a, b, d - 1))
-    need = sum(comb(n, k) for k in range(d + 1)) - len(peripheral)
+    need = _vertex_count(n, d) - len(peripheral)
     return _count_cliques(adj, (1 << len(others)) - 1, need)
 
 

@@ -451,6 +451,9 @@ def main(argv=None) -> int:
     except (CubillageError, ScaleGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # a backstop: the scale guards are meant to refuse first
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2

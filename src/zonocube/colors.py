@@ -29,6 +29,13 @@ def colorset(items) -> Colors:
     return cs
 
 
+def _check_dimension(d) -> int:
+    """d, when it is an int (not a bool) of at least 1: the one dimension rule."""
+    if type(d) is not int or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    return d
+
+
 def union(a: Colors, b) -> Colors:
     return tuple(sorted(set(a) | set(b)))
 

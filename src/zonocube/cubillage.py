@@ -10,9 +10,9 @@ that the order module reads.  All three expansions insert a color by one
 rule, _insert, which reduce inverts.
 
 All values are immutable; operations return fresh objects.  Color sets are
-canonicalized where they enter: Cubillage(...), from_json, and public
-functions given color sets (root_of, expand, ...).  Internal builders pass
-canonical tuples to Cubillage._trusted and read _root_by_type directly.
+canonicalized and d checked where they enter: Cubillage(...), from_json, and
+public functions (root_of, expand, ...).  Internal builders pass canonical
+tuples and a checked d to Cubillage._trusted and read _root_by_type directly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, add, colorset, inter, is_even, minus, subsets, union
+from .colors import Colors, _check_dimension, add, colorset, inter, is_even, minus, subsets, union
 
 
 class Cube(NamedTuple):
@@ -55,8 +55,13 @@ MAX_ENUMERATION_TYPES = 70
 
 
 def _check_dimensions(n: int, d: int) -> None:
-    if d < 1 or n < d:
+    if n < _check_dimension(d):
         raise ValueError(f"need n >= d >= 1, got ({n},{d})")
+
+
+def _vertex_count(n: int, d: int) -> int:
+    """C(n,<=d), the vertex count of every cubillage of Z(n,d)."""
+    return sum(comb(n, k) for k in range(d + 1))
 
 
 def _extreme_work_guard(n: int, d: int) -> None:
@@ -65,11 +70,6 @@ def _extreme_work_guard(n: int, d: int) -> None:
     if comb(n, d) * n > MAX_EXTREME_WORK:
         raise ScaleGuardError(
             f"C({n},{d})*{n} = {comb(n, d) * n} exceeds the cap {MAX_EXTREME_WORK}")
-
-
-def _type_count_guard(n: int, d: int, cap: int) -> None:
-    if comb(n, d) > cap:
-        raise ScaleGuardError(f"C({n},{d}) = {comb(n, d)} exceeds the cap {cap}")
 
 
 class Cubillage:
@@ -83,21 +83,20 @@ class Cubillage:
     __slots__ = ("colors", "d", "_root_by_type", "_cache")
 
     def __init__(self, colors, d: int, cubes):
+        _check_dimension(d)
         self._fill(colorset(colors), d, ((colorset(root), colorset(typ)) for root, typ in cubes))
 
     @classmethod
     def _trusted(cls, colors: Colors, d: int, cubes) -> "Cubillage":
         """Construction from canonical colors and (root, type) tuples built
-        inside the package: only the dimension and duplicate types are checked."""
+        inside the package: only duplicate types are checked."""
         q = cls.__new__(cls)
         q._fill(colors, d, cubes)
         return q
 
     def _fill(self, colors: Colors, d: int, cubes):
         self.colors = colors
-        self.d = int(d)
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        self.d = d
         by_type = {}
         for root, typ in cubes:
             if typ in by_type:
@@ -161,8 +160,6 @@ class Cubillage:
     @classmethod
     def from_json(cls, text: str) -> "Cubillage":
         data = json.loads(text)
-        if type(data["d"]) is not int:
-            raise ValueError(f"d must be an integer, got {data['d']!r}")
         return cls(data["colors"], data["d"], [(c["root"], c["type"]) for c in data["cubes"]])
 
 
@@ -217,8 +214,7 @@ def boundary_plates(colors, d: int, side: str) -> frozenset[Facet]:
     two sides have 2*C(n,d-1) plates.
     """
     cs = colorset(colors)
-    if len(cs) < d:
-        raise ValueError(f"need at least {d} colors, got {cs}")
+    _check_dimensions(len(cs), d)
     if side not in ("front", "back"):
         raise ValueError(f"side must be 'front' or 'back', not {side!r}")
     return frozenset(Facet(_parity_root(cs, j, side == "back"), j) for j in subsets(cs, d - 1))
@@ -291,7 +287,7 @@ def validate(q: Cubillage):
             return f"back plate {plate} not covered"
     if _closure(q.types(), covers) is None:
         return "precedence relation between cubes has a cycle"
-    want = sum(comb(n, k) for k in range(d + 1))
+    want = _vertex_count(n, d)
     if len(q.vertices()) != want:
         return f"vertex count {len(q.vertices())} != C({n},<={d}) = {want}"
     return None
@@ -329,12 +325,11 @@ def snakes(q: Cubillage):
     return sorted(results)
 
 
-def _extreme(colors, d: int, even: bool, name: str) -> Cubillage:
+def _extreme(colors, d: int, even: bool) -> Cubillage:
     """The bottom (odd roots) or top (even roots) of the higher Bruhat order.
     A range of colors is sized and guarded before its colors are listed."""
     cs = colors if isinstance(colors, range) else colorset(colors)
-    if len(cs) < d or d < 1:
-        raise ValueError(f"{name} cubillage needs |colors| >= d >= 1, got {len(cs)} colors, d={d}")
+    _check_dimensions(len(cs), d)
     _extreme_work_guard(len(cs), d)
     if isinstance(cs, range):
         cs = colorset(cs)
@@ -345,7 +340,7 @@ def standard(colors, d: int) -> Cubillage:
     """The standard cubillage, the one with no inversions: each cube of
     type T is rooted at the colors outside T that are odd relative to T.
     Refuses C(n,d)*n above MAX_EXTREME_WORK with ScaleGuardError."""
-    return _extreme(colors, d, False, "standard")
+    return _extreme(colors, d, False)
 
 
 def antistandard(colors, d: int) -> Cubillage:
@@ -353,7 +348,7 @@ def antistandard(colors, d: int) -> Cubillage:
     each cube of type T is rooted at the colors outside T that are even
     relative to T.  Refuses C(n,d)*n above MAX_EXTREME_WORK with
     ScaleGuardError."""
-    return _extreme(colors, d, True, "antistandard")
+    return _extreme(colors, d, True)
 
 
 class Reduction(NamedTuple):
@@ -489,9 +484,10 @@ def contract(q: Cubillage, i: int) -> Cubillage:
 
     Always a cubillage of Z(colors-i, d-1) when i is the top color; for a
     lower color the projection can overlap itself, and then validate's
-    diagnostic is raised as CubillageError.
+    diagnostic is raised as CubillageError.  Refuses d = 1 with ValueError.
     """
     cubes = [(c.root, minus(c.type, (i,))) for c in partition(q, i)]
+    _check_dimension(q.d - 1)
     out = Cubillage._trusted(minus(q.colors, (i,)), q.d - 1, cubes)
     diagnostic = validate(out)
     if diagnostic is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .colors import Colors, colorset, subsets
+from .colors import Colors, _check_dimension, colorset, subsets
 
 
 def det_exact(rows):
@@ -54,9 +54,7 @@ class Realization:
 
     def __init__(self, colors, d: int, t_params=None):
         self.colors: Colors = colorset(colors)
-        self.d = int(d)
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        self.d = _check_dimension(d)
         if t_params is None:
             ts = list(self.colors)
         else:

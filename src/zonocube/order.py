@@ -14,7 +14,7 @@ import itertools
 import json
 from typing import NamedTuple
 
-from .colors import Colors, add, colorset, inter, minus, subsets, union
+from .colors import Colors, _check_dimension, add, colorset, inter, minus, subsets, union
 from .cubillage import Cubillage, CubillageError, Facet, _face_spectra, boundary_plates
 from .masks import (
     _cubes,
@@ -60,20 +60,20 @@ def _closure(nodes, relations):
 class AdmissibleOrder:
     """A partial order on d-subsets whose packet restrictions are all lex
     or antilex chains (Manin-Schechtman 1989; Ziegler, Topology 1993), kept
-    as its sorted generating relations and one closure.  The constructor
-    runs every check; natural_order reads the antilex packets off the
-    inversion mask, with no packet check.  Methods take canonical types."""
+    as its sorted generating relations, one closure and _inv, the inversion
+    mask of the parents whose packet runs antilex.  The constructor runs
+    every check and builds _inv by the packet check; natural_order stores
+    the mask it certified, with no packet check.  Methods take canonical types."""
 
     def __init__(self, colors, d: int, relations):
-        colors, d = colorset(colors), int(d)
+        colors, d = colorset(colors), _check_dimension(d)
         relations = [(colorset(a), colorset(b)) for a, b in relations]
         known = set(subsets(colors, d))
         for a, b in relations:
             if a not in known or b not in known:
                 raise ValueError(f"relation {a} < {b} leaves the grassmannian")
         self._fill(colors, d, relations)
-        self._antilex_parents = frozenset(parent for parent in subsets(colors, d + 1)
-                                          if self.packet_direction(parent) == "antilex")
+        self._inv = _mask(colors, d, lambda parent: self.packet_direction(parent) == "antilex")
 
     def _fill(self, colors: Colors, d: int, relations):
         self.colors = colors
@@ -155,6 +155,8 @@ class AdmissibleOrder:
     @classmethod
     def from_json(cls, text: str) -> "AdmissibleOrder":
         data = json.loads(text)
+        if type(data["n"]) is not int:
+            raise ValueError(f"n must be an integer, got {data['n']!r}")
         return cls(range(1, data["n"] + 1), data["d"],
                    [(a, b) for a, b in data["relations"]])
 
@@ -168,7 +170,7 @@ def natural_order(q: Cubillage) -> AdmissibleOrder:
         inv = _mask_of(q)
         order = AdmissibleOrder.__new__(AdmissibleOrder)
         order._fill(q.colors, q.d, _tunnel_covers(q.colors, q.d, inv))
-        order._antilex_parents = frozenset(_sets(q.colors, q.d, inv))
+        order._inv = inv
         q._cache["natural_order"] = order
     return q._cache["natural_order"]
 
@@ -240,7 +242,7 @@ def stack_of_membrane(q: Cubillage, plates) -> frozenset[Colors]:
     stack = frozenset(add(p.type, c) for p in plates for c in p.root if c > max(p.type, default=0))
     if not natural_order(q).is_ideal(stack):
         raise CubillageError("the stack read off the plates is not an order ideal")
-    if membrane_of_stack(q, stack) != plates:
+    if frozenset(itertools.starmap(Facet, _plates(q, stack))) != plates:
         raise CubillageError("plates are not a membrane of this cubillage")
     return stack
 

@@ -14,7 +14,6 @@ consistent systems of d-subsets of [n] correspond to membranes of Z(n,d).
 from __future__ import annotations
 
 import itertools
-from math import comb
 from typing import NamedTuple
 
 from .colors import (
@@ -26,6 +25,7 @@ from .colors import (
     subsets,
 )
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
+from .cubillage import _vertex_count
 from .masks import _cubes, _cubillage_of_mask, _lift, _mask, _mask_of, _mask_of_spectra
 from .masks import _sets, _steps
 from .order import AdmissibleOrder, natural_order
@@ -75,14 +75,13 @@ def from_order(order: AdmissibleOrder) -> Cubillage:
     """Reconstruct the unique cubillage whose natural order the given
     admissible order extends.
 
-    Its inversion set is the set of parents whose packet the order runs
-    antilex, recorded by the packet check; the root rule of the inversion
-    masks builds the cubillage from that.
+    Its inversion mask is the order's _inv, the parents whose packet the
+    order runs antilex; the root rule of the inversion masks builds the
+    cubillage from that.
     """
     cs, d = order.colors, order.d
-    if len(cs) < d:
-        raise ValueError("fewer colors than the dimension")
-    q = _cubillage_of_mask(cs, d, _mask(cs, d, order._antilex_parents.__contains__))
+    _check_dimensions(len(cs), d)
+    q = _cubillage_of_mask(cs, d, order._inv)
     if not order.extends(order_of(q)):
         raise CubillageError("reconstructed cubillage order is not refined by the input")
     return q
@@ -159,13 +158,12 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
     cs = colorset(colors)
     members = {colorset(s) for s in sets}
     if d is None:
-        sizes = [k for k in range(len(cs) + 1)
-                 if sum(comb(len(cs), j) for j in range(k + 1)) == len(members)]
+        sizes = [k for k in range(len(cs) + 1) if _vertex_count(len(cs), k) == len(members)]
         if not sizes:
             raise ValueError(f"size {len(members)} is not C({len(cs)},<=d) for any d")
         d = sizes[0]
     _check_dimensions(len(cs), d)
-    if len(members) != sum(comb(len(cs), j) for j in range(d + 1)):
+    if len(members) != _vertex_count(len(cs), d):
         raise ValueError("system size is not C(n,<=d)")
     inv = _mask_of_spectra(cs, d, members)
     if inv is not None:
@@ -366,7 +364,7 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     members = sorted({colorset(s) for s in sets})
     _check_inside(members, n)
     _check_separated(members, d - 1)
-    bound = sum(comb(n, k) for k in range(d + 1))
+    bound = _vertex_count(n, d)
     member_set = set(members)
     peripheral, cands, adj = _separation_graph(
         n, d, lambda a, b: is_r_separated(a, b, d - 1),
@@ -402,7 +400,7 @@ def weak_separation_suite(n: int, k: int) -> dict:
     if k % 2 == 0 or k < 1:
         raise ValueError(f"weak separation needs odd k >= 1, got {k}")
     _separation_scale_guard(n)
-    bound = sum(comb(n, j) for j in range(k + 2))
+    bound = _vertex_count(n, k + 1)
     peripheral, others, adj = _separation_graph(
         n, k + 1, lambda a, b: is_weakly_k_separated(a, b, k))
     best = _max_clique(adj, (1 << len(others)) - 1)

@@ -24,10 +24,31 @@ RELABEL_GOLDEN = GOLDEN.with_name("relabel_cli.txt")
 
 
 def run_cli(args, stdin=None):
+    """(exit code, stdout, stderr) of the command run in process, as
+    run_inprocess gives them, with a SystemExit read as its exit code."""
+    code, out, err = run_inprocess(args, stdin or "")
+    return (code[1] if isinstance(code, tuple) else code), out, err
+
+
+def run_module(args, stdin=None):
+    """(exit code, stdout, stderr) of python -m zonocube.cli in a subprocess."""
     proc = subprocess.run(
         [sys.executable, "-m", "zonocube.cli", *args],
         input=stdin, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("args,stdin,code,out,err", [
+    pytest.param(["validate", "-"], standard(range(1, 4), 2).to_json(), 0, "ok\n", "",
+                 id="exit-0-from-stdin"),
+    pytest.param(["weak-sep", "-n", "24", "-k", "3"], None, 1, "",
+                 "error: n = 24 exceeds the cap 10 for searches over all subsets of [n]\n",
+                 id="exit-1"),
+    pytest.param(["extend", "-n", "2", "-d", "4", "--sets", "[[1]]"], None, 2, "",
+                 "bad input: need n >= d >= 1, got (2,4)\n", id="exit-2"),
+])
+def test_module_entry_point(args, stdin, code, out, err):
+    assert run_module(args, stdin) == (code, out, err)
 
 
 def test_standard_command():
@@ -353,6 +374,9 @@ def full_parser_main(argv):
     except (CubillageError, ScaleGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
@@ -630,9 +654,18 @@ MALFORMED = [
     (["from-spectra", "--sets", "[[], [1], [1, 2]]", "-d", "0"], "", 2, ""),
     (["from-consistent", "--sets", "[[1, 2]]", "-n", "3", "-d", "5"], "", 2, ""),
     (["from-consistent", "--sets", "[[true]]", "-n", "2", "-d", "1"], "", 2, "integers"),
+    (["from-consistent", "--sets", "[[1]]", "-n", "3", "-d", "2"], "", 2,
+     "members must be 2-subsets"),
     (["from-order", "-"], '{"n": 3, "d": 2, "relations": [[[1, 2], [1, 3]], [[1, 3], [1, 2]]]}',
      2, "cycle"),
     (["from-order", "-"], '{"n": 2.5, "d": 1, "relations": []}', 2, ""),
+    (["from-order", "-"], '{"n": true, "d": 1, "relations": []}', 2, "n must be an integer"),
+    (["from-order", "-"], '{"n": 2, "d": 1.5, "relations": [[[1], [2]]]}', 2,
+     "d must be an integer"),
+    (["from-order", "-"], '{"n": 2, "d": true, "relations": [[[1], [2]]]}', 2,
+     "d must be an integer"),
+    (["from-order", "-"], '{"n": 2, "d": "1", "relations": [[[1], [2]]]}', 2,
+     "d must be an integer"),
     (["enumerate", "-n", "2", "-d", "3"], "", 2, ""),
     (["enumerate", "-n", "12", "-d", "6"], "", 1, "exceeds the cap"),
     (["poset", "-n", "2", "-d", "0"], "", 2, ""),
@@ -640,6 +673,7 @@ MALFORMED = [
     (["sec-surjectivity", "-n", "3", "-d", "5"], "", 2, ""),
     (["check-separated", "--sets", "[[1], [2]]"], "", 2, "check-separated needs -d or -r"),
     (["check-separated", "--sets", "[[1.5]]", "-d", "2"], "", 2, "integers"),
+    (["check-separated", "-r", "-1", "--sets", "[[1], [2]]"], "", 2, "r must be >= 0"),
     (["check-separated", "-", "-d", "2"], '{"n": 4.5, "sets": [[1]]}', 2, "n must be an integer"),
     (["extend", "-n", "4", "-d", "2", "--sets", "[[1.5]]"], "", 2, "integers"),
     (["extend", "-", "-n", "4", "-d", "2"], '{"n": true, "sets": [[1]]}', 2,
@@ -655,6 +689,16 @@ MALFORMED = [
     (["embed", "--sets", "[[0]]", "-n", "4", "-d", "2"], "", 2, ""),
     (["embed", "--sets", "[[1]]", "-n", "40", "-d", "20"], "", 1, "exceeds the cap"),
 ]
+
+
+def test_memory_error_exits_one_with_one_line(monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_membranes", exhausted)
+    code, out, err = run_inprocess(["membranes", "-"], Z42)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_malformed_calls_cover_every_command():

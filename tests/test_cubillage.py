@@ -35,7 +35,14 @@ from zonocube.cubillage import (
     tunnel,
     validate,
 )
-from zonocube.order import apply_flip, find_flips, membrane_of_stack, plate_vertices
+from zonocube.geom import Realization
+from zonocube.order import (
+    AdmissibleOrder,
+    apply_flip,
+    find_flips,
+    membrane_of_stack,
+    plate_vertices,
+)
 
 
 def crange(n):
@@ -515,6 +522,20 @@ def test_constructor_and_contract_rejections():
             Cubillage(colors, d, cubes)
     with pytest.raises(ValueError):
         contract(standard(crange(3), 1), 3)  # would be 0-dimensional
+
+
+def test_dimension_must_be_a_positive_int():
+    cs = crange(3)
+    cubes = [(c.root, c.type) for c in standard(cs, 2).cubes]
+    for d in (2.9, "2", True, 0):
+        with pytest.raises(ValueError):
+            Cubillage(cs, d, cubes)
+    with pytest.raises(ValueError):
+        standard(range(1, 4), True)
+    with pytest.raises(ValueError):
+        AdmissibleOrder(cs, 1.5, [])
+    with pytest.raises(ValueError):
+        Realization(cs, 1.0)
 
 
 def test_json_roundtrip():

@@ -10,6 +10,7 @@ from zonocube.cubillage import (
     Cube,
     Cubillage,
     CubillageError,
+    Facet,
     antistandard,
     boundary_plates,
     contract,
@@ -205,6 +206,17 @@ def test_stack_membrane_roundtrip():
     q = standard(crange(4), 2)
     for stack in enumerate_stacks(q):
         assert stack_of_membrane(q, membrane_of_stack(q, stack)) == stack
+
+
+def test_stack_of_membrane_rejects_what_is_no_membrane():
+    q = apply_flip(standard(crange(5), 2), (1, 2, 3))
+    # the root 5 of the plate of type 4 puts (4, 5) alone in the stack
+    with pytest.raises(CubillageError, match="not an order ideal"):
+        stack_of_membrane(q, {Facet((5,), (4,))})
+    stacks = enumerate_stacks(q)
+    plates = membrane_of_stack(q, stacks[len(stacks) // 2])
+    with pytest.raises(CubillageError, match="not a membrane"):
+        stack_of_membrane(q, plates | {Facet((), (5,))})
 
 
 def test_stack_rejects_non_ideal():

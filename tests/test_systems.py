@@ -19,6 +19,7 @@ from zonocube.cubillage import (
     standard,
     validate,
 )
+from zonocube.masks import _sets
 from zonocube.order import (
     apply_flip,
     enumerate_stacks,
@@ -81,8 +82,8 @@ def test_inversions_injective_and_match_packet_directions():
         assert inv not in seen
         seen.add(inv)
         order = order_of(q)
-        # the antilex parents recorded by the packet check
-        assert order._antilex_parents == inv
+        # the inversion mask of the order is the cubillage's
+        assert frozenset(_sets(q.colors, q.d, order._inv)) == inv
         for parent in subsets(crange(4), 3):
             expected = "antilex" if tuple(parent) in inv else "lex"
             assert order.packet_direction(parent) == expected
