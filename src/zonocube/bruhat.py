@@ -13,18 +13,12 @@ from .colors import Colors, is_r_separated
 # unused here, but bench/test_bench.py reaches them as bruhat.colorset and
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
-from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, _vertex_count
+from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, ScaleGuardError
+from .cubillage import _check_dimensions, _closure, _vertex_count
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
 from .masks import _cubillage_of_mask, _roots_of_mask, _steps
 from .order import find_flips  # noqa: F401
-from .order import _closure
-from .systems import (
-    ScaleGuardError,
-    _check_dimensions,
-    _count_cliques,
-    _separation_graph,
-    _separation_scale_guard,
-)
+from .systems import _count_cliques, _separation_graph, _separation_scale_guard
 
 
 # the default state cap of enumerate_cubillages, bruhat_poset and the CLI's --max-states

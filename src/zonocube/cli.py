@@ -21,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .colors import SetSystem, colorset, is_weakly_k_separated, separation_blocks
+from .colors import SetSystem, _set_system_json, colorset, is_weakly_k_separated, separation_blocks
 from .cubillage import Cubillage, CubillageError, point_cubillage, validate
 from . import (
     AdmissibleOrder,
@@ -102,16 +102,15 @@ def _t_params(args):
     raw = getattr(args, "t_params", None)
     if not raw:
         return None
-    return [Fraction(part) for part in raw.split(",")]
+    try:
+        return [Fraction(part) for part in raw.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"--t-params has a zero denominator: {raw}") from None
 
 
 def _facet_json(plates):
     return [{"root": list(p.root), "type": list(p.type)}
             for p in sorted(plates, key=lambda p: (p.type, p.root))]
-
-
-def _setsystem_json(q: Cubillage, sets) -> str:
-    return json.dumps({"n": q.colors[-1] if q.colors else 0, "sets": [list(s) for s in sets]})
 
 
 def _pairwise_violations(sets, violation) -> list:
@@ -145,7 +144,7 @@ def cmd_validate(args):
 
 def cmd_spectra(args):
     q = _load_cubillage(args)
-    _emit(args, _setsystem_json(q, sorted(q.vertices())))
+    _emit(args, _set_system_json(max(q.colors, default=0), sorted(q.vertices())))
 
 
 def cmd_reduce(args):
@@ -205,7 +204,7 @@ def cmd_garland(args):
 
 def cmd_inversions(args):
     q = _load_cubillage(args)
-    _emit(args, _setsystem_json(q, sorted(inversions(q))))
+    _emit(args, _set_system_json(max(q.colors, default=0), sorted(inversions(q))))
 
 
 def cmd_order(args):

@@ -162,6 +162,11 @@ def packet(parent, d: int) -> tuple[Colors, ...]:
     return tuple(itertools.combinations(ks, d))
 
 
+def _set_system_json(n: int, sets) -> str:
+    """The JSON form of a set system over [n], its sets written in the given order."""
+    return json.dumps({"n": n, "sets": [list(s) for s in sets]})
+
+
 class SetSystem:
     """A duplicate-free collection of subsets of [n], kept canonically sorted."""
 
@@ -198,7 +203,7 @@ class SetSystem:
         return f"SetSystem(n={self.n}, sets={[''.join(map(str, s)) or '-' for s in self.sets]})"
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "sets": [list(s) for s in self.sets]})
+        return _set_system_json(self.n, self.sets)
 
     @classmethod
     def from_json(cls, text: str) -> "SetSystem":

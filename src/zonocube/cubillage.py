@@ -6,12 +6,13 @@ root vertex.  The single source of geometric truth is the parity rule from
 colors.is_even; the geom module re-derives every visibility decision from
 exact determinants and is used in the tests to cross-check this module.
 Only validate reads facets, independently of the inversion masks (masks)
-that the order module reads.  All three expansions insert a color by one
-rule, _insert, which reduce inverts.
+that the order module reads.  expand_at_back and expand_at_front here, and
+order.expand along a membrane, insert a color by one rule, _insert, which
+reduce inverts.  This module imports from colors alone.
 
 All values are immutable; operations return fresh objects.  Color sets are
 canonicalized and d checked where they enter: Cubillage(...), from_json, and
-public functions (root_of, expand, ...).  Internal builders pass canonical
+public functions (root_of, tunnel, ...).  Internal builders pass canonical
 tuples and a checked d to Cubillage._trusted and read _root_by_type directly.
 """
 
@@ -243,6 +244,34 @@ def cover_relations(q: Cubillage) -> tuple[tuple[Colors, Colors], ...]:
     return _pairing(q)[2]
 
 
+def _closure(nodes, relations):
+    """(index, topological order, up) of (below, above) relations on nodes,
+    or None on a cycle: index[t] is t's position in nodes, up[t] the bitmask
+    of the indices reachable from t, and the order is Kahn's, taken in the
+    order of nodes and relations."""
+    index = {t: k for k, t in enumerate(nodes)}
+    succs = {t: [] for t in nodes}
+    indeg = dict.fromkeys(nodes, 0)
+    for below, above in relations:
+        succs[below].append(above)
+        indeg[above] += 1
+    topo = [t for t in nodes if indeg[t] == 0]
+    for t in topo:  # grows while it is read
+        for s in succs[t]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                topo.append(s)
+    if len(topo) != len(nodes):
+        return None
+    up = {}
+    for t in reversed(topo):
+        mask = 1 << index[t]
+        for s in succs[t]:
+            mask |= up[s]
+        up[t] = mask
+    return index, topo, up
+
+
 def validate(q: Cubillage):
     """None when q satisfies all structural tiling conditions, else a diagnostic.
 
@@ -252,8 +281,6 @@ def validate(q: Cubillage):
     facet-induced precedence relation is acyclic, (iv) the vertex count is
     C(n, <=d).  It reads no inversion mask and no natural order.
     """
-    from .order import _closure
-
     n, d = q.n, q.d
     if n < d:
         return f"fewer colors ({n}) than the dimension ({d})"
@@ -404,23 +431,6 @@ def _insert(q: Cubillage, i: int, stack, layer) -> Cubillage:
     cubes = [(root if t in stack else add(root, i), t) for t, root in q._root_by_type.items()]
     cubes += [(root, add(j, i)) for root, j in layer]
     return Cubillage._trusted(add(q.colors, i), q.d, cubes)
-
-
-def expand(q: Cubillage, stack, i: int) -> Cubillage:
-    """Insert a new top color i by pushing apart the membrane over the stack.
-
-    The stack must be a downward closed set of types of q and i must exceed
-    every existing color.  Cubes in the stack keep their roots, the rest gain
-    i, and each plate of the membrane of the stack grows into a new cube of
-    type plate+i at the plate's root (_insert).  Certifies q by
-    masks._mask_of, through the natural order that checks the stack.
-    """
-    from .order import _ideal, _plates
-
-    if q.colors and i <= q.colors[-1]:
-        raise ValueError(f"expansion color {i} must exceed max color {q.colors[-1]}")
-    stack = _ideal(q, stack)
-    return _insert(q, i, stack, _plates(q, stack))
 
 
 def _expand_at_side(q: Cubillage, i: int, front: bool) -> Cubillage:

@@ -14,6 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .colors import Colors, _check_dimension, colorset, subsets
+from .order import natural_order
 
 
 def det_exact(rows):
@@ -252,12 +253,16 @@ def render_svg(cubillage, size=(640, 480), labels=False, arrows=False, membrane=
     runs left to right, so the front boundary is the left rim.  Optional
     overlays: vertex spectrum labels, precedence arrows between adjacent
     tiles, and a membrane polyline given as an iterable of plate facets.
+    Refuses a width or height of 60 or less, which the 30-pixel margins fill.
     """
     if cubillage.d != 2:
         raise ValueError("SVG rendering only supports d = 2")
     if realization is None:
         realization = Realization(cubillage.colors, 2)
     width, height = size
+    margin = Fraction(30)
+    if min(width, height) <= 2 * margin:
+        raise ValueError(f"viewport {width}x{height} leaves no room inside the 30-pixel margins")
 
     def plane(pt):
         # screen x along e_2 (the viewing axis), screen y by zonogon height
@@ -267,7 +272,6 @@ def render_svg(cubillage, size=(640, 480), labels=False, arrows=False, membrane=
     all_pts = [p for quad in corners.values() for p in quad] or [(Fraction(0), Fraction(0))]
     xs = [p[0] for p in all_pts]
     ys = [p[1] for p in all_pts]
-    margin = Fraction(30)
     spanx = max(xs) - min(xs) or Fraction(1)
     spany = max(ys) - min(ys) or Fraction(1)
     scale = min((Fraction(width) - 2 * margin) / spanx, (Fraction(height) - 2 * margin) / spany)
@@ -294,8 +298,6 @@ def render_svg(cubillage, size=(640, 480), labels=False, arrows=False, membrane=
             (x1, y1), (x2, y2) = screen(a), screen(b)
             parts.append(f'<polyline class="membrane" points="{x1},{y1} {x2},{y2}"/>')
     if arrows:
-        from .order import natural_order
-
         centers = {}
         for cube in cubillage.cubes:
             quad = corners[cube.type]

@@ -2,9 +2,9 @@
 
 A cubillage of Z(n,d) can be handed around as (a) the system of its vertex
 spectra, (b) its natural order on the d-subsets, an admissible order
-(order.AdmissibleOrder, re-exported here), or (c) its inversion system of
-(d+1)-subsets.  This module moves between all three and implements the
-completion/purity searches on separated systems.
+(order.AdmissibleOrder), or (c) its inversion system of (d+1)-subsets.
+This module moves between all three and implements the completion/purity
+searches on separated systems.
 
 Dimension bookkeeping for inversions: the inversion system of a d-dimensional
 cubillage consists of (d+1)-subsets (parents with antilexicographic packets);
@@ -394,9 +394,12 @@ def weak_separation_suite(n: int, k: int) -> dict:
     Peripheral sets (for d = k+1) are k-separated with everything, hence
     always extend a weak system; the exact maximum is their count plus the
     largest weak clique among the remaining sets.  Reports the maximum and
-    whether it meets the C(n,<=k+1) ceiling.  Refuses n above
-    MAX_SEPARATION_N with ScaleGuardError before building the graph.
+    whether it meets the C(n,<=k+1) ceiling.  Refuses an n that is no
+    integer >= 1 with ValueError, and n above MAX_SEPARATION_N with
+    ScaleGuardError before building the graph.
     """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if k % 2 == 0 or k < 1:
         raise ValueError(f"weak separation needs odd k >= 1, got {k}")
     _separation_scale_guard(n)

@@ -670,6 +670,7 @@ MALFORMED = [
     (["enumerate", "-n", "12", "-d", "6"], "", 1, "exceeds the cap"),
     (["poset", "-n", "2", "-d", "0"], "", 2, ""),
     (["sec", "-", "--t-params", "x"], Z42, 2, ""),
+    (["sec", "-", "--t-params", "1/0,2,3,4"], Z42, 2, "zero denominator"),
     (["sec-surjectivity", "-n", "3", "-d", "5"], "", 2, ""),
     (["check-separated", "--sets", "[[1], [2]]"], "", 2, "check-separated needs -d or -r"),
     (["check-separated", "--sets", "[[1.5]]", "-d", "2"], "", 2, "integers"),
@@ -681,9 +682,13 @@ MALFORMED = [
     (["extend", "-n", "4", "-d", "2", "--sets", "[[true]]"], "", 2, "integers"),
     (["weak-sep", "-n", "4", "-k", "2"], "", 2, ""),
     (["weak-sep", "-k", "1"], "", 2, ""),
+    (["weak-sep", "-n", "0", "-k", "1"], "", 2, "n must be an integer >= 1"),
+    (["weak-sep", "-n", "-2", "-k", "1"], "", 2, "n must be an integer >= 1"),
     (["weak-sep", "-k", "1", "--sets", "[[1.5], [2]]"], "", 2, "integers"),
     (["render-svg", "-", "--size", "1x2x3"], Z42, 2, ""),
     (["render-svg", "-", "--sets", "[[9]]"], Z42, 2, ""),
+    (["render-svg", "-", "--t-params", "1/0,2,3,4"], Z42, 2, "zero denominator"),
+    (["render-svg", "-", "--size", "0x0"], Z42, 2, "margins"),
     (["embed", "--sets", "[[1]]", "-n", "4", "-d", "5"], "", 2, "need n >= d >= 1"),
     (["embed", "--sets", "[[1], [2]]", "-n", "4", "-d", "2"], "", 2, ""),
     (["embed", "--sets", "[[0]]", "-n", "4", "-d", "2"], "", 2, ""),

@@ -165,6 +165,12 @@ def test_render_svg_rejects_higher_dim():
         render_svg(standard(range(1, 5), 3))
 
 
+@pytest.mark.parametrize("size", [(0, 0), (10, 0), (1, 1), (60, 480), (640, 60)])
+def test_render_svg_refuses_a_viewport_inside_its_margins(size):
+    with pytest.raises(ValueError, match="margins"):
+        render_svg(standard((1, 2, 3), 2), size=size)
+
+
 def test_volume_check_dispatch():
     from zonocube.geom import volume_check
 

@@ -155,7 +155,7 @@ def test_order_of_is_the_natural_order_on_sparse_colors(d, monkeypatch):
         assert order is natural_order(q)
         assert order == AdmissibleOrder(q.colors, q.d, natural_order(q).relations)
         assert from_order(order) == q
-    closures, closure = [], zonocube.order._closure
+    closures, closure = [], zonocube.cubillage._closure
     packets, packet_direction = [], AdmissibleOrder.packet_direction
 
     def counted(nodes, relations):
@@ -166,7 +166,9 @@ def test_order_of_is_the_natural_order_on_sparse_colors(d, monkeypatch):
         packets.append(parent)
         return packet_direction(order, parent)
 
-    monkeypatch.setattr(zonocube.order, "_closure", counted)
+    # validate and AdmissibleOrder each look _closure up in their own module
+    for module in (zonocube.cubillage, zonocube.order):
+        monkeypatch.setattr(module, "_closure", counted)
     monkeypatch.setattr(AdmissibleOrder, "packet_direction", counted_packet)
     q = Cubillage.from_json(q.to_json())
     assert validate(q) is None and len(closures) == 1
@@ -635,6 +637,12 @@ def test_weak_separation_maxima(n, k, peripheral, clique):
 def test_weak_suite_rejects_even_k():
     with pytest.raises(ValueError):
         weak_separation_suite(5, 2)
+
+
+@pytest.mark.parametrize("n", [0, -2, True, 2.0])
+def test_weak_suite_rejects_n_that_is_no_int_above_zero(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        weak_separation_suite(n, 1)
 
 
 def test_weak_suite_scale_guard():
