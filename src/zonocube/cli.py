@@ -113,6 +113,10 @@ def _facet_json(plates):
             for p in sorted(plates, key=lambda p: (p.type, p.root))]
 
 
+def _cubillage_sets_json(q: Cubillage, sets) -> str:
+    return _set_system_json(q.colors[-1] if q.colors else 0, sets)
+
+
 def _pairwise_violations(sets, violation) -> list:
     """One entry per pair a before b for which violation(a, b) returns a
     dict of extra fields rather than None."""
@@ -144,7 +148,7 @@ def cmd_validate(args):
 
 def cmd_spectra(args):
     q = _load_cubillage(args)
-    _emit(args, _set_system_json(max(q.colors, default=0), sorted(q.vertices())))
+    _emit(args, _cubillage_sets_json(q, sorted(q.vertices())))
 
 
 def cmd_reduce(args):
@@ -204,7 +208,7 @@ def cmd_garland(args):
 
 def cmd_inversions(args):
     q = _load_cubillage(args)
-    _emit(args, _set_system_json(max(q.colors, default=0), sorted(inversions(q))))
+    _emit(args, _cubillage_sets_json(q, sorted(inversions(q))))
 
 
 def cmd_order(args):

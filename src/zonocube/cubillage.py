@@ -6,13 +6,13 @@ root vertex.  The single source of geometric truth is the parity rule from
 colors.is_even; the geom module re-derives every visibility decision from
 exact determinants and is used in the tests to cross-check this module.
 Only validate reads facets, independently of the inversion masks (masks)
-that the order module reads.  expand_at_back and expand_at_front here, and
-order.expand along a membrane, insert a color by one rule, _insert, which
-reduce inverts.  This module imports from colors alone.
+that the order module reads.  All three expansions insert a color by one
+rule, _insert, which reduce inverts.  This module imports from colors
+alone, except in the body of expand, which reads the natural order.
 
 All values are immutable; operations return fresh objects.  Color sets are
 canonicalized and d checked where they enter: Cubillage(...), from_json, and
-public functions (root_of, tunnel, ...).  Internal builders pass canonical
+public functions (root_of, expand, ...).  Internal builders pass canonical
 tuples and a checked d to Cubillage._trusted and read _root_by_type directly.
 """
 
@@ -431,6 +431,23 @@ def _insert(q: Cubillage, i: int, stack, layer) -> Cubillage:
     cubes = [(root if t in stack else add(root, i), t) for t, root in q._root_by_type.items()]
     cubes += [(root, add(j, i)) for root, j in layer]
     return Cubillage._trusted(add(q.colors, i), q.d, cubes)
+
+
+def expand(q: Cubillage, stack, i: int) -> Cubillage:
+    """Insert a new top color i by pushing apart the membrane over the stack.
+
+    The stack must be a downward closed set of types of q and i must exceed
+    every existing color.  Cubes in the stack keep their roots, the rest gain
+    i, and each plate of the membrane of the stack grows into a new cube of
+    type plate+i at the plate's root (_insert).  Certifies q by
+    masks._mask_of, through the natural order that checks the stack.
+    """
+    from .order import _ideal, _plates
+
+    if q.colors and i <= q.colors[-1]:
+        raise ValueError(f"expansion color {i} must exceed max color {q.colors[-1]}")
+    stack = _ideal(q, stack)
+    return _insert(q, i, stack, _plates(q, stack))
 
 
 def _expand_at_side(q: Cubillage, i: int, front: bool) -> Cubillage:

@@ -1,6 +1,5 @@
 """The natural order on the cubes of a cubillage and what is built on it,
-stacks, membranes, expand (a new top color inserted along a membrane by
-cubillage._insert) and the garland bijection between the front and back
+stacks, membranes and the garland bijection between the front and back
 rims; and the moves read off the inversion mask (masks): flips, avalanches,
 standardization and the canonical extension of a membrane.
 
@@ -16,8 +15,7 @@ import json
 from typing import NamedTuple
 
 from .colors import Colors, _check_dimension, add, colorset, inter, minus, subsets, union
-from .cubillage import Cubillage, CubillageError, Facet, _face_spectra, boundary_plates
-from .cubillage import _closure, _insert
+from .cubillage import Cubillage, CubillageError, Facet, _closure, _face_spectra, boundary_plates
 from .masks import (
     _cubes,
     _cubillage_of_mask,
@@ -174,21 +172,6 @@ def _plates(q: Cubillage, ideal) -> list[tuple[Colors, Colors]]:
     """(root, type) of the plates of membrane_of_stack, types in lex order,
     for a stack already known to be a canonical order ideal of q."""
     return _cubes(q.colors, q.d - 1, _mask(q.colors, q.d - 1, ideal.__contains__))
-
-
-def expand(q: Cubillage, stack, i: int) -> Cubillage:
-    """Insert a new top color i by pushing apart the membrane over the stack.
-
-    The stack must be a downward closed set of types of q and i must exceed
-    every existing color.  Cubes in the stack keep their roots, the rest gain
-    i, and each plate of the membrane of the stack grows into a new cube of
-    type plate+i at the plate's root (_insert).  Certifies q by
-    masks._mask_of, through the natural order that checks the stack.
-    """
-    if q.colors and i <= q.colors[-1]:
-        raise ValueError(f"expansion color {i} must exceed max color {q.colors[-1]}")
-    stack = _ideal(q, stack)
-    return _insert(q, i, stack, _plates(q, stack))
 
 
 def plate_vertices(plates) -> frozenset[Colors]:

@@ -25,6 +25,7 @@ from zonocube.cubillage import (
     antistandard,
     central_symmetry,
     contract,
+    expand,
     expand_at_back,
     expand_at_front,
     is_valid,
@@ -33,7 +34,7 @@ from zonocube.cubillage import (
     validate,
 )
 from zonocube.masks import _bits, _cubillage_of_mask, _mask_of, _roots_of_mask, _steps
-from zonocube.order import apply_flip, expand, find_flips
+from zonocube.order import apply_flip, find_flips
 from zonocube.systems import from_consistent, from_order, from_spectra, inversions, order_of
 
 

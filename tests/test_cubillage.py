@@ -22,6 +22,7 @@ from zonocube.cubillage import (
     contract,
     edge_graph,
     embed_subcubillage,
+    expand,
     expand_at_back,
     expand_at_front,
     facet_sides,
@@ -38,7 +39,6 @@ from zonocube.geom import Realization
 from zonocube.order import (
     AdmissibleOrder,
     apply_flip,
-    expand,
     find_flips,
     membrane_of_stack,
     plate_vertices,

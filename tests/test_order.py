@@ -15,6 +15,7 @@ from zonocube.cubillage import (
     boundary_plates,
     contract,
     cover_relations,
+    expand,
     facet_sides,
     partition,
     reduce,
@@ -26,7 +27,6 @@ from zonocube.order import (
     avalanche,
     canonical_extension,
     enumerate_stacks,
-    expand,
     find_flips,
     garland,
     membrane_as_cubillage,
