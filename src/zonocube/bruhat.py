@@ -66,8 +66,9 @@ def enumerate_cubillages(n: int, d: int, max_states: int = MAX_STATES) -> tuple[
     orders as Cubillage.key does.  Each cubillage is then built once, from
     the roots, by the root rule.
     """
+    masks = _masks(n, d, max_states)
     colors, memo = tuple(range(1, n + 1)), {}
-    ranked = sorted((_roots_of_mask(colors, d, inv, memo), inv) for inv in _masks(n, d, max_states))
+    ranked = sorted((_roots_of_mask(colors, d, inv, memo), inv) for inv in masks)
     return tuple(_cubillage_of_mask(colors, d, inv, roots) for roots, inv in ranked)
 
 

@@ -36,6 +36,14 @@ def _check_dimension(d) -> int:
     return d
 
 
+def _check_weak_k(k) -> int:
+    """k, when it is an odd int (not a bool) of at least 1: the one rule for
+    weak k-separation."""
+    if type(k) is not int or k % 2 == 0 or k < 1:
+        raise ValueError(f"weak separation needs odd k >= 1, got {k!r}")
+    return k
+
+
 def union(a: Colors, b) -> Colors:
     return tuple(sorted(set(a) | set(b)))
 
@@ -121,8 +129,7 @@ def is_weakly_k_separated(x, y, k: int) -> bool:
     odd) is no larger than the other one.  Even k is rejected: no sensible
     notion exists there.
     """
-    if k % 2 == 0 or k < 1:
-        raise ValueError(f"weak separation needs odd k >= 1, got {k}")
+    _check_weak_k(k)
     m = separation_blocks(x, y)
     if m <= k + 1:
         return True

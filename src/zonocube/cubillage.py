@@ -56,6 +56,9 @@ MAX_ENUMERATION_TYPES = 70
 
 
 def _check_dimensions(n: int, d: int) -> None:
+    """The (n, d) rule: d by _check_dimension, n an int (not a bool) of at least d."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < _check_dimension(d):
         raise ValueError(f"need n >= d >= 1, got ({n},{d})")
 

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .colors import (
     Colors,
+    _check_weak_k,
     colorset,
     is_peripheral,
     is_r_separated,
@@ -188,10 +189,16 @@ def _bits(mask: int):
         yield v
 
 
+def _relabel(adj: list[int], cand_mask: int, order: list[int]) -> list[int]:
+    """Adjacency of the subgraph induced on cand_mask, vertex order[i] as i."""
+    pos = {v: i for i, v in enumerate(order)}
+    return [sum(1 << pos[u] for u in _bits(adj[v] & cand_mask)) for v in order]
+
+
 def _core_first(adj: list[int], cand_mask: int) -> list[int]:
-    """Adjacency of the subgraph induced on cand_mask, relabelled in reverse
-    min-degree removal order (ties to the lowest index): the high-core
-    vertices get the low bits, which _coloring puts in the early classes."""
+    """_relabel in reverse min-degree removal order (ties to the lowest
+    index): the high-core vertices get the low bits, which _beyond puts in
+    the early classes."""
     degree = {v: (adj[v] & cand_mask).bit_count() for v in _bits(cand_mask)}
     order = []
     left = cand_mask
@@ -202,45 +209,43 @@ def _core_first(adj: list[int], cand_mask: int) -> list[int]:
         for u in _bits(adj[v] & left):
             degree[u] -= 1
     order.reverse()
-    pos = {v: i for i, v in enumerate(order)}
-    return [sum(1 << pos[u] for u in _bits(adj[v] & cand_mask)) for v in order]
+    return _relabel(adj, cand_mask, order)
 
 
-def _coloring(adj: list[int], mask: int) -> tuple[list[int], list[int]]:
-    """The vertices of mask in greedy class order, lowest free bit first,
-    and the position where each class starts: a clique among the vertices
-    before the start of class c + 1 has at most c members."""
-    verts, starts = [], []
-    while mask:
-        starts.append(len(verts))
+def _beyond(adj: list[int], mask: int, size: int) -> int:
+    """The vertices of mask left after greedy coloring, lowest free bit
+    first, builds size - 1 classes.  Each class is independent, so every
+    clique of the given size inside mask meets the result, and 0 (the
+    classes used up mask) means there is none."""
+    while mask and size > 1:
+        size -= 1
         avail = mask
         while avail:
             low = avail & -avail
-            v = low.bit_length() - 1
-            verts.append(v)
             mask ^= low
-            avail &= ~adj[v] & (avail ^ low)
-    return verts, starts
+            avail &= ~adj[low.bit_length() - 1] & (avail ^ low)
+    return mask
 
 
 def _cliques(adj: list[int], cand_mask: int, size: int):
     """The cliques of exactly the given size inside cand_mask, as bitmasks.
-    Each node branches on its _coloring from the last vertex down to the
-    first one of class size (classes count from 1): the vertices before it
-    hold no clique of that size."""
+    Each node branches on the vertices _beyond leaves, from the highest bit
+    down, and drops each one after its branch; the last vertex of a clique
+    is taken straight from the candidates."""
 
     def grow(mask, size, chosen):
-        if size == 0:
-            yield chosen
+        if size == 1:
+            for v in _bits(mask):
+                yield chosen | 1 << v
             return
-        verts, starts = _coloring(adj, mask)
-        if len(starts) < size:
-            return
-        for v in reversed(verts[starts[size - 1]:]):
+        branch = _beyond(adj, mask, size)
+        while branch:
+            v = branch.bit_length() - 1
             yield from grow(mask & adj[v], size - 1, chosen | 1 << v)
-            mask &= ~(1 << v)
+            mask ^= 1 << v
+            branch ^= 1 << v
 
-    return grow(cand_mask, size, 0)
+    return grow(cand_mask, size, 0) if size else iter((0,))
 
 
 def _max_clique(adj: list[int], cand_mask: int) -> int:
@@ -261,9 +266,10 @@ def _max_clique(adj: list[int], cand_mask: int) -> int:
 
 def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
     """Number of cliques of exactly the given size inside cand_mask, counted
-    by _cliques on the _core_first relabelling."""
-    adj = _core_first(adj, cand_mask)
-    return sum(1 for _ in _cliques(adj, (1 << len(adj)) - 1, size))
+    by _cliques after _relabel by descending degree inside cand_mask (ties
+    keep the lower index); the count does not depend on the labels."""
+    order = sorted(_bits(cand_mask), key=lambda v: -(adj[v] & cand_mask).bit_count())
+    return sum(1 for _ in _cliques(_relabel(adj, cand_mask, order), (1 << len(order)) - 1, size))
 
 
 def _maximal_cliques(adj: list[int], cand_mask: int):
@@ -289,15 +295,15 @@ def _exact_cliques(adj: list[int], cand_mask: int, size: int):
     """The cliques of exactly the given size inside cand_mask, as bitmasks,
     in lex order of their sorted vertex lists (the first is the witness of
     extension_search): each is grown from its lowest vertex through its
-    later neighbors, and a node is pruned when _coloring of its candidates
-    has fewer classes than the vertices still needed.
+    later neighbors, and a node is pruned when _beyond finds that its
+    candidates hold no clique of the size still needed.
     """
 
     def grow(mask, size, chosen):
         if size == 0:
             yield chosen
             return
-        if len(_coloring(adj, mask)[1]) < size:
+        if not _beyond(adj, mask, size):
             return
         while mask:
             low = mask & -mask
@@ -395,13 +401,12 @@ def weak_separation_suite(n: int, k: int) -> dict:
     always extend a weak system; the exact maximum is their count plus the
     largest weak clique among the remaining sets.  Reports the maximum and
     whether it meets the C(n,<=k+1) ceiling.  Refuses an n that is no
-    integer >= 1 with ValueError, and n above MAX_SEPARATION_N with
-    ScaleGuardError before building the graph.
+    integer >= 1, or a k that is no odd integer >= 1, with ValueError, and
+    n above MAX_SEPARATION_N with ScaleGuardError before building the graph.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if k % 2 == 0 or k < 1:
-        raise ValueError(f"weak separation needs odd k >= 1, got {k}")
+    _check_weak_k(k)
     _separation_scale_guard(n)
     bound = _vertex_count(n, k + 1)
     peripheral, others, adj = _separation_graph(

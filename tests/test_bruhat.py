@@ -35,7 +35,14 @@ from zonocube.cubillage import (
 )
 from zonocube.masks import _bits, _cubillage_of_mask, _mask_of, _roots_of_mask, _steps
 from zonocube.order import apply_flip, find_flips
-from zonocube.systems import from_consistent, from_order, from_spectra, inversions, order_of
+from zonocube.systems import (
+    extension_search,
+    from_consistent,
+    from_order,
+    from_spectra,
+    inversions,
+    order_of,
+)
 
 
 def crange(n):
@@ -73,6 +80,16 @@ def test_separated_system_count_refusals():
             separated_system_count(n, d)
     with pytest.raises(ScaleGuardError):
         separated_system_count(11, 5)
+
+
+@pytest.mark.parametrize("n", [4.5, True])
+@pytest.mark.parametrize("search", [
+    separated_system_count, enumerate_cubillages, bruhat_poset,
+    pytest.param(lambda n, d: extension_search([], n, d), id="extension_search"),
+    pytest.param(lambda n, d: from_consistent([], n, d), id="from_consistent")])
+def test_n_rule_refuses_an_n_that_is_no_int(search, n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        search(n, 1)
 
 
 def test_scale_guard():

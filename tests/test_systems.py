@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from math import comb
 
@@ -10,7 +11,15 @@ import zonocube
 import zonocube.bruhat
 import zonocube.cli
 from zonocube.bruhat import enumerate_cubillages
-from zonocube.colors import Colors, colorset, is_r_separated, minus, packet, subsets
+from zonocube.colors import (
+    Colors,
+    colorset,
+    is_r_separated,
+    is_weakly_k_separated,
+    minus,
+    packet,
+    subsets,
+)
 from zonocube.cubillage import (
     Cubillage,
     CubillageError,
@@ -34,6 +43,7 @@ from zonocube.systems import (
     NotRealizableError,
     ScaleGuardError,
     _check_dimensions,
+    _beyond,
     _check_separated,
     _count_cliques,
     _exact_cliques,
@@ -533,6 +543,55 @@ def test_clique_engines_match_oracles(shape, keep, seed, data):
     assert sorted(maximal) == sorted(maximal_cliques_oracle(adj, cand))
 
 
+def first_fit_classes(adj, mask):
+    """The classes of the coloring that gives each vertex of mask, in
+    increasing order, the first class holding none of its neighbours."""
+    classes = []
+    for v in range(len(adj)):
+        if mask >> v & 1:
+            free = next((i for i, cls in enumerate(classes) if not adj[v] & cls), len(classes))
+            if free == len(classes):
+                classes.append(0)
+            classes[free] |= 1 << v
+    return classes
+
+
+def every_clique(adj, cand_mask):
+    """Every nonempty clique inside cand_mask, each grown in increasing vertex order."""
+    out = []
+
+    def grow(chosen, common, last):
+        for v in range(last + 1, len(adj)):
+            if common >> v & 1:
+                out.append(chosen | 1 << v)
+                grow(chosen | 1 << v, common & adj[v], v)
+
+    grow(0, cand_mask, -1)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(40, 0.1), (40, 0.3), (40, 0.5), (30, 0.7), (20, 0.9)]),
+       st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**32 - 1), st.data())
+def test_beyond_leaves_what_the_first_classes_miss(shape, keep, seed, data):
+    most, density = shape
+    size = data.draw(st.integers(0, most), label="vertices")
+    rng = random.Random(seed)
+    adj = [0] * size
+    for i, j in itertools.combinations(range(size), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    cand = sum(1 << v for v in range(size) if rng.random() < keep)
+    classes = first_fit_classes(adj, cand)
+    beyond = {k: _beyond(adj, cand, k) for k in range(1, len(classes) + 2)}
+    for k, rest in beyond.items():
+        assert (rest == 0) == (len(classes) < k)
+        assert rest == cand & ~sum(classes[:k - 1])
+    for clique in every_clique(adj, cand):
+        assert clique & beyond[clique.bit_count()]
+
+
 def test_scale_guard_is_one_class():
     assert zonocube.ScaleGuardError is zonocube.bruhat.ScaleGuardError is ScaleGuardError
     assert zonocube.cli.ScaleGuardError is ScaleGuardError
@@ -639,6 +698,14 @@ def test_weak_suite_rejects_even_k():
         weak_separation_suite(5, 2)
 
 
+@pytest.mark.parametrize("k", [1.0, 3.0, True])
+def test_weak_k_rule_refuses_a_k_that_is_no_int(k):
+    with pytest.raises(ValueError, match="odd k >= 1"):
+        weak_separation_suite(5, k)
+    with pytest.raises(ValueError, match="odd k >= 1"):
+        is_weakly_k_separated((1,), (2,), k)
+
+
 @pytest.mark.parametrize("n", [0, -2, True, 2.0])
 def test_weak_suite_rejects_n_that_is_no_int_above_zero(n):
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
@@ -667,3 +734,20 @@ def test_nested_membrane_spectra_union_separated():
         if inv1 <= inv2 or inv2 <= inv1:
             for a, b in itertools.combinations(sorted(sp1 | sp2), 2):
                 assert is_r_separated(a, b, 1)
+
+
+# ------------------------------------------------ opt-in slow pins
+
+slow = pytest.mark.skipif(os.environ.get("ZONOCUBE_SLOW") != "1",
+                          reason="about 30 s; set ZONOCUBE_SLOW=1 to run")
+
+
+@slow
+def test_slow_pin_count_8_4_matches_the_flip_search():
+    assert zonocube.bruhat.separated_system_count(8, 4) == 78032
+    assert len(zonocube.bruhat._masks(8, 4, zonocube.bruhat.MAX_STATES)) == 78032
+
+
+@slow
+def test_slow_pin_weak_8_3():
+    assert weak_separation_suite(8, 3)["max_size"] == 163
