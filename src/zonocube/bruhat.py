@@ -9,7 +9,7 @@ import json
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, is_r_separated
+from .colors import Colors, _blocks
 # unused here, but bench/test_bench.py reaches them as bruhat.colorset and
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
@@ -83,7 +83,7 @@ def separated_system_count(n: int, d: int) -> int:
     """
     _check_dimensions(n, d)
     _separation_scale_guard(n)
-    peripheral, others, adj = _separation_graph(n, d, lambda a, b: is_r_separated(a, b, d - 1))
+    peripheral, others, adj = _separation_graph(n, d, lambda a, b: _blocks(a, b) <= d)
     need = _vertex_count(n, d) - len(peripheral)
     return _count_cliques(adj, (1 << len(others)) - 1, need)
 

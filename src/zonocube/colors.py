@@ -7,6 +7,9 @@ spectra and set systems everywhere in the package.  Everything here is pure
 and immutable.  colorset canonicalizes color sets where they enter from
 callers; inside the package only canonical tuples (from colorset, subsets,
 add, minus, union) are passed on, and they are never canonicalized again.
+The separation rules are written once, as kernels on bitmask codes (_code:
+color c is bit c - 1); the public predicates code their sets and call them,
+and the separation searches call them on codes directly.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ def colorset(items) -> Colors:
     return cs
 
 
-def _check_dimension(d) -> int:
-    """d, when it is an int (not a bool) of at least 1: the one dimension rule."""
-    if type(d) is not int or d < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
-    return d
+def _check_dimension(value, name: str = "d") -> int:
+    """value, when it is an int (not a bool) of at least 1: the one rule for
+    a dimension d or a color count n, named in the message."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def _check_weak_k(k) -> int:
@@ -97,6 +101,47 @@ def parity(i: int, js) -> str:
     return "even" if is_even(i, js) else "odd"
 
 
+def _code(x) -> int:
+    """The bitmask of a set of colors: color c is bit c - 1."""
+    code = 0
+    for c in x:
+        code |= 1 << (c - 1)
+    return code
+
+
+def _blocks(x: int, y: int) -> int:
+    """separation_blocks on codes.  Each turn takes one block: it drops the
+    bits of the side owning the lowest bit left of x ^ y that lie below the
+    other side's lowest bit, then hands over to the other side."""
+    diff = x ^ y
+    a, b = x & diff, y & diff
+    if b & diff & -diff:
+        a, b = b, a
+    m = 0
+    while a:
+        m += 1
+        a &= ~((b & -b) - 1)
+        a, b = b, a
+    return m
+
+
+def _weak(x: int, y: int, k: int) -> bool:
+    """is_weakly_k_separated on codes, for a k _check_weak_k has passed.
+    The surrounding side owns the lowest bit of x ^ y (and the highest: the
+    k + 2 blocks alternate and k + 2 is odd)."""
+    m = _blocks(x, y)
+    if m != k + 2:
+        return m <= k + 1
+    if y & (x ^ y) & -(x ^ y):
+        x, y = y, x
+    return x.bit_count() <= y.bit_count()
+
+
+def _runs(x: int) -> int:
+    """interval_rank on a code: the set bits whose lower neighbour is clear."""
+    return (x & ~(x << 1)).bit_count()
+
+
 def separation_blocks(x, y) -> int:
     """Number of maximal same-side blocks in the symmetric difference.
 
@@ -105,19 +150,11 @@ def separation_blocks(x, y) -> int:
     returned.  x and y are r-separated exactly when this is at most r+1; an
     empty symmetric difference gives 0.
     """
-    sx, sy = set(x), set(y)
-    m = 0
-    prev = None
-    for c in sorted(sx ^ sy):
-        side = c in sx
-        if side != prev:
-            m += 1
-            prev = side
-    return m
+    return _blocks(_code(x), _code(y))
 
 
 def is_r_separated(x, y, r: int) -> bool:
-    return separation_blocks(x, y) <= r + 1
+    return _blocks(_code(x), _code(y)) <= r + 1
 
 
 def is_weakly_k_separated(x, y, k: int) -> bool:
@@ -130,20 +167,12 @@ def is_weakly_k_separated(x, y, k: int) -> bool:
     notion exists there.
     """
     _check_weak_k(k)
-    m = separation_blocks(x, y)
-    if m <= k + 1:
-        return True
-    if m > k + 2:
-        return False
-    first = min(set(x) ^ set(y))
-    surrounding, other = (x, y) if first in set(x) else (y, x)
-    return len(set(surrounding)) <= len(set(other))
+    return _weak(_code(x), _code(y), k)
 
 
 def interval_rank(x) -> int:
     """Minimal number of integer intervals whose union is x."""
-    xs = sorted(set(x))
-    return sum(1 for i, c in enumerate(xs) if i == 0 or c != xs[i - 1] + 1)
+    return _runs(_code(x))
 
 
 def is_peripheral(x, n: int, d: int) -> bool:
@@ -152,9 +181,8 @@ def is_peripheral(x, n: int, d: int) -> bool:
     Criterion: interval_rank(x) + interval_rank([n]-x) <= d.  Peripheral sets
     are (d-1)-separated from every subset of [n].
     """
-    xs = set(x)
-    comp = [c for c in range(1, n + 1) if c not in xs]
-    return interval_rank(xs) + interval_rank(comp) <= d
+    code = _code(x)
+    return _runs(code) + _runs(((1 << n) - 1) & ~code) <= d
 
 
 def packet(parent, d: int) -> tuple[Colors, ...]:

@@ -18,11 +18,14 @@ from typing import NamedTuple
 
 from .colors import (
     Colors,
+    _blocks,
+    _check_dimension,
     _check_weak_k,
+    _code,
+    _runs,
+    _weak,
     colorset,
-    is_peripheral,
     is_r_separated,
-    is_weakly_k_separated,
     subsets,
 )
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
@@ -318,18 +321,22 @@ def _exact_cliques(adj: list[int], cand_mask: int, size: int):
 def _separation_graph(n: int, d: int, compatible, keep=None):
     """The peripheral subsets of [n] for dimension d, the other subsets
     (by size, then lex) that pass keep, and the bitmask adjacency of
-    compatible among the latter."""
-    peripheral, others = [], []
+    compatible among the latter.  keep and compatible are called on the
+    codes of colors._code, and each subset is coded once."""
+    full = (1 << n) - 1
+    bits = [1 << i for i in range(n)]  # the codes of the colors 1..n
+    peripheral, others, codes = [], [], []
     for k in range(n + 1):
-        for x in subsets(range(1, n + 1), k):
-            if is_peripheral(x, n, d):
+        for x, code in zip(subsets(range(1, n + 1), k), map(sum, subsets(bits, k))):
+            if _runs(code) + _runs(full & ~code) <= d:
                 peripheral.append(x)
-            elif keep is None or keep(x):
+            elif keep is None or keep(code):
                 others.append(x)
+                codes.append(code)
     adj = [0] * len(others)
-    for i, a in enumerate(others):
-        for j in range(i + 1, len(others)):
-            if compatible(a, others[j]):
+    for i, a in enumerate(codes):
+        for j in range(i + 1, len(codes)):
+            if compatible(a, codes[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return peripheral, others, adj
@@ -372,9 +379,11 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     _check_separated(members, d - 1)
     bound = _vertex_count(n, d)
     member_set = set(members)
+    codes = [_code(s) for s in members]
+    code_set = set(codes)
     peripheral, cands, adj = _separation_graph(
-        n, d, lambda a, b: is_r_separated(a, b, d - 1),
-        lambda x: x not in member_set and all(is_r_separated(x, s, d - 1) for s in members))
+        n, d, lambda a, b: _blocks(a, b) <= d,
+        lambda x: x not in code_set and all(_blocks(x, s) <= d for s in codes))
     base = member_set.union(peripheral)
     full = (1 << len(cands)) - 1
     if mode == "complete":
@@ -385,9 +394,24 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
             completion = tuple(sorted(base.union(cands[v] for v in _bits(witness))))
         return ExtensionReport(n, d, len(members), bound, completion is not None,
                                completion, None, None)
-    completions = sorted((tuple(sorted(base.union(cands[v] for v in _bits(mask))))
-                          for mask in _maximal_cliques(adj, full) or [0]),
-                         key=lambda c: (len(c), c))
+    # Bron-Kerbosch on the candidates relabelled by descending set.  Two
+    # completions of one size first differ at the least set of their
+    # symmetric difference, a candidate, which is now their highest differing
+    # bit: the lex-first has the higher mask, so the masks sort as ints and
+    # each completion is built once, in order, on the numbers of its sets
+    order = sorted(range(len(cands)), key=cands.__getitem__, reverse=True)
+    masks = _maximal_cliques(_relabel(adj, full, order), full) or [0]
+    masks.sort(reverse=True)
+    masks.sort(key=int.bit_count)
+    universe = sorted(base.union(cands))
+    number = {s: i for i, s in enumerate(universe)}
+    base_numbers = [number[s] for s in base]
+    cand_numbers = [number[cands[v]] for v in order]
+    completions = []
+    for mask in masks:
+        numbers = base_numbers + [cand_numbers[v] for v in _bits(mask)]
+        numbers.sort()
+        completions.append(tuple(map(universe.__getitem__, numbers)))
     sizes = tuple(len(c) for c in completions)
     return ExtensionReport(n, d, len(members), bound, bound in sizes,
                            completions[-1] if bound in sizes else None,
@@ -404,13 +428,11 @@ def weak_separation_suite(n: int, k: int) -> dict:
     integer >= 1, or a k that is no odd integer >= 1, with ValueError, and
     n above MAX_SEPARATION_N with ScaleGuardError before building the graph.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_dimension(n, "n")
     _check_weak_k(k)
     _separation_scale_guard(n)
     bound = _vertex_count(n, k + 1)
-    peripheral, others, adj = _separation_graph(
-        n, k + 1, lambda a, b: is_weakly_k_separated(a, b, k))
+    peripheral, others, adj = _separation_graph(n, k + 1, lambda a, b: _weak(a, b, k))
     best = _max_clique(adj, (1 << len(others)) - 1)
     maximum = len(peripheral) + best
     return {

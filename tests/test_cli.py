@@ -21,6 +21,7 @@ STANDARDIZE_GOLDEN = GOLDEN.with_name("standardize_cli.txt")
 MEMBRANE_GOLDEN = GOLDEN.with_name("membrane_cli.txt")
 POSET_GOLDEN = GOLDEN.with_name("poset_cli.txt")
 RELABEL_GOLDEN = GOLDEN.with_name("relabel_cli.txt")
+EXTEND_GOLDEN = GOLDEN.with_name("extend_cli.txt")
 
 
 def run_cli(args, stdin=None):
@@ -611,6 +612,23 @@ def test_relabelling_commands_match_golden_output():
     # the color relabelling moved into masks
     assert relabel_transcript() == RELABEL_GOLDEN.read_text(encoding="utf-8")
 
+
+
+def extend_transcript():
+    """extend on the lift of the Z(6,4) clock triple to (7,4) with the sets
+    [1,2,3,5,7], [1,3,4,7], [1,3,6,7], without and with --certify; each
+    command and its stdout.  The certify run lists 34 maximal completions of
+    sizes 93, 95, 97 and 99, 26 of them of size 99, so it pins their order
+    within a size."""
+    sets = "[[1,2,3,5,7],[1,3,4,7],[1,3,6,7]]"
+    calls = [f"extend -n 7 -d 4 --sets '{sets}'", f"extend -n 7 -d 4 --sets '{sets}' --certify"]
+    return "".join(f"$ zonocube {call}\n{run_stdout(shlex.split(call), '')}" for call in calls)
+
+
+def test_extend_commands_match_golden_output():
+    # tests/golden/extend_cli.txt was written by extend_transcript() before
+    # the separation searches moved onto bitmask codes
+    assert extend_transcript() == EXTEND_GOLDEN.read_text(encoding="utf-8")
 
 Z21_FLOAT_ROOT = ('{"colors": [1, 2], "d": 1, "cubes": [{"root": [], "type": [1]}, '
                   '{"root": [1.0], "type": [2]}]}')

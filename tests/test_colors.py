@@ -5,6 +5,10 @@ from hypothesis import given, strategies as st
 
 from zonocube.colors import (
     SetSystem,
+    _blocks,
+    _code,
+    _runs,
+    _weak,
     colorset,
     interval_rank,
     is_peripheral,
@@ -165,6 +169,79 @@ def test_clock_sets_are_the_non_peripherals():
              (1, 2, 4, 6), (1, 4, 6), (1, 3, 4, 6), (1, 3, 6), (1, 3, 5, 6)}
     assert {x for x in all_subsets(6) if not is_peripheral(x, 6, 4)} == clock
 
+
+# ------------------------------------------------ kernels on bitmask codes
+# Each kernel is checked on every ordered pair of subsets of [7] (or every
+# subset of [n], n <= 8) against the set-based body it replaced.
+
+def set_blocks(x, y):
+    """The block count as separation_blocks computed it on sets."""
+    sx, sy = set(x), set(y)
+    m, prev = 0, None
+    for c in sorted(sx ^ sy):
+        side = c in sx
+        if side != prev:
+            m += 1
+            prev = side
+    return m
+
+
+def tuple_weak(x, y, k):
+    """Weak k-separation as is_weakly_k_separated computed it on tuples."""
+    m = set_blocks(x, y)
+    if m <= k + 1:
+        return True
+    if m > k + 2:
+        return False
+    first = min(set(x) ^ set(y))
+    surrounding, other = (x, y) if first in set(x) else (y, x)
+    return len(set(surrounding)) <= len(set(other))
+
+
+def listed_interval_rank(x):
+    """interval_rank by its definition: the members whose predecessor is missing."""
+    xs = sorted(set(x))
+    return sum(1 for i, c in enumerate(xs) if i == 0 or c != xs[i - 1] + 1)
+
+
+def test_code_sets_bit_c_minus_1_for_color_c():
+    assert _code(()) == 0
+    assert _code((1, 3, 7)) == 0b1000101
+    assert all(_code(x) == sum(1 << (c - 1) for c in x) for x in all_subsets(7))
+
+
+def test_block_kernel_matches_the_set_count_and_the_chain_search():
+    universe = all_subsets(7)
+    codes = [_code(x) for x in universe]
+    for x, cx in zip(universe, codes):
+        for y, cy in zip(universe, codes):
+            m = _blocks(cx, cy)
+            assert m == set_blocks(x, y), (x, y)
+            for r in range(5):
+                assert (m <= r + 1) == _chain_oracle(x, y, r), (x, y, r)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_weak_kernel_matches_the_tuple_rule(k):
+    universe = all_subsets(7)
+    codes = [_code(x) for x in universe]
+    for x, cx in zip(universe, codes):
+        for y, cy in zip(universe, codes):
+            assert _weak(cx, cy, k) == tuple_weak(x, y, k), (x, y)
+
+
+def test_runs_kernel_gives_interval_ranks_and_the_peripheral_test():
+    for n in range(9):
+        full = (1 << n) - 1
+        for x in all_subsets(n):
+            comp = [c for c in range(1, n + 1) if c not in x]
+            code = _code(x)
+            assert _runs(code) == listed_interval_rank(x) == interval_rank(x)
+            ranks = listed_interval_rank(x) + listed_interval_rank(comp)
+            for d in range(1, n + 2):
+                peripheral = ranks <= d
+                assert (_runs(code) + _runs(full & ~code) <= d) == peripheral, (x, n, d)
+                assert is_peripheral(x, n, d) == peripheral
 
 # --------------------------------------------------------------- packets
 
