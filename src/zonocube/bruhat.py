@@ -251,20 +251,21 @@ def segment_subdivisions(n: int) -> set[tuple[Colors, ...]]:
     return out
 
 
+def _polygon(lo: int, hi: int) -> list[tuple[Colors, ...]]:
+    """The triangulations of the polygon on vertices lo..hi, as sorted tuples."""
+    if hi - lo < 2:
+        return [()]
+    out = []
+    for mid in range(lo + 1, hi):
+        for left in _polygon(lo, mid):
+            for right in _polygon(mid, hi):
+                out.append(tuple(sorted(left + ((lo, mid, hi),) + right)))
+    return out
+
+
 def polygon_triangulations(n: int) -> set[tuple[Colors, ...]]:
     """All triangulations of the convex polygon on vertices 1..n (d = 3)."""
-
-    def rec(lo: int, hi: int) -> list[tuple[Colors, ...]]:
-        if hi - lo < 2:
-            return [()]
-        out = []
-        for mid in range(lo + 1, hi):
-            for left in rec(lo, mid):
-                for right in rec(mid, hi):
-                    out.append(tuple(sorted(left + ((lo, mid, hi),) + right)))
-        return out
-
-    return set(rec(1, n))
+    return set(_polygon(1, n))
 
 
 def sec_surjectivity_experiment(n: int, d: int, max_states: int = MAX_STATES) -> dict:

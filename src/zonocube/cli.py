@@ -218,7 +218,7 @@ def cmd_order(args):
 
 def cmd_from_spectra(args):
     sets = _load_sets(args)
-    n = args.n or max((max(s) for s in sets if s), default=0)
+    n = max((max(s) for s in sets if s), default=0) if args.n is None else args.n
     _emit(args, from_spectra(sets, range(1, n + 1), args.d).to_json())
 
 
@@ -448,6 +448,11 @@ def main(argv=None) -> int:
         # not a command, or arguments the command does not know: the full
         # parser prints the usage, help or error and exits as it always has
         args = build_parser().parse_args(argv)
+    return _run(args)
+
+
+def _run(args) -> int:
+    """Run the parsed command: exit 1 for a diagnostic or a guard, 2 for bad input."""
     try:
         result = args.fn(args)
         return 0 if result is None else result

@@ -230,92 +230,84 @@ def _beyond(adj: list[int], mask: int, size: int) -> int:
     return mask
 
 
-def _cliques(adj: list[int], cand_mask: int, size: int):
-    """The cliques of exactly the given size inside cand_mask, as bitmasks.
-    Each node branches on the vertices _beyond leaves, from the highest bit
-    down, and drops each one after its branch; the last vertex of a clique
-    is taken straight from the candidates."""
-
-    def grow(mask, size, chosen):
-        if size == 1:
-            for v in _bits(mask):
-                yield chosen | 1 << v
-            return
-        branch = _beyond(adj, mask, size)
-        while branch:
-            v = branch.bit_length() - 1
-            yield from grow(mask & adj[v], size - 1, chosen | 1 << v)
-            mask ^= 1 << v
-            branch ^= 1 << v
-
-    return grow(cand_mask, size, 0) if size else iter((0,))
+def _count(adj: list[int], mask: int, size: int, limit: int) -> int:
+    """The number of cliques of exactly the given size inside mask, stopping
+    at limit.  Each node branches on the vertices _beyond leaves, from the
+    highest bit down, and drops each one after its branch; the last vertex
+    of a clique is counted straight from the candidates."""
+    if size <= 1:
+        return min(mask.bit_count(), limit) if size else 1
+    found = 0
+    branch = _beyond(adj, mask, size)
+    while branch and found < limit:
+        v = branch.bit_length() - 1
+        found += _count(adj, mask & adj[v], size - 1, limit - found)
+        mask ^= 1 << v
+        branch ^= 1 << v
+    return found
 
 
 def _max_clique(adj: list[int], cand_mask: int) -> int:
     """Largest clique size inside cand_mask, on the _core_first relabelling:
-    the greedy clique that keeps taking the lowest common neighbour is a
-    lower bound, and the size goes one up while _cliques finds a clique of
-    the next size."""
+    a greedy clique that keeps taking the lowest common neighbour is a lower
+    bound, and the size goes one up while _count finds a clique one larger."""
     adj = _core_first(adj, cand_mask)
     full = (1 << len(adj)) - 1
     best, common = 0, full
     while common:
         best += 1
         common &= adj[(common & -common).bit_length() - 1]
-    while next(_cliques(adj, full, best + 1), None) is not None:
+    while _count(adj, full, best + 1, 1):
         best += 1
     return best
 
 
 def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
-    """Number of cliques of exactly the given size inside cand_mask, counted
-    by _cliques after _relabel by descending degree inside cand_mask (ties
-    keep the lower index); the count does not depend on the labels."""
+    """Number of cliques of exactly the given size inside cand_mask, by _count
+    with a limit no count reaches, after _relabel by descending degree inside
+    cand_mask (ties keep the lower index); the count does not depend on labels."""
     order = sorted(_bits(cand_mask), key=lambda v: -(adj[v] & cand_mask).bit_count())
-    return sum(1 for _ in _cliques(_relabel(adj, cand_mask, order), (1 << len(order)) - 1, size))
+    return _count(_relabel(adj, cand_mask, order), (1 << len(order)) - 1, size, 1 << len(order))
 
 
-def _maximal_cliques(adj: list[int], cand_mask: int):
-    """Bron-Kerbosch over the masked vertex set, pivoting on the first vertex
-    of p | x with the most neighbours in p."""
+def _bron_kerbosch(adj: list[int], r: int, p: int, x: int, out: list[int]) -> None:
+    """Append to out the maximal cliques r | (some of p) that miss x, pivoting
+    on the first vertex of p | x with the most neighbours in p."""
+    if not p and not x:
+        out.append(r)
+        return
+    pivot = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
+    for v in _bits(p & ~adj[pivot]):
+        _bron_kerbosch(adj, r | 1 << v, p & adj[v], x & adj[v], out)
+        p &= ~(1 << v)
+        x |= 1 << v
+
+
+def _maximal_cliques(adj: list[int], cand_mask: int) -> list[int]:
+    """The maximal cliques inside cand_mask, as bitmasks, by Bron-Kerbosch."""
     out = []
-
-    def bk(r, p, x):
-        if not p and not x:
-            out.append(r)
-            return
-        pivot = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
-        for v in _bits(p & ~adj[pivot]):
-            bk(r | 1 << v, p & adj[v], x & adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    bk(0, cand_mask, 0)
+    _bron_kerbosch(adj, 0, cand_mask, 0, out)
     return out
 
 
-def _exact_cliques(adj: list[int], cand_mask: int, size: int):
-    """The cliques of exactly the given size inside cand_mask, as bitmasks,
-    in lex order of their sorted vertex lists (the first is the witness of
-    extension_search): each is grown from its lowest vertex through its
-    later neighbors, and a node is pruned when _beyond finds that its
-    candidates hold no clique of the size still needed.
-    """
-
-    def grow(mask, size, chosen):
-        if size == 0:
-            yield chosen
-            return
-        if not _beyond(adj, mask, size):
-            return
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            nxt = mask & adj[low.bit_length() - 1]
-            if nxt.bit_count() >= size - 1:
-                yield from grow(nxt, size - 1, chosen | low)
-
-    return grow(cand_mask, size, 0)
+def _first_clique(adj: list[int], mask: int, size: int) -> int | None:
+    """The lex-first clique (by sorted vertex list) of exactly the given size
+    inside mask, as a bitmask, or None; the witness of extension_search.
+    Each clique grows from its lowest vertex through its later neighbors, and
+    a node is pruned when _beyond finds no clique of the size still needed."""
+    if size == 0:
+        return 0
+    if not _beyond(adj, mask, size):
+        return None
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        nxt = mask & adj[low.bit_length() - 1]
+        if nxt.bit_count() >= size - 1:
+            rest = _first_clique(adj, nxt, size - 1)
+            if rest is not None:
+                return rest | low
+    return None
 
 
 def _separation_graph(n: int, d: int, compatible, keep=None):
@@ -388,7 +380,7 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     full = (1 << len(cands)) - 1
     if mode == "complete":
         # the lexicographically first clique on the original labels
-        witness = next(_exact_cliques(adj, full, bound - len(base)), None)
+        witness = _first_clique(adj, full, bound - len(base))
         completion = None
         if witness is not None:
             completion = tuple(sorted(base.union(cands[v] for v in _bits(witness))))

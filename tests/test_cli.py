@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from zonocube import ScaleGuardError, apply_flip, cli, find_flips, order_of
-from zonocube.cli import COMMANDS, build_parser, main
-from zonocube.cubillage import MAX_EXTREME_WORK, Cubillage, CubillageError, standard, validate
+from zonocube import apply_flip, cli, find_flips, order_of
+from zonocube.cli import COMMANDS, _run, build_parser, main
+from zonocube.cubillage import MAX_EXTREME_WORK, Cubillage, standard, validate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
@@ -368,19 +368,7 @@ def test_main_entrypoint_inprocess(capsys):
 
 def full_parser_main(argv):
     """main parsing every call with the full parser of all commands."""
-    args = build_parser().parse_args(argv)
-    try:
-        result = args.fn(args)
-        return 0 if result is None else result
-    except (CubillageError, ScaleGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return 2
+    return _run(build_parser().parse_args(argv))
 
 
 Z22 = standard(range(1, 3), 2).to_json()
@@ -670,6 +658,8 @@ MALFORMED = [
     (["from-spectra", "--sets", "[[], [1.5]]"], "", 2, "integers"),
     (["from-spectra", "--sets", "{}"], "", 2, ""),
     (["from-spectra", "--sets", "[[], [1], [1, 2]]", "-d", "0"], "", 2, ""),
+    (["from-spectra", "--sets", "[[], [1], [1, 2]]", "-n", "0"], "", 2,
+     "size 3 is not C(0,<=d) for any d"),
     (["from-consistent", "--sets", "[[1, 2]]", "-n", "3", "-d", "5"], "", 2, ""),
     (["from-consistent", "--sets", "[[true]]", "-n", "2", "-d", "1"], "", 2, "integers"),
     (["from-consistent", "--sets", "[[1]]", "-n", "3", "-d", "2"], "", 2,

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import zonocube
 import zonocube.bruhat
 import zonocube.cli
+import zonocube.systems
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import (
     Colors,
@@ -45,8 +47,9 @@ from zonocube.systems import (
     _check_dimensions,
     _beyond,
     _check_separated,
+    _count,
     _count_cliques,
-    _exact_cliques,
+    _first_clique,
     _max_clique,
     _maximal_cliques,
     extension_search,
@@ -534,13 +537,26 @@ def test_clique_engines_match_oracles(shape, keep, seed, data):
     best = max_clique_oracle(adj, cand)
     assert _max_clique(adj, cand) == best
     for k in range(best + 2):
-        assert _count_cliques(adj, cand, k) == count_cliques_oracle(adj, cand, k)
-        first = next(_exact_cliques(adj, cand, k), None)
+        count = count_cliques_oracle(adj, cand, k)
+        assert _count_cliques(adj, cand, k) == count
+        for limit in (1, 2, 3):
+            assert _count(adj, cand, k, limit) == min(count, limit)
+        first = _first_clique(adj, cand, k)
         witness = clique_witness_oracle(adj, cand, k)
         assert (None if first is None else [v for v in range(size) if first >> v & 1]) == witness
     maximal = _maximal_cliques(adj, cand)
     assert len(set(maximal)) == len(maximal)
     assert sorted(maximal) == sorted(maximal_cliques_oracle(adj, cand))
+
+
+def test_count_stops_at_its_limit(monkeypatch):
+    # on the complete graph K16 the first branch of every node holds a clique,
+    # so limit 1 goes straight down: one _beyond call per size from 8 to 2
+    adj = [((1 << 16) - 1) & ~(1 << v) for v in range(16)]
+    calls = []
+    monkeypatch.setattr(zonocube.systems, "_beyond", lambda *a: calls.append(a) or _beyond(*a))
+    assert _count(adj, (1 << 16) - 1, 8, 1) == 1
+    assert len(calls) == 7
 
 
 def first_fit_classes(adj, mask):
@@ -651,6 +667,25 @@ def test_lifted_nonpurity():
     assert not extension_search(lifted, 7, 5, "complete").completable
 
 
+@pytest.mark.parametrize("search", [
+    lambda: extension_search([(2, 4, 6), (2, 3, 5), (1, 3, 6)], 7, 4, "complete"),
+    lambda: extension_search([(2, 4, 6), (2, 3, 5), (1, 3, 6)], 7, 4, "certify-maximal"),
+    lambda: weak_separation_suite(6, 1),
+    lambda: zonocube.bruhat.separated_system_count(6, 3),
+    lambda: zonocube.bruhat.polygon_triangulations(7),
+], ids=["extend-complete", "extend-certify", "weak-sep", "count", "polygons"])
+def test_searches_leave_no_cyclic_garbage(search):
+    # a recursive search held in its own closure is a reference cycle, which
+    # keeps its graph and results alive until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        search()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # --------------------------------------------------------- weak separation
 
 def test_weak_suite_bounds():
@@ -739,7 +774,7 @@ def test_nested_membrane_spectra_union_separated():
 # ------------------------------------------------ opt-in slow pins
 
 slow = pytest.mark.skipif(os.environ.get("ZONOCUBE_SLOW") != "1",
-                          reason="about 30 s; set ZONOCUBE_SLOW=1 to run")
+                          reason="about 40 s; set ZONOCUBE_SLOW=1 to run")
 
 
 @slow
@@ -751,3 +786,8 @@ def test_slow_pin_count_8_4_matches_the_flip_search():
 @slow
 def test_slow_pin_weak_8_3():
     assert weak_separation_suite(8, 3)["max_size"] == 163
+
+
+@slow
+def test_slow_pin_weak_8_1():
+    assert weak_separation_suite(8, 1)["max_size"] == 37
