@@ -9,7 +9,10 @@ callers; inside the package only canonical tuples (from colorset, subsets,
 add, minus, union) are passed on, and they are never canonicalized again.
 The separation rules are written once, as kernels on bitmask codes (_code:
 color c is bit c - 1); the public predicates code their sets and call them,
-and the separation searches call them on codes directly.
+and the separation searches call them on codes directly.  Cubillages code
+their faces by position instead (_encode: the k-th color of a tuple is bit
+k, and _decode reads a code back), so that any positive colors, however
+large, give codes of n bits.
 """
 
 from __future__ import annotations
@@ -107,6 +110,27 @@ def _code(x) -> int:
     for c in x:
         code |= 1 << (c - 1)
     return code
+
+
+def _encode(x, index) -> int:
+    """The bitmask of a set of colors by position: color c is bit index[c],
+    for index the positions of a color tuple.  Equals _code(x) when the
+    tuple is 1..n; a color outside the tuple raises KeyError."""
+    code = 0
+    for c in x:
+        code |= 1 << index[c]
+    return code
+
+
+def _decode(code: int, colors: Colors) -> Colors:
+    """The inverse of _encode: the colors at the set bits of code, in
+    increasing order when the color tuple increases."""
+    out = []
+    while code:
+        low = code & -code
+        out.append(colors[low.bit_length() - 1])
+        code ^= low
+    return tuple(out)
 
 
 def _blocks(x: int, y: int) -> int:

@@ -6,8 +6,11 @@ root vertex.  The single source of geometric truth is the parity rule from
 colors.is_even; the geom module re-derives every visibility decision from
 exact determinants and is used in the tests to cross-check this module.
 Only validate reads facets, independently of the inversion masks (masks)
-that the order module reads.  All three expansions insert a color by one
-rule, _insert, which reduce inverts.  This module imports from colors
+that the order module reads.  validate and the vertex spectra code color
+sets by position (colors._encode): a facet (root, J) is the int
+root << n | J, and only the spectra, or a facet a diagnostic names, are
+decoded back into tuples (colors._decode).  All three expansions insert a
+color by one rule, _insert, which reduce inverts.  This module imports from colors
 alone, except in the body of expand, which reads the natural order.
 
 All values are immutable; operations return fresh objects.  Color sets are
@@ -23,7 +26,7 @@ import json
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, _check_dimension, add, colorset, inter, is_even, minus, subsets, union
+from .colors import Colors, _check_dimension, _decode, _encode, add, colorset, is_even, minus, subsets
 
 
 class Cube(NamedTuple):
@@ -146,8 +149,7 @@ class Cubillage:
     def vertices(self) -> frozenset[Colors]:
         """All vertex spectra: root ∪ S over cubes and subsets S of their types."""
         if "vertices" not in self._cache:
-            self._cache["vertices"] = frozenset(
-                v for v, _, _ in _face_spectra((r, t) for t, r in self._root_by_type.items()))
+            self._cache["vertices"] = _spectra([(r, t) for t, r in self._root_by_type.items()])
         return self._cache["vertices"]
 
     def _data(self) -> dict:
@@ -167,16 +169,33 @@ class Cubillage:
         return cls(data["colors"], data["d"], [(c["root"], c["type"]) for c in data["cubes"]])
 
 
-def _face_spectra(faces):
-    """(root ∪ S, S, type) for every face (root, type) and every subset S of its type."""
-    for root, typ in faces:
-        # in a valid face root and type are disjoint sets: then root + S has
-        # no repeats and a sort makes the union
-        root = tuple(root)
-        disjoint = len(set(root).union(typ)) == len(root) + len(typ)
-        for k in range(len(typ) + 1):
-            for s in itertools.combinations(typ, k):
-                yield tuple(sorted(root + s)) if disjoint else union(root, s), s, typ
+def _colors_of(faces) -> Colors:
+    """The sorted colors of the faces, each a (root, type) pair."""
+    return tuple(sorted(set().union(*itertools.chain.from_iterable(faces))))
+
+
+def _coded(faces, colors: Colors) -> list[tuple[int, int]]:
+    """The faces (root, type) as (root code, type code) by position in the colors."""
+    index = {c: k for k, c in enumerate(colors)}
+    return [(_encode(root, index), _encode(typ, index)) for root, typ in faces]
+
+
+def _spectra(faces) -> frozenset[Colors]:
+    """The vertex spectra root ∪ S of the faces (root, type), S over the
+    subsets of each type.  The sets are coded by position in the colors of
+    all faces, so a root may meet its type or repeat a color, and each
+    distinct spectrum is decoded once."""
+    faces = list(faces)
+    colors = _colors_of(faces)
+    codes = set()
+    for r, t in _coded(faces, colors):
+        s = t
+        while True:  # s runs over the submasks of t, down to 0
+            codes.add(r | s)
+            if not s:
+                break
+            s = (s - 1) & t
+    return frozenset(_decode(v, colors) for v in codes)
 
 
 def facet_sides(cube: Cube) -> dict[int, tuple[Facet, Facet]]:
@@ -224,18 +243,37 @@ def boundary_plates(colors, d: int, side: str) -> frozenset[Facet]:
     return frozenset(Facet(_parity_root(cs, j, side == "back"), j) for j in subsets(cs, d - 1))
 
 
-def _pairing(q: Cubillage):
-    """Facet incidence maps, facet -> owning type, per side, and the sorted
-    pairs (below, above) of types sharing a facet invisible below, visible
-    above.  Raises on clashes."""
+def _facet(code: int, colors: Colors) -> Facet:
+    """The facet of the code root << n | J, n the number of colors."""
+    n = len(colors)
+    return Facet(_decode(code >> n, colors), _decode(code & ((1 << n) - 1), colors))
+
+
+def _pairing(types, coded, colors: Colors):
+    """Facet incidence maps, facet code -> owning type, per side, and the
+    sorted pairs (below, above) of types sharing a facet invisible below,
+    visible above, for the cubes of the types, coded (root code, type code)
+    by position in the colors.  The facets are facet_sides' pairs coded root << n | J:
+    across the type color t the unshifted facet is the visible one when J
+    has an even number of members above t.  Raises on clashes."""
+    n = len(colors)
     visible = {}
     invisible = {}
-    for typ, root in q._root_by_type.items():
-        for vis, invis in facet_sides(Cube(root, typ)).values():
+    for typ, (r, t) in zip(types, coded):
+        rest = t
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = t ^ low
+            at_root, shifted = r << n | j, (r | low) << n | j
+            if (j & -low).bit_count() % 2 == 0:
+                vis, invis = at_root, shifted
+            else:
+                vis, invis = shifted, at_root
             for table, facet in ((visible, vis), (invisible, invis)):
                 if facet in table:
-                    raise CubillageError(
-                        f"facet {facet} claimed twice on the same side by {table[facet]} and {typ}")
+                    raise CubillageError(f"facet {_facet(facet, colors)} claimed twice on the "
+                                         f"same side by {table[facet]} and {typ}")
                 table[facet] = typ
     covers = sorted((below, visible[facet]) for facet, below in invisible.items()
                     if facet in visible)
@@ -243,8 +281,11 @@ def _pairing(q: Cubillage):
 
 
 def cover_relations(q: Cubillage) -> tuple[tuple[Colors, Colors], ...]:
-    """Pairs (below, above) of types sharing a facet invisible below, visible above."""
-    return _pairing(q)[2]
+    """Pairs (below, above) of types sharing a facet invisible below, visible
+    above.  Roots are taken to avoid their types, as validate requires."""
+    faces = [(root, typ) for typ, root in q._root_by_type.items()]
+    colors = _colors_of(faces)
+    return _pairing(q._root_by_type, _coded(faces, colors), colors)[2]
 
 
 def _closure(nodes, relations):
@@ -282,39 +323,50 @@ def validate(q: Cubillage):
     (ii) facet pairing: every invisible facet is a back boundary plate or the
     visible facet of exactly one other cube, and symmetrically, (iii) the
     facet-induced precedence relation is acyclic, (iv) the vertex count is
-    C(n, <=d).  It reads no inversion mask and no natural order.
+    C(n, <=d).  It reads no inversion mask and no natural order; its sets
+    are coded by position in the colors, and the facets of the boundary
+    plates are coded from _parity_root.
     """
-    n, d = q.n, q.d
+    n, d, colors = q.n, q.d, q.colors
     if n < d:
         return f"fewer colors ({n}) than the dimension ({d})"
-    expected = set(subsets(q.colors, d))
+    expected = set(subsets(colors, d))
     have = set(q._root_by_type)
     if have != expected:
         missing = sorted(expected - have)
         extra = sorted(have - expected)
         return f"type map is not a bijection (missing {missing[:3]}, extra {extra[:3]})"
-    colors = set(q.colors)
+    index = {c: k for k, c in enumerate(colors)}
+    coded = []
     for typ, root in q._root_by_type.items():
-        if inter(root, typ) or any(c not in colors for c in root):
+        t = _encode(typ, index)
+        # a root color outside the colors fails as a root meeting the type does
+        r = _encode(root, index) if index.keys() >= set(root) else t
+        if r & t:
             return f"cube {typ} has invalid root {root}"
+        coded.append((r, t))
     try:
-        visible, invisible, covers = _pairing(q)
+        visible, invisible, covers = _pairing(q._root_by_type, coded, colors)
     except CubillageError as exc:
         return str(exc)
-    front = boundary_plates(q.colors, d, "front")
-    back = boundary_plates(q.colors, d, "back")
+    front, back = set(), set()
+    full = (1 << n) - 1
+    for j in subsets(colors, d - 1):
+        jc, odd = _encode(j, index), _encode(_parity_root(colors, j, False), index)
+        front.add(odd << n | jc)
+        back.add((full ^ jc ^ odd) << n | jc)
     for facet, typ in invisible.items():
         if facet not in back and facet not in visible:
-            return f"invisible facet {facet} of cube {typ} is unmatched"
+            return f"invisible facet {_facet(facet, colors)} of cube {typ} is unmatched"
     for facet, typ in visible.items():
         if facet not in front and facet not in invisible:
-            return f"visible facet {facet} of cube {typ} is unmatched"
-    for plate in front:
-        if plate not in visible:
-            return f"front plate {plate} not covered"
-    for plate in back:
-        if plate not in invisible:
-            return f"back plate {plate} not covered"
+            return f"visible facet {_facet(facet, colors)} of cube {typ} is unmatched"
+    for side, plates, table in (("front", front, visible), ("back", back, invisible)):
+        if not plates <= table.keys():
+            # name the first uncovered plate in the order boundary_plates lists them
+            uncovered = {_facet(p, colors) for p in plates - table.keys()}
+            plate = next(p for p in boundary_plates(colors, d, side) if p in uncovered)
+            return f"{side} plate {plate} not covered"
     if _closure(q.types(), covers) is None:
         return "precedence relation between cubes has a cycle"
     want = _vertex_count(n, d)
@@ -328,14 +380,25 @@ def is_valid(q: Cubillage) -> bool:
 
 
 def edge_graph(q: Cubillage) -> dict[Colors, set[tuple[int, Colors]]]:
-    """Directed edges spectrum -> (color, spectrum+color) along cube edges."""
-    out: dict[Colors, set] = {}
-    for base, s, typ in _face_spectra((r, t) for t, r in q._root_by_type.items()):
-        edges = out.setdefault(base, set())
-        for i in typ:
-            if i not in s:
-                edges.add((i, add(base, i)))
-    return out
+    """Directed edges spectrum -> (color, spectrum+color) along cube edges,
+    found on position codes as the vertices are."""
+    faces = [(r, t) for t, r in q._root_by_type.items()]
+    colors = _colors_of(faces)
+    arrows: dict[int, set[tuple[int, int]]] = {}
+    for r, t in _coded(faces, colors):
+        s = t
+        while True:  # s runs over the submasks of t, down to 0
+            heads = arrows.setdefault(r | s, set())
+            rest = t & ~s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                heads.add((low.bit_length() - 1, r | s | low))
+            if not s:
+                break
+            s = (s - 1) & t
+    name = {v: _decode(v, colors) for v in arrows}
+    return {name[v]: {(colors[k], name[w]) for k, w in heads} for v, heads in arrows.items()}
 
 
 def snakes(q: Cubillage):

@@ -3,10 +3,13 @@ of its colors, which fixes it, the packet table behind consistency, flips
 and enumeration, the root rule of cubillages and their membranes, the
 tunnel chains of the natural order, and the lift rule of the canonical extension
 (Manin-Schechtman 1989; Ziegler, Topology 1993).  The one module that knows
-bit numbers, flag strings and color positions: its functions take and give
-colored sets.  Tables are cached per (n, d), index colors by position and
-hold bit numbers, never masks, so they stay linear in the number of
-packets; a mask is read through its flags, the string with bit k at index k.
+the bit numbers of the (d+1)-subsets and the flag strings: its functions
+take and give colored sets.  Tables are cached per (n, d), index colors by
+position and hold bit numbers, never masks, so they stay linear in the
+number of packets; a mask is read through its flags, the string with bit k
+at index k.  Color positions are not private to it: cubillage codes the
+sets of validate and of the vertex spectra by position, through
+colors._encode.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import json
 from typing import NamedTuple
 
 from .colors import Colors, _check_dimension, add, colorset, inter, minus, subsets, union
-from .cubillage import Cubillage, CubillageError, Facet, _closure, _face_spectra, boundary_plates
+from .cubillage import Cubillage, CubillageError, Facet, _closure, _spectra, boundary_plates
 from .masks import (
     _cubes,
     _cubillage_of_mask,
@@ -176,7 +176,7 @@ def _plates(q: Cubillage, ideal) -> list[tuple[Colors, Colors]]:
 
 def plate_vertices(plates) -> frozenset[Colors]:
     """All vertex spectra of a plate collection."""
-    return frozenset(v for v, _, _ in _face_spectra(plates))
+    return _spectra(plates)
 
 
 def side_of_membrane(typ, membrane_vertices) -> str:

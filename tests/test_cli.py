@@ -42,6 +42,11 @@ def run_module(args, stdin=None):
 @pytest.mark.parametrize("args,stdin,code,out,err", [
     pytest.param(["validate", "-"], standard(range(1, 4), 2).to_json(), 0, "ok\n", "",
                  id="exit-0-from-stdin"),
+    pytest.param(["validate", "-"], standard((2, 5, 9, 11), 2).to_json(), 0, "ok\n", "",
+                 id="validate-noncontiguous-colors"),
+    pytest.param(["spectra", "-"], standard((2, 5, 9, 11), 2).to_json(), 0,
+                 '{"n": 11, "sets": [[], [2], [2, 5], [2, 5, 9], [2, 5, 9, 11], [5], [5, 9], '
+                 '[5, 9, 11], [9], [9, 11], [11]]}\n', "", id="spectra-noncontiguous-colors"),
     pytest.param(["weak-sep", "-n", "24", "-k", "3"], None, 1, "",
                  "error: n = 24 exceeds the cap 10 for searches over all subsets of [n]\n",
                  id="exit-1"),

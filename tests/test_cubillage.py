@@ -5,6 +5,7 @@ import tracemalloc
 from math import comb
 
 import pytest
+from facet_oracles import _face_spectra
 
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import is_r_separated, union
@@ -14,8 +15,8 @@ from zonocube.cubillage import (
     CubillageError,
     Facet,
     ScaleGuardError,
-    _face_spectra,
     _insert,
+    _spectra,
     antistandard,
     boundary_plates,
     central_symmetry,
@@ -262,6 +263,7 @@ def test_face_spectra_match_the_union_form():
                        ((), (2, 2)), ([3], (1, 2))])
     for faces in face_lists:
         assert list(_face_spectra(faces)) == face_spectra_union_form(faces)
+        assert _spectra(faces) == {v for v, _, _ in face_spectra_union_form(faces)}
 
 
 def test_standard_spectra_interval_profile():
