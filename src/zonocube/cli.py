@@ -21,7 +21,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .colors import SetSystem, _set_system_json, colorset, is_weakly_k_separated, separation_blocks
+from .colors import SetSystem, _blocks, _check_weak_k, _failing_pairs, _set_system_json, _weak
+from .colors import colorset, separation_blocks
 from .cubillage import Cubillage, CubillageError, point_cubillage, validate
 from . import (
     AdmissibleOrder,
@@ -115,18 +116,6 @@ def _facet_json(plates):
 
 def _cubillage_sets_json(q: Cubillage, sets) -> str:
     return _set_system_json(q.colors[-1] if q.colors else 0, sets)
-
-
-def _pairwise_violations(sets, violation) -> list:
-    """One entry per pair a before b for which violation(a, b) returns a
-    dict of extra fields rather than None."""
-    out = []
-    for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
-            extra = violation(a, b)
-            if extra is not None:
-                out.append({"x": list(a), "y": list(b), **extra})
-    return out
 
 
 def cmd_standard(args):
@@ -279,13 +268,10 @@ def cmd_check_separated(args):
     r = args.r if args.r is not None else args.d - 1
     if r < 0:
         raise ValueError("separation order r must be >= 0")
-    violations = _pairwise_violations(
-        sets, lambda a, b: {"blocks": m} if (m := separation_blocks(a, b)) > r + 1 else None)
-    _emit(args, json.dumps({
-        "r": r,
-        "pairwise_separated": not violations,
-        "violations": violations,
-    }))
+    violations = [{"x": list(a), "y": list(b), "blocks": separation_blocks(a, b)}
+                  for a, b in _failing_pairs(sets, lambda x, y: _blocks(x, y) > r + 1)]
+    _emit(args, json.dumps({"r": r, "pairwise_separated": not violations,
+                            "violations": violations}))
 
 
 def cmd_extend(args):
@@ -309,14 +295,11 @@ def cmd_extend(args):
 
 def cmd_weak_sep(args):
     if args.sets:
-        violations = _pairwise_violations(
-            _load_sets(args),
-            lambda a, b: None if is_weakly_k_separated(a, b, args.k) else {})
-        _emit(args, json.dumps({
-            "k": args.k,
-            "pairwise_weakly_separated": not violations,
-            "violations": violations,
-        }))
+        sets, k = _load_sets(args), _check_weak_k(args.k)
+        violations = [{"x": list(a), "y": list(b)}
+                      for a, b in _failing_pairs(sets, lambda x, y: not _weak(x, y, k))]
+        _emit(args, json.dumps({"k": k, "pairwise_weakly_separated": not violations,
+                                "violations": violations}))
         return
     if args.n is None:
         raise ValueError("weak-sep needs -n unless --sets is given")

@@ -7,16 +7,16 @@ spectra and set systems everywhere in the package.  Everything here is pure
 and immutable.  colorset canonicalizes color sets where they enter from
 callers; inside the package only canonical tuples (from colorset, subsets,
 add, minus, union) are passed on, and they are never canonicalized again.
-The separation rules are written once, as kernels on bitmask codes (_code:
-color c is bit c - 1); the public predicates code their sets and call them,
-and the separation searches call them on codes directly.  Cubillages code
-their faces by position instead (_encode: the k-th color of a tuple is bit
-k, and _decode reads a code back), so that any positive colors, however
-large, give codes of n bits.
+Color sets are coded by position, by one coder pair: _encode makes the
+k-th color of a tuple bit k and _decode reads a code back, so any colors,
+however large, give codes of as many bits as the tuple has colors.  The
+separation kernels read only the order of the colors, so the predicates
+and the pairwise pass (_failing_pairs) code sets in their union (_codes).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -104,18 +104,10 @@ def parity(i: int, js) -> str:
     return "even" if is_even(i, js) else "odd"
 
 
-def _code(x) -> int:
-    """The bitmask of a set of colors: color c is bit c - 1."""
-    code = 0
-    for c in x:
-        code |= 1 << (c - 1)
-    return code
-
-
 def _encode(x, index) -> int:
     """The bitmask of a set of colors by position: color c is bit index[c],
-    for index the positions of a color tuple.  Equals _code(x) when the
-    tuple is 1..n; a color outside the tuple raises KeyError."""
+    for index the positions of a color tuple.  A color outside the tuple
+    raises KeyError."""
     code = 0
     for c in x:
         code |= 1 << index[c]
@@ -131,6 +123,12 @@ def _decode(code: int, colors: Colors) -> Colors:
         out.append(colors[low.bit_length() - 1])
         code ^= low
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(n: int) -> dict[int, int]:
+    """The index _encode reads for the colors 1..n: color c at bit c - 1."""
+    return {c: c - 1 for c in range(1, n + 1)}
 
 
 def _blocks(x: int, y: int) -> int:
@@ -162,8 +160,22 @@ def _weak(x: int, y: int, k: int) -> bool:
 
 
 def _runs(x: int) -> int:
-    """interval_rank on a code: the set bits whose lower neighbour is clear."""
+    """interval_rank on a code on 1..n: the set bits whose lower neighbour is clear."""
     return (x & ~(x << 1)).bit_count()
+
+
+def _codes(sets) -> list[int]:
+    """The sets coded by position in their union, in which any two keep their order."""
+    sets = list(map(tuple, sets))  # read each iterable once
+    index = {c: k for k, c in enumerate(sorted(set().union(*sets)))}
+    return [_encode(s, index) for s in sets]
+
+
+def _failing_pairs(sets, fails):
+    """The pairs (a, b), a listed before b, whose codes by _codes fail the kernel."""
+    for (a, x), (b, y) in itertools.combinations(zip(sets, _codes(sets)), 2):
+        if fails(x, y):
+            yield a, b
 
 
 def separation_blocks(x, y) -> int:
@@ -174,11 +186,11 @@ def separation_blocks(x, y) -> int:
     returned.  x and y are r-separated exactly when this is at most r+1; an
     empty symmetric difference gives 0.
     """
-    return _blocks(_code(x), _code(y))
+    return _blocks(*_codes((x, y)))
 
 
 def is_r_separated(x, y, r: int) -> bool:
-    return _blocks(_code(x), _code(y)) <= r + 1
+    return _blocks(*_codes((x, y))) <= r + 1
 
 
 def is_weakly_k_separated(x, y, k: int) -> bool:
@@ -191,21 +203,25 @@ def is_weakly_k_separated(x, y, k: int) -> bool:
     notion exists there.
     """
     _check_weak_k(k)
-    return _weak(_code(x), _code(y), k)
+    return _weak(*_codes((x, y)), k)
 
 
 def interval_rank(x) -> int:
     """Minimal number of integer intervals whose union is x."""
-    return _runs(_code(x))
+    xs = set(x)
+    return sum(c - 1 not in xs for c in xs)
 
 
 def is_peripheral(x, n: int, d: int) -> bool:
     """True when x is the spectrum of a vertex of the ambient zonotope.
 
     Criterion: interval_rank(x) + interval_rank([n]-x) <= d.  Peripheral sets
-    are (d-1)-separated from every subset of [n].
+    are (d-1)-separated from every subset of [n].  A color outside it is a ValueError.
     """
-    code = _code(x)
+    try:
+        code = _encode(x, _positions(n))
+    except KeyError:
+        raise ValueError(f"{x} leaves the colors 1..{n}") from None
     return _runs(code) + _runs(((1 << n) - 1) & ~code) <= d
 
 

@@ -7,9 +7,8 @@ the bit numbers of the (d+1)-subsets and the flag strings: its functions
 take and give colored sets.  Tables are cached per (n, d), index colors by
 position and hold bit numbers, never masks, so they stay linear in the
 number of packets; a mask is read through its flags, the string with bit k
-at index k.  Color positions are not private to it: cubillage codes the
-sets of validate and of the vertex spectra by position, through
-colors._encode.
+at index k.  Vertex sets, the one kind of color set it codes, go through
+the package's one position coder, colors._encode.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import itertools
 import operator
 from math import comb
 
-from .colors import Colors, add, is_even, subsets, union
+from .colors import Colors, _encode, _positions, add, is_even, subsets, union
 from .cubillage import Cubillage, CubillageError
 
 
@@ -215,10 +214,10 @@ def _mask_of(q: Cubillage) -> int:
 @functools.lru_cache(maxsize=None)
 def _restrictions(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
     """Per (d+1)-subset K = {k_1 < ... < k_{d+1}} of [n] in bit order, as
-    vertex bits (bit i-1 for color i): K, and the one subset of K missing
-    from the spectrum of the standard cubillage of Z(K,d), {k_{d+1},
-    k_{d-1}, ...}, and of the antistandard one, {k_d, k_{d-2}, ...}."""
-    return tuple(tuple(sum(1 << (c - 1) for c in part) for part in (k, k[::-1][::2], k[::-1][1::2]))
+    position codes on 1..n: K, and the one subset of K missing from the
+    spectrum of the standard cubillage of Z(K,d), {k_{d+1}, k_{d-1}, ...},
+    and of the antistandard one, {k_d, k_{d-2}, ...}."""
+    return tuple(tuple(_encode(part, _positions(n)) for part in (k, k[::-1][::2], k[::-1][1::2]))
                  for k in _bits(n, d))
 
 
@@ -228,14 +227,17 @@ def _mask_of_spectra(colors: Colors, d: int, sets) -> int | None:
     The restriction of the spectrum of a cubillage of Z(colors,d) to a
     (d+1)-subset K is the spectrum of its restriction to Z(K,d): the
     standard cubillage when K is no inversion, the antistandard one when it
-    is.  Either misses one subset of K, its own.  None when some restriction
-    is not all subsets of K but one of these two, or when the mask read is
-    not consistent.  Not a certificate on its own: the caller compares the
-    spectrum of the cubillage of the mask with the input, which also
-    rejects a color outside the colors (read here as none).
+    is.  Either misses one subset of K, its own.  None when a set has a
+    color outside the colors, when some restriction is not all subsets of
+    K but one of these two, or when the mask read is not consistent.  Not a
+    certificate on its own: the caller compares the spectrum of the
+    cubillage of the mask with the input.
     """
-    bit_of = {c: 1 << i for i, c in enumerate(colors)}
-    vertex_bits = [sum(bit_of.get(c, 0) for c in s) for s in sets]
+    index = {c: i for i, c in enumerate(colors)}
+    try:
+        vertex_bits = [_encode(s, index) for s in sets]
+    except KeyError:
+        return None
     inv, size = 0, (1 << (d + 1)) - 1
     for bit, (k, standard, antistandard) in enumerate(_restrictions(len(colors), d)):
         seen = {v & k for v in vertex_bits}

@@ -16,18 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .colors import (
-    Colors,
-    _blocks,
-    _check_dimension,
-    _check_weak_k,
-    _code,
-    _runs,
-    _weak,
-    colorset,
-    is_r_separated,
-    subsets,
-)
+from .colors import Colors, _blocks, _check_dimension, _check_weak_k, _encode, _failing_pairs
+from .colors import _positions, _runs, _weak, colorset, subsets
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
 from .cubillage import _vertex_count
 from .masks import _cubes, _cubillage_of_mask, _lift, _mask, _mask_of, _mask_of_spectra
@@ -142,10 +132,16 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
 
 
 def _check_separated(sets, r: int):
-    sets = sorted(sets)
-    for a, b in itertools.combinations(sets, 2):
-        if not is_r_separated(a, b, r):
-            raise ValueError(f"{a} and {b} are not {r}-separated")
+    for a, b in _failing_pairs(sorted(sets), lambda x, y: _blocks(x, y) > r + 1):
+        raise ValueError(f"{a} and {b} are not {r}-separated")
+
+
+def _spectrum_dimension(n: int, size: int) -> int | None:
+    """The d with C(n,<=d) = size, or None: the walk stops once the count reaches size."""
+    d = 0
+    while d < n and _vertex_count(n, d) < size:
+        d += 1
+    return d if _vertex_count(n, d) == size else None
 
 
 def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
@@ -157,18 +153,21 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
     (masks._mask_of_spectra), and the cubillage the root rule builds from
     the mask is returned when its spectrum is the input, which certifies
     it.  Otherwise the pairwise separation (ValueError) and then the color
-    universe (NotRealizableError) say what is wrong.
+    universe (NotRealizableError) say what is wrong.  A range of colors is
+    sized against the system before its colors are listed.
     """
-    cs = colorset(colors)
+    cs = colors if isinstance(colors, range) else colorset(colors)
     members = {colorset(s) for s in sets}
+    fit = _spectrum_dimension(len(cs), len(members))
     if d is None:
-        sizes = [k for k in range(len(cs) + 1) if _vertex_count(len(cs), k) == len(members)]
-        if not sizes:
+        if fit is None:
             raise ValueError(f"size {len(members)} is not C({len(cs)},<=d) for any d")
-        d = sizes[0]
+        d = fit
     _check_dimensions(len(cs), d)
-    if len(members) != _vertex_count(len(cs), d):
+    if fit != d:
         raise ValueError("system size is not C(n,<=d)")
+    if isinstance(cs, range):
+        cs = colorset(cs)
     inv = _mask_of_spectra(cs, d, members)
     if inv is not None:
         q = _cubillage_of_mask(cs, d, inv)
@@ -314,7 +313,8 @@ def _separation_graph(n: int, d: int, compatible, keep=None):
     """The peripheral subsets of [n] for dimension d, the other subsets
     (by size, then lex) that pass keep, and the bitmask adjacency of
     compatible among the latter.  keep and compatible are called on the
-    codes of colors._code, and each subset is coded once."""
+    position codes on 1..n (colors._encode on colors._positions(n)), each
+    made once, as a sum of the bits of its colors."""
     full = (1 << n) - 1
     bits = [1 << i for i in range(n)]  # the codes of the colors 1..n
     peripheral, others, codes = [], [], []
@@ -370,13 +370,12 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     _check_inside(members, n)
     _check_separated(members, d - 1)
     bound = _vertex_count(n, d)
-    member_set = set(members)
-    codes = [_code(s) for s in members]
+    codes = [_encode(s, _positions(n)) for s in members]
     code_set = set(codes)
     peripheral, cands, adj = _separation_graph(
         n, d, lambda a, b: _blocks(a, b) <= d,
         lambda x: x not in code_set and all(_blocks(x, s) <= d for s in codes))
-    base = member_set.union(peripheral)
+    base = set(members).union(peripheral)
     full = (1 << len(cands)) - 1
     if mode == "complete":
         # the lexicographically first clique on the original labels

@@ -342,6 +342,16 @@ def test_check_separated_and_weak_sep():
     assert json.loads(out)["pairwise_weakly_separated"]
 
 
+def test_a_huge_color_is_answered():
+    # a set is coded by position in the union of the sets, not by value
+    code, out, _ = run_cli(["check-separated", "--sets", "[[1],[1000000000000]]", "-r", "1"])
+    assert (code, out) == (0, '{"r": 1, "pairwise_separated": true, "violations": []}\n')
+    code, out, _ = run_cli(["weak-sep", "-k", "1", "--sets", "[[1,3],[2,1000000000000]]"])
+    assert (code, json.loads(out)) == (0, {
+        "k": 1, "pairwise_weakly_separated": False,
+        "violations": [{"x": [1, 3], "y": [2, 1000000000000]}]})
+
+
 def test_render_svg_and_embed(tmp_path):
     _, cubillage, _ = run_cli(["standard", "-n", "3", "-d", "2"])
     target = tmp_path / "tiling.svg"
@@ -665,6 +675,16 @@ MALFORMED = [
     (["from-spectra", "--sets", "[[], [1], [1, 2]]", "-d", "0"], "", 2, ""),
     (["from-spectra", "--sets", "[[], [1], [1, 2]]", "-n", "0"], "", 2,
      "size 3 is not C(0,<=d) for any d"),
+    (["from-spectra", "--sets", "[[], [1], [300000]]"], "", 2,
+     "size 3 is not C(300000,<=d) for any d"),
+    (["from-spectra", "--sets", "[[], [1], [30000000]]"], "", 2,
+     "size 3 is not C(30000000,<=d) for any d"),
+    (["from-spectra", "--sets", "[[], [1], [30000000]]", "-d", "1"], "", 2,
+     "system size is not C(n,<=d)"),
+    (["from-spectra", "--sets", "[[], [1], [1000000000000]]", "-n", "2"], "", 2,
+     "(1,) and (1000000000000,) are not 0-separated"),
+    (["from-spectra", "--sets", "[[], [1], [1, 1000000000000]]", "-n", "2"], "", 1,
+     "spectra leave the color universe"),
     (["from-consistent", "--sets", "[[1, 2]]", "-n", "3", "-d", "5"], "", 2, ""),
     (["from-consistent", "--sets", "[[true]]", "-n", "2", "-d", "1"], "", 2, "integers"),
     (["from-consistent", "--sets", "[[1]]", "-n", "3", "-d", "2"], "", 2,
@@ -698,6 +718,7 @@ MALFORMED = [
     (["weak-sep", "-n", "0", "-k", "1"], "", 2, "n must be an integer >= 1"),
     (["weak-sep", "-n", "-2", "-k", "1"], "", 2, "n must be an integer >= 1"),
     (["weak-sep", "-k", "1", "--sets", "[[1.5], [2]]"], "", 2, "integers"),
+    (["weak-sep", "-k", "2", "--sets", "[[1]]"], "", 2, "odd k"),
     (["render-svg", "-", "--size", "1x2x3"], Z42, 2, ""),
     (["render-svg", "-", "--sets", "[[9]]"], Z42, 2, ""),
     (["render-svg", "-", "--t-params", "1/0,2,3,4"], Z42, 2, "zero denominator"),

@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 from zonocube.colors import (
     SetSystem,
     _blocks,
-    _code,
+    _codes,
+    _encode,
+    _failing_pairs,
+    _positions,
     _runs,
     _weak,
     colorset,
@@ -72,6 +75,9 @@ def test_separation_block_examples():
     assert separation_blocks((1, 2), (1, 2, 5, 6)) == 1
     assert is_r_separated((1, 2), (1, 2, 5, 6), 0)
     assert separation_blocks((1, 2), (1, 2)) == 0
+    # any iterables of colors, each read once
+    assert separation_blocks(iter((1, 3, 5)), (c for c in (2, 4, 6))) == 6
+    assert is_weakly_k_separated(iter((1, 4)), iter((2, 3)), 1)
 
 
 def _chain_oracle(x, y, r):
@@ -147,6 +153,30 @@ def test_weak_separation_symmetric(x, y, k):
     assert is_weakly_k_separated(x, y, k) == is_weakly_k_separated(y, x, k)
 
 
+def test_union_codes_keep_the_order_of_any_pair():
+    sets = [(2, 10**12), (), (1, 3, 10**12), (3,)]
+    assert _codes(sets) == [0b1010, 0, 0b1101, 0b100]
+    for (x, cx), (y, cy) in itertools.combinations(zip(sets, _codes(sets)), 2):
+        assert _blocks(cx, cy) == set_blocks(x, y)
+
+
+def test_failing_pairs_come_in_list_order():
+    sets = [(1, 3, 5), (2, 4, 6), (1,), (2, 4)]
+    assert list(_failing_pairs(sets, lambda x, y: _blocks(x, y) > 2)) == [
+        ((1, 3, 5), (2, 4, 6)), ((1, 3, 5), (2, 4))]
+    assert list(_failing_pairs([], _blocks)) == []
+
+
+def test_a_huge_color_is_one_position():
+    assert separation_blocks((1,), (10**12,)) == 2
+    assert is_r_separated((1,), (10**12,), 1)
+    assert interval_rank((1, 10**12)) == 2
+    assert is_weakly_k_separated((1, 3), (2, 10**12), 1) is False
+    assert is_peripheral((1, 3), 3, 3)
+    with pytest.raises(ValueError, match="leaves the colors 1..3"):
+        is_peripheral((5,), 3, 2)
+
+
 # ------------------------------------------------------- interval ranks
 
 def test_interval_rank():
@@ -204,6 +234,11 @@ def listed_interval_rank(x):
     return sum(1 for i, c in enumerate(xs) if i == 0 or c != xs[i - 1] + 1)
 
 
+def _code(x, n=7):
+    """x coded by position in 1..n."""
+    return _encode(x, _positions(n))
+
+
 def test_code_sets_bit_c_minus_1_for_color_c():
     assert _code(()) == 0
     assert _code((1, 3, 7)) == 0b1000101
@@ -235,7 +270,7 @@ def test_runs_kernel_gives_interval_ranks_and_the_peripheral_test():
         full = (1 << n) - 1
         for x in all_subsets(n):
             comp = [c for c in range(1, n + 1) if c not in x]
-            code = _code(x)
+            code = _code(x, n)
             assert _runs(code) == listed_interval_rank(x) == interval_rank(x)
             ranks = listed_interval_rank(x) + listed_interval_rank(comp)
             for d in range(1, n + 2):
