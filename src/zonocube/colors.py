@@ -125,10 +125,35 @@ def _decode(code: int, colors: Colors) -> Colors:
     return tuple(out)
 
 
+class _Positions(dict):
+    """The index _encode reads for the colors 1..n: color c at bit c - 1.
+    It answers as the dict {c: c - 1 for c in 1..n} would, a value equal to
+    such a c included, but holds only the colors up to 64, which every
+    search here stays within: __missing__ answers the others."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__((c, c - 1) for c in range(1, min(n, 64) + 1))
+        self.n = n
+
+    def __missing__(self, c) -> int:
+        if c.__class__ is not int:
+            try:
+                i = int(c)
+            except (TypeError, ValueError, OverflowError):
+                raise KeyError(c) from None
+            if i != c:
+                raise KeyError(c)
+            c = i
+        if 64 < c <= self.n:
+            return c - 1
+        raise KeyError(c)
+
+
 @functools.lru_cache(maxsize=None)
-def _positions(n: int) -> dict[int, int]:
-    """The index _encode reads for the colors 1..n: color c at bit c - 1."""
-    return {c: c - 1 for c in range(1, n + 1)}
+def _positions(n: int) -> _Positions:
+    return _Positions(n)
 
 
 def _blocks(x: int, y: int) -> int:
@@ -222,7 +247,12 @@ def is_peripheral(x, n: int, d: int) -> bool:
         code = _encode(x, _positions(n))
     except KeyError:
         raise ValueError(f"{x} leaves the colors 1..{n}") from None
-    return _runs(code) + _runs(((1 << n) - 1) & ~code) <= d
+    if not code:
+        return min(n, 1) <= d
+    # the runs of [n] - x lie between those of x, and before and after them
+    # when colors 1 and n are missing, so no n-bit complement is built
+    runs = _runs(code)
+    return 2 * runs - 1 + (not code & 1) + (not code >> (n - 1) & 1) <= d
 
 
 def packet(parent, d: int) -> tuple[Colors, ...]:

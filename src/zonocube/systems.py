@@ -13,6 +13,8 @@ consistent systems of d-subsets of [n] correspond to membranes of Z(n,d).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -275,11 +277,21 @@ def _bron_kerbosch(adj: list[int], r: int, p: int, x: int, out: list[int]) -> No
     if not p and not x:
         out.append(r)
         return
-    pivot = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
-    for v in _bits(p & ~adj[pivot]):
-        _bron_kerbosch(adj, r | 1 << v, p & adj[v], x & adj[v], out)
-        p &= ~(1 << v)
-        x |= 1 << v
+    most, rest = -1, p | x
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        k = (p & adj[low.bit_length() - 1]).bit_count()
+        if k > most:
+            most, pivot = k, low.bit_length() - 1
+    rest = p & ~adj[pivot]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        _bron_kerbosch(adj, r | low, p & adj[v], x & adj[v], out)
+        p ^= low
+        x |= low
 
 
 def _maximal_cliques(adj: list[int], cand_mask: int) -> list[int]:
@@ -309,12 +321,11 @@ def _first_clique(adj: list[int], mask: int, size: int) -> int | None:
     return None
 
 
-def _separation_graph(n: int, d: int, compatible, keep=None):
-    """The peripheral subsets of [n] for dimension d, the other subsets
-    (by size, then lex) that pass keep, and the bitmask adjacency of
-    compatible among the latter.  keep and compatible are called on the
-    position codes on 1..n (colors._encode on colors._positions(n)), each
-    made once, as a sum of the bits of its colors."""
+@functools.lru_cache(maxsize=None)
+def _split(n: int, d: int) -> tuple[tuple[Colors, ...], tuple[Colors, ...], tuple[int, ...]]:
+    """The peripheral subsets of [n] for dimension d, the other subsets (by
+    size, then lex) and their position codes on 1..n (colors._encode on
+    colors._positions(n)), each made once as a sum of the bits of its colors."""
     full = (1 << n) - 1
     bits = [1 << i for i in range(n)]  # the codes of the colors 1..n
     peripheral, others, codes = [], [], []
@@ -322,16 +333,27 @@ def _separation_graph(n: int, d: int, compatible, keep=None):
         for x, code in zip(subsets(range(1, n + 1), k), map(sum, subsets(bits, k))):
             if _runs(code) + _runs(full & ~code) <= d:
                 peripheral.append(x)
-            elif keep is None or keep(code):
+            else:
                 others.append(x)
                 codes.append(code)
-    adj = [0] * len(others)
+    return tuple(peripheral), tuple(others), tuple(codes)
+
+
+def _adjacency(codes, compatible) -> list[int]:
+    """The bitmask adjacency of compatible among the codes, codes[i] as vertex i."""
+    adj = [0] * len(codes)
     for i, a in enumerate(codes):
         for j in range(i + 1, len(codes)):
             if compatible(a, codes[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return peripheral, others, adj
+    return adj
+
+
+def _separation_graph(n: int, d: int, compatible):
+    """_split(n, d) with the bitmask adjacency of compatible among the codes in their place."""
+    peripheral, others, codes = _split(n, d)
+    return peripheral, others, _adjacency(codes, compatible)
 
 
 class ExtensionReport(NamedTuple):
@@ -371,38 +393,42 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     _check_separated(members, d - 1)
     bound = _vertex_count(n, d)
     codes = [_encode(s, _positions(n)) for s in members]
-    code_set = set(codes)
-    peripheral, cands, adj = _separation_graph(
-        n, d, lambda a, b: _blocks(a, b) <= d,
-        lambda x: x not in code_set and all(_blocks(x, s) <= d for s in codes))
-    base = set(members).union(peripheral)
+    peripheral, others, other_codes = _split(n, d)
+    cands = [(x, c) for x, c in zip(others, other_codes) if c not in codes]
+    for s in codes:
+        cands = [(x, c) for x, c in cands if _blocks(c, s) <= d]
+    if mode == "certify-maximal":
+        # Bron-Kerbosch on the candidates by descending set.  Two completions
+        # of one size first differ at the least set of their symmetric
+        # difference, a candidate and so their highest differing bit: the
+        # lex-first has the higher mask, so the masks sort as ints.  Read
+        # highest bit first, a mask lists its candidates in increasing order
+        cands.sort(reverse=True)
+    adj = _adjacency([c for _, c in cands], lambda a, b: _blocks(a, b) <= d)
     full = (1 << len(cands)) - 1
+    base = sorted(set(members).union(peripheral))
     if mode == "complete":
-        # the lexicographically first clique on the original labels
+        # the lexicographically first clique with the candidates by size, then lex
         witness = _first_clique(adj, full, bound - len(base))
         completion = None
         if witness is not None:
-            completion = tuple(sorted(base.union(cands[v] for v in _bits(witness))))
+            completion = tuple(sorted(base + [cands[v][0] for v in _bits(witness)]))
         return ExtensionReport(n, d, len(members), bound, completion is not None,
                                completion, None, None)
-    # Bron-Kerbosch on the candidates relabelled by descending set.  Two
-    # completions of one size first differ at the least set of their
-    # symmetric difference, a candidate, which is now their highest differing
-    # bit: the lex-first has the higher mask, so the masks sort as ints and
-    # each completion is built once, in order, on the numbers of its sets
-    order = sorted(range(len(cands)), key=cands.__getitem__, reverse=True)
-    masks = _maximal_cliques(_relabel(adj, full, order), full) or [0]
+    masks = _maximal_cliques(adj, full) or [0]
     masks.sort(reverse=True)
     masks.sort(key=int.bit_count)
-    universe = sorted(base.union(cands))
-    number = {s: i for i, s in enumerate(universe)}
-    base_numbers = [number[s] for s in base]
-    cand_numbers = [number[cands[v]] for v in order]
+    at = [bisect.bisect(base, x) for x, _ in cands]
     completions = []
-    for mask in masks:
-        numbers = base_numbers + [cand_numbers[v] for v in _bits(mask)]
-        numbers.sort()
-        completions.append(tuple(map(universe.__getitem__, numbers)))
+    for mask in masks:  # each candidate spliced into the sorted base at its insertion point
+        out, start = [], 0
+        while mask:
+            v = mask.bit_length() - 1
+            mask ^= 1 << v
+            out += base[start:at[v]]
+            out.append(cands[v][0])
+            start = at[v]
+        completions.append(tuple(out + base[start:]))
     sizes = tuple(len(c) for c in completions)
     return ExtensionReport(n, d, len(members), bound, bound in sizes,
                            completions[-1] if bound in sizes else None,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -175,6 +176,35 @@ def test_a_huge_color_is_one_position():
     assert is_peripheral((1, 3), 3, 3)
     with pytest.raises(ValueError, match="leaves the colors 1..3"):
         is_peripheral((5,), 3, 2)
+
+
+
+def test_positions_answer_as_the_dict_of_colors():
+    for n in (0, 1, 2, 4, 64, 65, 70):
+        table = {c: c - 1 for c in range(1, n + 1)}
+        for c in (-1, 0, 1, 2, n - 1, n, n + 1, 1.0, 2.5, True, False, "1", float("inf"),
+                  float(n), n - 0.5, 10**30):
+            want = table[c] if c in table else KeyError
+            try:
+                got = _positions(n)[c]
+            except KeyError:
+                got = KeyError
+            assert got == want and type(got) is type(want), (n, c)
+
+
+def test_is_peripheral_keeps_nothing_of_size_n():
+    # the index of the colors 1..n is one bound, and the complement of x is
+    # not built, so a large n costs what x costs
+    tracemalloc.start()
+    try:
+        assert is_peripheral((1,), 10**7, 2)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert not is_peripheral((1, 3), 10**7, 2)
+    assert is_peripheral((1, 2), 10**7, 2) and is_peripheral((2, 3), 10**7, 3)
+    with pytest.raises(ValueError, match="leaves the colors"):
+        is_peripheral((10**7 + 1,), 10**7, 2)
 
 
 # ------------------------------------------------------- interval ranks

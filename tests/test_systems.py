@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import os
@@ -666,6 +667,78 @@ def test_lifted_nonpurity():
     lifted = triple + [tuple(sorted(t + (7,))) for t in triple]
     assert not extension_search(lifted, 7, 5, "complete").completable
 
+
+
+# ------------------------------ oracle: the extension search on tuples
+
+@functools.lru_cache(maxsize=None)
+def compatible_with_all(n, d):
+    """The subsets of [n] (d-1)-separated from every subset, by is_r_separated."""
+    universe = all_subsets(n)
+    return frozenset(x for x in universe if all(is_r_separated(x, y, d - 1) for y in universe))
+
+
+def extension_oracle(members, n, d):
+    """The maximal completions of the members in (size, then lex) order,
+    from is_r_separated on tuples and maximal_cliques_oracle.  The sets
+    compatible with every subset lie in every maximal completion; the other
+    sets compatible with the members are the vertices."""
+    members = set(members)
+    base = compatible_with_all(n, d) | members
+    cands = [x for x in all_subsets(n)
+             if x not in base and all(is_r_separated(x, s, d - 1) for s in members)]
+    adj = [sum(1 << j for j, y in enumerate(cands) if x != y and is_r_separated(x, y, d - 1))
+           for x in cands]
+    completions = [tuple(sorted(base.union(x for v, x in enumerate(cands) if clique >> v & 1)))
+                   for clique in maximal_cliques_oracle(adj, (1 << len(cands)) - 1)]
+    return sorted(completions, key=lambda c: (len(c), c))
+
+
+def spectrum_sample(n, d, fraction, rng):
+    """A seeded share of the sets that a random cubillage of Z(n,d) adds to
+    the ones compatible with every subset: a (d-1)-separated system."""
+    q = raising_walk(crange(n), d, 2 * n, rng)[-1]
+    spectra = sorted(q.vertices() - compatible_with_all(n, d))
+    return rng.sample(spectra, round(fraction * len(spectra)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from([(5, 2), (5, 3), (6, 3), (6, 4), (7, 4)]),
+       st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**32 - 1))
+def test_extension_search_matches_the_tuple_oracle(shape, fraction, seed):
+    n, d = shape
+    sample = spectrum_sample(n, d, fraction, random.Random(seed))
+    completions = extension_oracle(sample, n, d)
+    bound = sum(comb(n, i) for i in range(d + 1))
+    largest = [c for c in completions if len(c) == bound]
+    certify = extension_search(sample, n, d, "certify-maximal")
+    assert certify.maximal_completions == tuple(completions)
+    assert certify.maximal_sizes == tuple(map(len, completions))
+    assert certify.completable == bool(largest)
+    # certify reports the last maximum it lists; complete the lex-first one
+    # with the sets in (size, then lex) order, the order its witness search reads
+    assert certify.completion == (largest[-1] if largest else None)
+    complete = extension_search(sample, n, d, "complete")
+    assert complete.completable == bool(largest)
+    assert complete.completion == min(largest, default=None,
+                                      key=lambda c: sorted(c, key=lambda s: (len(s), s)))
+
+
+def test_split_cache_holds_tuples_and_answers_as_a_fresh_one():
+    split = zonocube.systems._split
+    split.cache_clear()
+    asked = [(6, 3), (6, 4), (7, 4)]
+    for n, d in asked:
+        for seed in range(4):
+            sample = spectrum_sample(n, d, 0.5, random.Random(seed))
+            before = [extension_search(sample, n, d, mode) for mode in ("complete", "certify-maximal")]
+    assert split.cache_info().currsize == len(asked)
+    split.cache_clear()
+    assert before == [extension_search(sample, n, d, mode) for mode in ("complete", "certify-maximal")]
+    peripheral, others, codes = split(n, d)
+    assert all(type(part) is tuple for part in (peripheral, others, codes, *peripheral, *others))
+    assert all(type(code) is int for code in codes)
+    assert split.cache_info().currsize == 1
 
 @pytest.mark.parametrize("search", [
     lambda: extension_search([(2, 4, 6), (2, 3, 5), (1, 3, 6)], 7, 4, "complete"),
