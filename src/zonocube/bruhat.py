@@ -18,7 +18,7 @@ from .cubillage import _check_dimensions, _closure, _vertex_count
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
 from .masks import _cubillage_of_mask, _roots_of_mask, _steps
 from .order import find_flips  # noqa: F401
-from .systems import _count_cliques, _separation_graph, _separation_scale_guard
+from .systems import _adjacency, _count_cliques, _separation_scale_guard, _split
 
 
 # the default state cap of enumerate_cubillages, bruhat_poset and the CLI's --max-states
@@ -83,9 +83,9 @@ def separated_system_count(n: int, d: int) -> int:
     """
     _check_dimensions(n, d)
     _separation_scale_guard(n)
-    peripheral, others, adj = _separation_graph(n, d, lambda a, b: _blocks(a, b) <= d)
-    need = _vertex_count(n, d) - len(peripheral)
-    return _count_cliques(adj, (1 << len(others)) - 1, need)
+    peripheral, _, codes = _split(n, d)
+    adj = _adjacency(codes, lambda a, b: _blocks(a, b) <= d)
+    return _count_cliques(adj, (1 << len(codes)) - 1, _vertex_count(n, d) - len(peripheral))
 
 
 class BruhatPoset:

@@ -283,13 +283,12 @@ def cmd_extend(args):
         "base_size": report.base_size,
         "bound": report.bound,
         "completable": report.completable,
-        "completion": [list(s) for s in report.completion] if report.completion else None,
+        "completion": report.completion,
     }
     if report.maximal_sizes is not None:
-        payload["maximal_sizes"] = list(report.maximal_sizes)
+        payload["maximal_sizes"] = report.maximal_sizes
         payload["gap"] = report.gap
-        payload["maximal_completions"] = [
-            [list(s) for s in comp] for comp in report.maximal_completions]
+        payload["maximal_completions"] = report.maximal_completions
     _emit(args, json.dumps(payload))
 
 

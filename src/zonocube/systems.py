@@ -193,16 +193,25 @@ def _bits(mask: int):
         yield v
 
 
+# the digits "0" and "1" as the bytes 0 and 1, which compress reads as false and true
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _relabel(adj: list[int], cand_mask: int, order: list[int]) -> list[int]:
-    """Adjacency of the subgraph induced on cand_mask, vertex order[i] as i."""
-    pos = {v: i for i, v in enumerate(order)}
-    return [sum(1 << pos[u] for u in _bits(adj[v] & cand_mask)) for v in order]
+    """Adjacency of the subgraph induced on cand_mask, vertex order[i] as i.
+    Each row is the sum of the new bits that its binary digits, lowest
+    first, pick out."""
+    bit = [0] * len(adj)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    return [sum(itertools.compress(bit, bin(adj[v] & cand_mask)[:1:-1].encode().translate(_DIGITS)))
+            for v in order]
 
 
 def _core_first(adj: list[int], cand_mask: int) -> list[int]:
-    """_relabel in reverse min-degree removal order (ties to the lowest
-    index): the high-core vertices get the low bits, which _beyond puts in
-    the early classes."""
+    """The vertices of cand_mask in reverse min-degree removal order (ties
+    to the lowest index): relabelled in this order, the high-core vertices
+    get the low bits, which _beyond puts in the early classes."""
     degree = {v: (adj[v] & cand_mask).bit_count() for v in _bits(cand_mask)}
     order = []
     left = cand_mask
@@ -213,7 +222,7 @@ def _core_first(adj: list[int], cand_mask: int) -> list[int]:
         for u in _bits(adj[v] & left):
             degree[u] -= 1
     order.reverse()
-    return _relabel(adj, cand_mask, order)
+    return order
 
 
 def _beyond(adj: list[int], mask: int, size: int) -> int:
@@ -248,17 +257,43 @@ def _count(adj: list[int], mask: int, size: int, limit: int) -> int:
     return found
 
 
-def _max_clique(adj: list[int], cand_mask: int) -> int:
+def _exists(adj: list[int], mask: int, size: int, orbits: list[int]) -> bool:
+    """Whether mask, the whole graph, holds a clique of the given size:
+    _count with limit 1, except that at the root, once the branch on v finds
+    none, all of orbits[v] leaves mask and the branch, not v alone.  No
+    clique of the size holds a vertex dropped before v, so none holds v
+    anywhere in the graph, and none holds an image of v under an
+    automorphism."""
+    branch = _beyond(adj, mask, size)
+    while branch:
+        v = branch.bit_length() - 1
+        if _count(adj, mask & adj[v], size - 1, 1):
+            return True
+        mask &= ~orbits[v]
+        branch &= ~orbits[v]
+    return False
+
+
+def _max_clique(adj: list[int], cand_mask: int, symmetries=()) -> int:
     """Largest clique size inside cand_mask, on the _core_first relabelling:
     a greedy clique that keeps taking the lowest common neighbour is a lower
-    bound, and the size goes one up while _count finds a clique one larger."""
-    adj = _core_first(adj, cand_mask)
+    bound, and the size goes one up while _exists finds a clique one larger.
+    symmetries are automorphisms of the graph induced on cand_mask, each a
+    list with p[v] the image of v (as _automorphisms gives them); a vertex's
+    orbit is its images under them, itself included."""
+    order = _core_first(adj, cand_mask)
+    pos = {v: i for i, v in enumerate(order)}
+    orbits = [1 << i for i in range(len(order))]
+    for p in symmetries:  # two maps may agree on a vertex, so the images are or-ed
+        for i, v in enumerate(order):
+            orbits[i] |= 1 << pos[p[v]]
+    adj = _relabel(adj, cand_mask, order)
     full = (1 << len(adj)) - 1
     best, common = 0, full
     while common:
         best += 1
         common &= adj[(common & -common).bit_length() - 1]
-    while _count(adj, full, best + 1, 1):
+    while _exists(adj, full, best + 1, orbits):
         best += 1
     return best
 
@@ -350,10 +385,29 @@ def _adjacency(codes, compatible) -> list[int]:
     return adj
 
 
-def _separation_graph(n: int, d: int, compatible):
-    """_split(n, d) with the bitmask adjacency of compatible among the codes in their place."""
-    peripheral, others, codes = _split(n, d)
-    return peripheral, others, _adjacency(codes, compatible)
+def _automorphisms(adj: list[int], codes, maps) -> list[list[int]]:
+    """The maps on codes that send codes onto codes and adj onto itself, as
+    vertex permutations (p[i] is the vertex coded maps(codes[i])); every
+    other map is dropped, so _max_clique prunes only by a verified one."""
+    index = {c: i for i, c in enumerate(codes)}
+    full = (1 << len(codes)) - 1
+    out = []
+    for f in maps:
+        p = [index.get(f(c)) for c in codes]
+        if None not in p and len(set(p)) == len(p) and _relabel(adj, full, p) == adj:
+            out.append(p)
+    return out
+
+
+def _reflections(n: int):
+    """The reversal i -> n+1-i, the complement x -> [n] - x and both, as maps
+    on the position codes of the subsets of [n]."""
+    full = (1 << n) - 1
+
+    def reverse(code: int) -> int:
+        return int(format(code, f"0{n}b")[::-1], 2)
+
+    return reverse, full.__xor__, lambda code: full ^ reverse(code)
 
 
 class ExtensionReport(NamedTuple):
@@ -381,8 +435,11 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     non-peripheral candidates; this collapses the interesting cases to a few
     dozen vertices.  complete mode looks for a completion reaching the
     C(n,<=d) maximum; certify-maximal enumerates the maximal-by-inclusion
-    completions and reports their sizes.  Refuses n above MAX_SEPARATION_N
-    with ScaleGuardError before building the graph.
+    completions and reports their sizes.  When several completions reach
+    the maximum, the two modes report different ones: complete the first
+    when each lists its sets by size, then lex, and certify-maximal the last
+    of maximal_completions, the lex-last as a sorted tuple of sets.  Refuses
+    n above MAX_SEPARATION_N with ScaleGuardError before building the graph.
     """
     if mode not in ("complete", "certify-maximal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -440,7 +497,9 @@ def weak_separation_suite(n: int, k: int) -> dict:
 
     Peripheral sets (for d = k+1) are k-separated with everything, hence
     always extend a weak system; the exact maximum is their count plus the
-    largest weak clique among the remaining sets.  Reports the maximum and
+    largest weak clique among the remaining sets.  That search drops a
+    refuted vertex together with its images under the reflections
+    (_reflections) that _automorphisms finds to keep the graph.  Reports the maximum and
     whether it meets the C(n,<=k+1) ceiling.  Refuses an n that is no
     integer >= 1, or a k that is no odd integer >= 1, with ValueError, and
     n above MAX_SEPARATION_N with ScaleGuardError before building the graph.
@@ -449,8 +508,9 @@ def weak_separation_suite(n: int, k: int) -> dict:
     _check_weak_k(k)
     _separation_scale_guard(n)
     bound = _vertex_count(n, k + 1)
-    peripheral, others, adj = _separation_graph(n, k + 1, lambda a, b: _weak(a, b, k))
-    best = _max_clique(adj, (1 << len(others)) - 1)
+    peripheral, _, codes = _split(n, k + 1)
+    adj = _adjacency(codes, lambda a, b: _weak(a, b, k))
+    best = _max_clique(adj, (1 << len(codes)) - 1, _automorphisms(adj, codes, _reflections(n)))
     maximum = len(peripheral) + best
     return {
         "n": n,

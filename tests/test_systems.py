@@ -16,6 +16,7 @@ import zonocube.systems
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import (
     Colors,
+    _weak,
     colorset,
     is_r_separated,
     is_weakly_k_separated,
@@ -47,12 +48,17 @@ from zonocube.systems import (
     ScaleGuardError,
     _check_dimensions,
     _beyond,
+    _adjacency,
+    _automorphisms,
     _check_separated,
     _count,
     _count_cliques,
+    _exists,
     _first_clique,
     _max_clique,
     _maximal_cliques,
+    _reflections,
+    _split,
     extension_search,
     from_consistent,
     from_order,
@@ -560,6 +566,52 @@ def test_count_stops_at_its_limit(monkeypatch):
     assert len(calls) == 7
 
 
+def is_automorphism(adj, perm):
+    return all(adj[perm[v]] == sum(1 << perm[u] for u in range(len(adj)) if adj[v] >> u & 1)
+               for v in range(len(adj)))
+
+
+# dense shapes, so that the largest cliques often hold a vertex and its image
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([(30, 0.3), (30, 0.5), (24, 0.7), (20, 0.85)]),
+       st.sampled_from([0.5, 1.0]), st.integers(0, 2**32 - 1), st.data())
+def test_max_clique_prunes_orbits_of_an_involution_exactly(shape, keep, seed, data):
+    most, density = shape
+    size = data.draw(st.integers(0, most), label="vertices")
+    rng = random.Random(seed)
+    perm = list(range(size))
+    moved = rng.sample(perm, 2 * rng.randint(0, size // 2))
+    for a, b in zip(moved[::2], moved[1::2]):
+        perm[a], perm[b] = b, a
+    adj, edge = [0] * size, {}
+    for i, j in itertools.combinations(range(size), 2):
+        orbit = frozenset({frozenset({i, j}), frozenset({perm[i], perm[j]})})
+        if edge.setdefault(orbit, rng.random() < density):  # one draw per edge orbit
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    assert is_automorphism(adj, perm)
+    kept = {u for v in range(size) if rng.random() < keep for u in (v, perm[v])}
+    cand = sum(1 << v for v in kept)
+    best = max_clique_oracle(adj, cand)
+    # listed twice, as is the identity, each image still counts once
+    for symmetries in ([perm], [perm, perm, list(range(size)), list(range(size))]):
+        assert _max_clique(adj, cand, symmetries) == best
+    orbits = [1 << v | 1 << perm[v] for v in range(size)]
+    assert [_exists(adj, cand, k, orbits) for k in range(1, best + 2)] == [True] * best + [False]
+
+
+def test_exists_prunes_orbits_at_the_root_only():
+    # two 4-cliques swapped by the involution: an orbit pruned below the
+    # root, where the mask is a neighbourhood that the involution moves,
+    # loses both of them
+    perm = [2, 5, 0, 7, 6, 1, 4, 3]
+    adj = [202, 105, 184, 87, 236, 150, 155, 117]
+    assert is_automorphism(adj, perm)
+    orbits = [1 << v | 1 << perm[v] for v in range(8)]
+    assert [_exists(adj, 255, k, orbits) for k in range(1, 6)] == [True] * 4 + [False]
+    assert _max_clique(adj, 255, [perm]) == 4
+
+
 def first_fit_classes(adj, mask):
     """The classes of the coloring that gives each vertex of mask, in
     increasing order, the first class holding none of its neighbours."""
@@ -826,6 +878,62 @@ def test_weak_suite_scale_guard():
             weak_separation_suite(n, 3)
 
 
+def weak_graph(n, k):
+    codes = _split(n, k + 1)[2]
+    return codes, _adjacency(codes, lambda a, b: _weak(a, b, k))
+
+
+def reversed_set(x, n):
+    return tuple(sorted(n + 1 - c for c in x))
+
+
+def complement_set(x, n):
+    return tuple(c for c in crange(n) if c not in x)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_reflections_are_weak_separation_automorphisms(k):
+    for n in range(1, 9):
+        codes, adj = weak_graph(n, k)
+        perms = _automorphisms(adj, codes, _reflections(n))
+        assert len(perms) == 3
+        for p in perms:
+            assert sorted(p) == list(range(len(codes)))
+            assert is_automorphism(adj, p)
+    # the same three maps on the sets themselves, by the public predicate
+    for n in range(1, 7):
+        subs = all_subsets(n)
+        for f in (reversed_set, complement_set, lambda x, n: reversed_set(complement_set(x, n), n)):
+            for x, y in itertools.combinations(subs, 2):
+                assert is_weakly_k_separated(f(x, n), f(y, n), k) == is_weakly_k_separated(x, y, k)
+
+
+def test_automorphisms_drops_a_rotation_and_every_map_on_a_flipped_edge():
+    def rotate(code):  # i -> i + 1 mod 7 on the colors
+        return (code << 1 | code >> 6) & 0b1111111
+
+    codes, adj = weak_graph(7, 1)
+    assert _automorphisms(adj, codes, [rotate]) == []
+    # on all subsets of [7] the rotation maps the codes onto the codes, and
+    # still not the graph onto itself
+    every = list(range(1 << 7))
+    assert _automorphisms(_adjacency(every, lambda a, b: _weak(a, b, 1)), every, [rotate]) == []
+    for n, k in [(7, 1), (7, 3), (8, 5)]:
+        codes, adj = weak_graph(n, k)
+        perms = _automorphisms(adj, codes, _reflections(n))
+        # an edge that no map sends to itself: flipped, it breaks each of them
+        j = next(j for j in range(1, len(codes)) if all({p[0], p[j]} != {0, j} for p in perms))
+        adj[0] ^= 1 << j
+        adj[j] ^= 1
+        assert _automorphisms(adj, codes, _reflections(n)) == []
+
+
+def test_weak_suite_answers_as_the_unpruned_search(monkeypatch):
+    pruned = {(n, k): weak_separation_suite(n, k) for n in range(1, 8) for k in (1, 3, 5)}
+    monkeypatch.setattr(zonocube.systems, "_automorphisms", lambda *args: [])
+    assert pruned == {(n, k): weak_separation_suite(n, k) for n in range(1, 8) for k in (1, 3, 5)}
+
+
 # ------------------------------------------------------------ prop 19 style
 
 def test_nested_membrane_spectra_union_separated():
@@ -847,7 +955,7 @@ def test_nested_membrane_spectra_union_separated():
 # ------------------------------------------------ opt-in slow pins
 
 slow = pytest.mark.skipif(os.environ.get("ZONOCUBE_SLOW") != "1",
-                          reason="about 40 s; set ZONOCUBE_SLOW=1 to run")
+                          reason="about 6-12 s each; set ZONOCUBE_SLOW=1 to run")
 
 
 @slow
