@@ -16,7 +16,7 @@ from .colors import colorset  # noqa: F401
 from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, ScaleGuardError
 from .cubillage import _check_dimensions, _closure, _vertex_count
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume
-from .masks import _cubillage_of_mask, _roots_of_mask, _steps
+from .masks import _cubillage_of_mask, _steps, _walk
 from .order import find_flips  # noqa: F401
 from .systems import _adjacency, _count_cliques, _separation_scale_guard, _split
 
@@ -62,14 +62,14 @@ def enumerate_cubillages(n: int, d: int, max_states: int = MAX_STATES) -> tuple[
     The consistent inversion masks come from the raising-flip search _masks,
     which refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
     count passes max_states.  They are sorted canonically by their roots in
-    type order: every cubillage of Z(n,d) has the same types, so that tuple
-    orders as Cubillage.key does.  Each cubillage is then built once, from
-    the roots, by the root rule.
+    type order, which masks._walk carries along the search's raising steps:
+    every cubillage of Z(n,d) has the same types, so that tuple orders as
+    Cubillage.key does.  Each cubillage is then built once, from the roots.
     """
-    masks = _masks(n, d, max_states)
-    colors, memo = tuple(range(1, n + 1)), {}
-    ranked = sorted((_roots_of_mask(colors, d, inv, memo), inv) for inv in masks)
-    return tuple(_cubillage_of_mask(colors, d, inv, roots) for roots, inv in ranked)
+    roots = _walk(n, d, _masks(n, d, max_states))
+    colors = tuple(range(1, n + 1))
+    return tuple(_cubillage_of_mask(colors, d, inv, roots[inv])
+                 for inv in sorted(roots, key=roots.__getitem__))
 
 
 def separated_system_count(n: int, d: int) -> int:
@@ -109,9 +109,8 @@ class BruhatPoset:
     def __init__(self, n: int, d: int, steps: dict[int, int]):
         self.n = n
         self.d = d
-        colors, memo = tuple(range(1, n + 1)), {}
-        self.masks = tuple(sorted(steps, key=lambda inv: (inv.bit_count(),
-                                                           _roots_of_mask(colors, d, inv, memo))))
+        roots = _walk(n, d, steps)
+        self.masks = tuple(sorted(steps, key=lambda inv: (inv.bit_count(), roots[inv])))
         self.ranks = tuple(inv.bit_count() for inv in self.masks)
         index = {inv: i for i, inv in enumerate(self.masks)}
         covers = []
@@ -125,9 +124,11 @@ class BruhatPoset:
 
     @functools.cached_property
     def elements(self) -> tuple[Cubillage, ...]:
-        colors, d, memo = tuple(range(1, self.n + 1)), self.d, {}
-        return tuple(_cubillage_of_mask(colors, d, inv, _roots_of_mask(colors, d, inv, memo))
-                     for inv in self.masks)
+        masks, steps = self.masks, dict.fromkeys(self.masks, 0)
+        for i, j in self.covers:  # masks in rank order: the walk meets a parent first
+            steps[masks[i]] |= masks[j] ^ masks[i]
+        roots, colors = _walk(self.n, self.d, steps), tuple(range(1, self.n + 1))
+        return tuple(_cubillage_of_mask(colors, self.d, inv, roots[inv]) for inv in masks)
 
     @functools.cached_property
     def _up(self) -> dict[int, int]:

@@ -28,7 +28,7 @@ def colorset(items) -> Colors:
     cs = tuple(sorted(items))
     if not {int}.issuperset(map(type, cs)):
         raise ValueError(f"colors must be integers, got {cs}")
-    if any(b <= a for a, b in zip(cs, cs[1:])):
+    if len(set(cs)) != len(cs):  # past the int check, sorted ints fail b > a only on a repeat
         raise ValueError(f"duplicate colors in {cs}")
     if cs and cs[0] < 1:
         raise ValueError(f"colors must be positive integers, got {cs}")

@@ -16,7 +16,11 @@ alone, except in the body of expand, which reads the natural order.
 All values are immutable; operations return fresh objects.  Color sets are
 canonicalized and d checked where they enter: Cubillage(...), from_json, and
 public functions (root_of, expand, ...).  Internal builders pass canonical
-tuples and a checked d to Cubillage._trusted and read _root_by_type directly.
+tuples and a checked d and read _root_by_type directly: those that list
+(root, type) pairs go through Cubillage._trusted, which checks only for a
+repeated type, while mask reads and flips hand Cubillage._adopt a finished
+type -> root dict that the instance adopts (a flip copies its input's and
+patches d+1 roots).  Every build passes through Cubillage._fill.
 """
 
 from __future__ import annotations
@@ -91,25 +95,27 @@ class Cubillage:
 
     def __init__(self, colors, d: int, cubes):
         _check_dimension(d)
-        self._fill(colorset(colors), d, ((colorset(root), colorset(typ)) for root, typ in cubes))
+        self._fill(colorset(colors), d,
+                   _root_map((colorset(root), colorset(typ)) for root, typ in cubes))
 
     @classmethod
     def _trusted(cls, colors: Colors, d: int, cubes) -> "Cubillage":
         """Construction from canonical colors and (root, type) tuples built
         inside the package: only duplicate types are checked."""
+        return cls._adopt(colors, d, _root_map(cubes))
+
+    @classmethod
+    def _adopt(cls, colors: Colors, d: int, root_by_type: dict[Colors, Colors]) -> "Cubillage":
+        """Construction around a finished type -> root dict built inside the
+        package, its types distinct by construction; the instance owns it."""
         q = cls.__new__(cls)
-        q._fill(colors, d, cubes)
+        q._fill(colors, d, root_by_type)
         return q
 
-    def _fill(self, colors: Colors, d: int, cubes):
+    def _fill(self, colors: Colors, d: int, root_by_type: dict[Colors, Colors]):
         self.colors = colors
         self.d = d
-        by_type = {}
-        for root, typ in cubes:
-            if typ in by_type:
-                raise ValueError(f"duplicate cube type {typ}")
-            by_type[typ] = root
-        self._root_by_type = by_type
+        self._root_by_type = root_by_type
         self._cache = {}
 
     @property
@@ -167,6 +173,16 @@ class Cubillage:
     def from_json(cls, text: str) -> "Cubillage":
         data = json.loads(text)
         return cls(data["colors"], data["d"], [(c["root"], c["type"]) for c in data["cubes"]])
+
+
+def _root_map(cubes) -> dict[Colors, Colors]:
+    """The type -> root dict of (root, type) pairs; ValueError on a repeated type."""
+    by_type = {}
+    for root, typ in cubes:
+        if typ in by_type:
+            raise ValueError(f"duplicate cube type {typ}")
+        by_type[typ] = root
+    return by_type
 
 
 def _colors_of(faces) -> Colors:

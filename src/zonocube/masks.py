@@ -1,14 +1,20 @@
 """Inversion masks: a cubillage of Z(n,d) as a bitmask over the (d+1)-subsets
 of its colors, which fixes it, the packet table behind consistency, flips
-and enumeration, the root rule of cubillages and their membranes, the
-tunnel chains of the natural order, and the lift rule of the canonical extension
-(Manin-Schechtman 1989; Ziegler, Topology 1993).  The one module that knows
-the bit numbers of the (d+1)-subsets and the flag strings: its functions
-take and give colored sets.  Tables are cached per (n, d), index colors by
-position and hold bit numbers, never masks, so they stay linear in the
-number of packets; a mask is read through its flags, the string with bit k
-at index k.  Vertex sets, the one kind of color set it codes, go through
-the package's one position coder, colors._encode.
+and enumeration, the root rule of cubillages and their membranes, the flip
+rule on root tables (a flip of the parent K changes only the d+1 roots of
+the types K - {c}, c in K), the tunnel chains of the natural order, and the
+lift rule of the canonical extension (Manin-Schechtman 1989; Ziegler,
+Topology 1993).  The flip rule is written once, in _flip: apply_flip
+patches a copy of its input's table with it, and _walk carries the roots
+of every mask of an enumeration along its raising steps, one parent's
+roots copied and d+1 patched per mask, so no mask's roots are read
+again.  The one module that knows the bit numbers of the (d+1)-subsets
+and the flag strings: its functions take and give colored sets.  Tables
+are cached per (n, d), index colors by position and hold bit numbers,
+never masks, so they stay linear in the number of packets; a mask is read
+through its flags, the string with bit k at index k.  Vertex sets, the one
+kind of color set it codes, go through the package's one position coder,
+colors._encode.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import itertools
 import operator
 from math import comb
 
-from .colors import Colors, _encode, _positions, add, is_even, subsets, union
+from .colors import Colors, _encode, _positions, add, is_even, minus, subsets, union
 from .cubillage import Cubillage, CubillageError
 
 
@@ -109,55 +115,97 @@ def _toggle(colors: Colors, d: int, inv: int, parent: Colors) -> int | None:
 def _root_rows(n: int, d: int) -> tuple:
     """The root rule of Z(n,d): c outside a type T is in root(T) exactly
     when (T ∪ {c} is an inversion) == is_even(c, T).  Per type in lex order,
-    a getter of the flags of the bits T ∪ {c} (from a flags string) and per
-    such c the triple (index of c among the n, bit of T ∪ {c}, flag that
-    puts c in root(T))."""
-    bit, rows = _bits(n, d), []
-    for t in subsets(range(1, n + 1), d):
-        row = tuple((c - 1, bit[add(t, c)], "01"[is_even(c, t)])
-                    for c in range(1, n + 1) if c not in t)
-        # with no color outside T (n = d) the getter reads "" as its memo key
-        get = operator.itemgetter(*(k for _, k, _ in row)) if row else operator.itemgetter(slice(0))
-        rows.append((get, row))
-    return tuple(rows)
+    per such c the triple (index of c among the n, bit of T ∪ {c}, flag
+    that puts c in root(T))."""
+    bit = _bits(n, d)
+    return tuple(tuple((c - 1, bit[add(t, c)], "01"[is_even(c, t)])
+                       for c in range(1, n + 1) if c not in t)
+                 for t in subsets(range(1, n + 1), d))
 
 
-def _cubes(colors: Colors, d: int, inv: int, roots=None) -> list[tuple[Colors, Colors]]:
-    """(root, type) of every cube of the cubillage of Z(colors,d) with the
-    consistent inversion mask inv, types in lex order, by the root rule
-    unless its roots are given (as _roots_of_mask reads them).  Also at
-    d = 0, for the plates of a membrane of Z(colors,1): the one point,
-    rooted at the colors of the members of inv."""
+def _types(colors: Colors, d: int):
+    """The d-subsets of the colors in lex order; on the colors 1..n the keys
+    of _bits(n, d - 1), shared by every call."""
     n = len(colors)
-    if roots is None:
-        flags = _flags(inv, comb(n, d + 1))
-        roots = [tuple([colors[i] for i, k, flag in row if flags[k] == flag])
-                 for _, row in _root_rows(n, d)]
-    # on the colors 1..n the types are the keys of _bits(n, d - 1), shared by every call
-    return list(zip(roots, _bits(n, d - 1) if colors[-1:] == (n,) else subsets(colors, d)))
+    return _bits(n, d - 1) if colors[-1:] == (n,) else subsets(colors, d)
 
 
-def _roots_of_mask(colors: Colors, d: int, inv: int, memo: dict) -> tuple[Colors, ...]:
-    """The roots of the cubillage of Z(colors,d) with the consistent
-    inversion mask inv, in type order.  memo maps the flags a row reads to
-    the root they give; one memo serves many masks of one Z(colors,d), and
-    the caller drops it with them.  On a single mask _cubes reads faster."""
+def _roots(colors: Colors, d: int, inv: int) -> list[Colors]:
+    """The roots, in type order, of the cubillage of Z(colors,d) with the
+    consistent inversion mask inv, by the root rule."""
     flags = _flags(inv, comb(len(colors), d + 1))
-    out = []
-    for get, row in _root_rows(len(colors), d):
-        pattern = get(flags)
-        root = memo.get((get, pattern))
-        if root is None:
-            root = memo[get, pattern] = tuple([colors[i] for i, k, flag in row if flags[k] == flag])
-        out.append(root)
-    return tuple(out)
+    return [tuple([colors[i] for i, k, flag in row if flags[k] == flag])
+            for row in _root_rows(len(colors), d)]
 
 
-def _cubillage_of_mask(colors: Colors, d: int, inv: int,
-                       roots: tuple[Colors, ...] | None = None) -> Cubillage:
+def _cubes(colors: Colors, d: int, inv: int) -> list[tuple[Colors, Colors]]:
+    """(root, type) of every cube of the cubillage of Z(colors,d) with the
+    consistent inversion mask inv, types in lex order, by the root rule.
+    Also at d = 0, for the plates of a membrane of Z(colors,1): the one
+    point, rooted at the colors of the members of inv."""
+    return list(zip(_roots(colors, d, inv), _types(colors, d)))
+
+
+def _toggled(root: Colors, c: int) -> Colors:
+    return minus(root, (c,)) if c in root else add(root, c)
+
+
+def _flip(roots, pairs, toggled=_toggled) -> None:
+    """The flip rule on a root table, in place: toggling a parent K in the
+    inversion set toggles c in the root of the type K - {c}, for each c in
+    K, and changes no other root.  pairs lists (key of K - {c} in roots, c)
+    per c in K; toggled(root, c) is the root with c toggled."""
+    for t, c in pairs:
+        roots[t] = toggled(roots[t], c)
+
+
+@functools.lru_cache(maxsize=None)
+def _flip_rows(n: int, d: int) -> tuple:
+    """Per bit of an inversion mask of Z(n,d), standing for the (d+1)-subset
+    K, the pairs of _flip on roots in type order: (lex number of the type
+    K - {c}, c) per c in K."""
+    number = _bits(n, d - 1)
+    return tuple(tuple((number[minus(k, (c,))], c) for c in k) for k in _bits(n, d))
+
+
+def _walk(n: int, d: int, steps: dict[int, int]) -> dict[int, tuple[Colors, ...]]:
+    """The roots in type order of the cubillage of every mask of Z(n,d) in
+    steps, which maps each mask to its raising steps (the bits whose
+    addition keeps it consistent) and lists every mask after one that
+    reaches it by such a step, the empty mask first, as bruhat._masks gives
+    them.  The empty mask's roots come by the root rule; every other mask
+    copies the roots of the first mask listed that reaches it and patches
+    the d+1 roots of the flip (_flip).  Equal roots are one tuple object, so
+    comparing root tuples meets an equal root as the same object."""
+    rows, interned, toggled = _flip_rows(n, d), {}, {}
+
+    def toggle(root: Colors, c: int) -> Colors:
+        new = toggled.get((root, c))
+        if new is None:
+            new = _toggled(root, c)
+            new = toggled[root, c] = interned.setdefault(new, new)
+        return new
+
+    out = {0: tuple(interned.setdefault(r, r) for r in _roots(tuple(range(1, n + 1)), d, 0))}
+    for inv, up in steps.items():
+        here = out[inv]
+        while up:
+            b = up & -up
+            up ^= b
+            if inv | b not in out:
+                roots = list(here)
+                _flip(roots, rows[b.bit_length() - 1], toggle)
+                out[inv | b] = tuple(roots)
+    return out
+
+
+def _cubillage_of_mask(colors: Colors, d: int, inv: int, roots=None) -> Cubillage:
     """The cubillage of Z(colors,d) with the given consistent inversion
-    mask; roots, when given, are its _roots_of_mask."""
-    q = Cubillage._trusted(colors, d, _cubes(colors, d, inv, roots))
+    mask; roots, when given, are its roots in type order (as _walk gives
+    them), else the root rule reads them."""
+    if roots is None:
+        roots = _roots(colors, d, inv)
+    q = Cubillage._adopt(colors, d, dict(zip(_types(colors, d), roots)))
     q._cache["mask"] = inv
     return q
 

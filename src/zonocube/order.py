@@ -19,6 +19,7 @@ from .cubillage import Cubillage, CubillageError, Facet, _closure, _spectra, bou
 from .masks import (
     _cubes,
     _cubillage_of_mask,
+    _flip,
     _lift,
     _mask,
     _mask_of,
@@ -254,10 +255,8 @@ def apply_flip(q: Cubillage, parent) -> Cubillage:
     if toggled is None:
         raise ValueError(f"parent {parent} is not flippable")
     roots = dict(q._root_by_type)
-    for c in parent:
-        t = minus(parent, (c,))
-        roots[t] = minus(roots[t], (c,)) if c in roots[t] else add(roots[t], c)
-    flipped = Cubillage._trusted(q.colors, q.d, ((r, t) for t, r in roots.items()))
+    _flip(roots, [(minus(parent, (c,)), c) for c in parent])
+    flipped = Cubillage._adopt(q.colors, q.d, roots)
     flipped._cache["mask"] = toggled
     return flipped
 

@@ -33,7 +33,7 @@ from zonocube.cubillage import (
     standard,
     validate,
 )
-from zonocube.masks import _bits, _cubillage_of_mask, _mask_of, _roots_of_mask, _steps
+from zonocube.masks import _bits, _cubes, _cubillage_of_mask, _mask_of, _steps
 from zonocube.order import apply_flip, find_flips
 from zonocube.systems import (
     extension_search,
@@ -304,8 +304,7 @@ def test_root_tuple_orders_as_the_canonical_key(nd, data):
     first, second = raising_walk(n, d, data, "first"), raising_walk(n, d, data, "second")
     flips = [p for p, _ in find_flips(first)]
     qs = (first, second, apply_flip(first, data.draw(st.sampled_from(flips), label="flip")))
-    memo = {}
-    roots = [_roots_of_mask(crange(n), d, _mask_of(q), memo) for q in qs]
+    roots = [tuple(r for r, _ in _cubes(crange(n), d, _mask_of(q))) for q in qs]
     for q, r in zip(qs, roots):
         assert q.key() == (crange(n), d, tuple(zip(subsets(crange(n), d), r)))
     for (a, ra), (b, rb) in itertools.combinations(zip(qs, roots), 2):

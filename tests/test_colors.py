@@ -2,7 +2,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zonocube.colors import (
     SetSystem,
@@ -357,3 +357,34 @@ def test_colorset_rejects_bad_input():
     for items in ((1.0,), (1.5, 2), (True, 2), (False,), ("1",)):
         with pytest.raises(ValueError, match="colors must be integers"):
             colorset(items)
+
+
+def colorset_pairwise(items):
+    """colorset as it was, with its duplicates found by a pairwise scan."""
+    cs = tuple(sorted(items))
+    if not {int}.issuperset(map(type, cs)):
+        raise ValueError(f"colors must be integers, got {cs}")
+    if any(b <= a for a, b in zip(cs, cs[1:])):
+        raise ValueError(f"duplicate colors in {cs}")
+    if cs and cs[0] < 1:
+        raise ValueError(f"colors must be positive integers, got {cs}")
+    return cs
+
+
+def answer(f, items):
+    try:
+        return f(items)
+    except Exception as exc:  # the exception is the answer compared
+        return type(exc), str(exc)
+
+
+# mostly small ints, so that repeats, 0 and negatives are common
+mixed_colors = st.lists(st.one_of(st.integers(-2, 6), st.integers(-2, 6), st.integers(-2, 6),
+                                  st.booleans(), st.floats(-2, 6), st.text(max_size=1)),
+                        max_size=8)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(mixed_colors)
+def test_colorset_answers_as_the_pairwise_scan(items):
+    assert answer(colorset, items) == answer(colorset_pairwise, items)

@@ -1,4 +1,5 @@
-"""The validity certificate of the inversion masks against validate()."""
+"""The validity certificate of the inversion masks against validate(), and the
+root tables that the flip search carries and that flips patch."""
 
 import io
 import itertools
@@ -8,11 +9,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from zonocube.bruhat import enumerate_cubillages
+from zonocube.bruhat import MAX_STATES, BruhatPoset, _masks, enumerate_cubillages
 from zonocube.cli import main
 from zonocube.colors import subsets
 from zonocube.cubillage import Cubillage, CubillageError, antistandard, standard, validate
-from zonocube.masks import _mask_of, _restrictions
+from zonocube.masks import _cubes, _cubillage_of_mask, _mask, _mask_of, _restrictions, _walk
 from zonocube.order import apply_flip, find_flips
 
 
@@ -126,3 +127,43 @@ def test_restrictions_match_the_extreme_cubillages():
     for d in range(1, 7):
         for n in range(d + 1, 11):
             assert _restrictions(n, d) == restrictions_oracle(n, d), (n, d)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)],
+                         ids=lambda nd: str(nd))
+def test_walk_gives_every_mask_the_roots_of_the_root_rule(n, d):
+    colors, steps = tuple(range(1, n + 1)), _masks(n, d, MAX_STATES)
+    roots = _walk(n, d, steps)
+    assert roots.keys() == steps.keys()
+    for inv, got in roots.items():
+        assert list(got) == [root for root, _ in _cubes(colors, d, inv)], inv
+    # the poset's elements come from the same walk over its covers
+    poset, types = BruhatPoset(n, d, steps), tuple(subsets(colors, d))
+    assert [tuple(q._root_by_type.items()) for q in poset.elements] == [
+        tuple(zip(types, roots[inv])) for inv in poset.masks]
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (7, 3), (8, 5)])
+def test_walk_interns_equal_roots(n, d):
+    roots = [r for rs in _walk(n, d, _masks(n, d, MAX_STATES)).values() for r in rs]
+    assert len({id(r) for r in roots}) == len(set(roots))
+
+
+@pytest.mark.parametrize("colors,d", [(range(1, 9), 3), (range(1, 10), 4),
+                                      ((2, 4, 5, 7, 9, 11), 3)], ids=["Z8_3", "Z9_4", "C6_3"])
+def test_apply_flip_patches_a_copy_of_its_input_table(colors, d):
+    rng = random.Random(len(colors) * 10 + d)
+    colors = tuple(colors)
+    q = standard(colors, d)
+    for _ in range(30):
+        flips = find_flips(q)
+        table, cache, inv = dict(q._root_by_type), dict(q._cache), _mask_of(q)
+        for parent, _ in flips:
+            flipped = apply_flip(q, parent)
+            assert q._root_by_type == table and q._cache == cache
+            assert flipped._root_by_type is not q._root_by_type
+            assert flipped == _cubillage_of_mask(colors, d, inv ^ _mask(colors, d, parent.__eq__))
+        raising = [p for p, direction in flips if direction == "raising"]
+        if not raising:
+            break
+        q = apply_flip(q, rng.choice(raising))
