@@ -129,8 +129,7 @@ def test_restrictions_match_the_extreme_cubillages():
             assert _restrictions(n, d) == restrictions_oracle(n, d), (n, d)
 
 
-@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)],
-                         ids=lambda nd: str(nd))
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)])
 def test_walk_gives_every_mask_the_roots_of_the_root_rule(n, d):
     colors, steps = tuple(range(1, n + 1)), _masks(n, d, MAX_STATES)
     roots = _walk(n, d, steps)
