@@ -1,5 +1,6 @@
 """Higher Bruhat enumeration over inversion-set bitmasks, the higher Bruhat
-poset, and the slice map from cubillages to cyclic-polytope triangulations."""
+poset, and the slice map from cubillages to cyclic-polytope triangulations,
+checked onto against a bistellar-flip search of those triangulations."""
 
 from __future__ import annotations
 
@@ -9,14 +10,14 @@ import json
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, _blocks
+from .colors import Colors, _blocks, is_even, minus, subsets
 # unused here, but bench/test_bench.py reaches them as bruhat.colorset and
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
 from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, ScaleGuardError
 from .cubillage import _check_dimensions, _closure, _vertex_count
-from .geom import Realization, cyclic_polytope_volume, triangulation_volume
-from .masks import _cubillage_of_mask, _steps, _walk
+from .geom import Realization, cyclic_polytope_volume, triangulation_volume, volume_check
+from .masks import _cubillage_of_mask, _steps, _types, _walk
 from .order import find_flips  # noqa: F401
 from .systems import _adjacency, _count_cliques, _separation_scale_guard, _split
 
@@ -241,49 +242,48 @@ def triangulation_shape_ok(t: Triangulation) -> bool:
     raise ValueError("shape checks only cover d = 2 and d = 3")
 
 
-def segment_subdivisions(n: int) -> set[tuple[Colors, ...]]:
-    """All triangulations for d = 2: chains over any subset of inner points."""
-    inner = range(2, n)
-    out = set()
-    for k in range(n - 1):
-        for chosen in itertools.combinations(inner, k):
-            stops = (1,) + chosen + (n,)
-            out.add(tuple((stops[i], stops[i + 1]) for i in range(len(stops) - 1)))
-    return out
-
-
-def _polygon(lo: int, hi: int) -> list[tuple[Colors, ...]]:
-    """The triangulations of the polygon on vertices lo..hi, as sorted tuples."""
-    if hi - lo < 2:
-        return [()]
-    out = []
-    for mid in range(lo + 1, hi):
-        for left in _polygon(lo, mid):
-            for right in _polygon(mid, hi):
-                out.append(tuple(sorted(left + ((lo, mid, hi),) + right)))
-    return out
-
-
-def polygon_triangulations(n: int) -> set[tuple[Colors, ...]]:
-    """All triangulations of the convex polygon on vertices 1..n (d = 3)."""
-    return set(_polygon(1, n))
+def _triangulations(n: int, d: int, max_states: int) -> set[tuple[Colors, ...]]:
+    """The triangulations of the cyclic polytope C(n,d-1), as sorted tuples
+    of d-subsets of [n], by bistellar flips from the slice of the standard
+    cubillage: the d-subsets T with an even number of members of T above
+    each color outside T.  Reads no mask and no cubillage.  A circuit, a
+    (d+1)-subset Z = {z_1 < ... < z_{d+1}}, spans the polytope, so a
+    triangulation holding one side {Z - z_i : i odd} or {Z - z_i : i even}
+    flips to the other with no link to check; the flip graph is connected
+    (Rambau 1997).  Refuses when the state count passes max_states."""
+    colors = range(1, n + 1)
+    circuits = [[minus(z, (c,)) for c in z] for z in subsets(colors, d + 1)]
+    sides = [(frozenset(f[i::2]), frozenset(f[1 - i::2])) for f in circuits for i in (0, 1)]
+    start = frozenset(t for t in subsets(colors, d)
+                      if all(is_even(c, t) for c in colors if c not in t))
+    found, todo = {start}, [start]
+    while todo:
+        tri = todo.pop()
+        for flipped in ((tri - side) | other for side, other in sides if side <= tri):
+            if flipped not in found:
+                found.add(flipped)
+                todo.append(flipped)
+                if len(found) > max_states:
+                    raise ScaleGuardError(f"state count passed the cap {max_states}")
+    return {tuple(sorted(tri)) for tri in found}
 
 
 def sec_surjectivity_experiment(n: int, d: int, max_states: int = MAX_STATES) -> dict:
-    """Compare the image of sec over all cubillages with the independently
-    enumerated triangulations; exact for d <= 3, image size only beyond."""
-    image = {tuple(sec(q).simplices) for q in enumerate_cubillages(n, d, max_states)}
-    report = {"n": n, "d": d, "image_size": len(image)}
-    if d == 2:
-        universe = segment_subdivisions(n)
-    elif d == 3:
-        universe = polygon_triangulations(n)
-    else:
-        report["mode"] = "image_only"
-        return report
-    report["mode"] = "exact"
-    report["total"] = len(universe)
-    report["missed"] = sorted(universe - image)
-    report["surjective"] = not report["missed"]
-    assert image <= universe
-    return report
+    """Compare the image of sec over all cubillages of Z(n,d) with every
+    triangulation of C(n,d-1), exactly at every d.  The image is read off
+    the roots masks._walk carries (a simplex is a type with an empty root),
+    so no cubillage is built; the universe comes from _triangulations, each
+    member certified once by the volume identity.  Refuses as _masks does;
+    raises CubillageError on a failed certificate or a slice outside the
+    universe."""
+    colors = tuple(range(1, n + 1))
+    image = {tuple(t for t, root in zip(_types(colors, d), roots) if not root)
+             for roots in _walk(n, d, _masks(n, d, max_states)).values()}
+    universe, realization = _triangulations(n, d, max_states), Realization(colors, d)
+    if not all(volume_check(Triangulation(colors, d, t), realization) for t in universe):
+        raise CubillageError("a triangulation of the flip search fails the volume identity")
+    if not image <= universe:
+        raise CubillageError(f"{len(image - universe)} slices are missing from the flip search")
+    missed = sorted(universe - image)
+    return {"n": n, "d": d, "image_size": len(image), "mode": "exact",
+            "total": len(universe), "missed": missed, "surjective": not missed}

@@ -8,10 +8,11 @@ import itertools
 from contextlib import contextmanager
 from math import comb
 
+from triangulation_oracles import polygon_triangulations
+
 from zonocube.bruhat import (
     bruhat_poset,
     enumerate_cubillages,
-    polygon_triangulations,
     sec,
     sec_surjectivity_experiment,
     separated_system_count,

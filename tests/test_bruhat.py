@@ -1,20 +1,22 @@
 import functools
 import itertools
+import os
 import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from triangulation_oracles import polygon_triangulations, segment_subdivisions
 
 import zonocube.bruhat
 from zonocube.bruhat import (
+    MAX_STATES,
     ScaleGuardError,
+    _triangulations,
     bruhat_poset,
     enumerate_cubillages,
-    polygon_triangulations,
     sec,
     sec_surjectivity_experiment,
-    segment_subdivisions,
     separated_system_count,
     triangulation_shape_ok,
 )
@@ -33,7 +35,7 @@ from zonocube.cubillage import (
     standard,
     validate,
 )
-from zonocube.masks import _bits, _cubes, _cubillage_of_mask, _mask_of, _steps
+from zonocube.masks import _bits, _cubes, _cubillage_of_mask, _mask_of, _steps, _walk
 from zonocube.order import apply_flip, find_flips
 from zonocube.systems import (
     extension_search,
@@ -436,5 +438,93 @@ def test_surjectivity_experiments():
     r52 = sec_surjectivity_experiment(5, 2)
     assert r52["surjective"] and r52["total"] == 8
     r54 = sec_surjectivity_experiment(5, 4)
-    assert r54["mode"] == "image_only"
-    assert r54["image_size"] >= 1
+    assert r54["mode"] == "exact"
+    assert r54["surjective"] and r54["total"] == r54["image_size"] == 2
+
+
+@pytest.mark.parametrize("n,d,total", [
+    (6, 1, 6), (6, 4, 6), (7, 4, 25), (7, 5, 7), (8, 5, 40), (8, 6, 8), (9, 7, 9)])
+def test_surjectivity_is_exact_at_d1_and_past_d3(n, d, total):
+    report = sec_surjectivity_experiment(n, d)
+    assert list(report) == ["n", "d", "image_size", "mode", "total", "missed", "surjective"]
+    assert report["mode"] == "exact" and report["surjective"] and report["missed"] == []
+    assert report["total"] == report["image_size"] == total
+
+
+def test_surjectivity_builds_no_cubillage_and_certifies_each_triangulation_once(monkeypatch):
+    built, certified = [], []
+    fill, check = Cubillage._fill, zonocube.bruhat.volume_check
+    monkeypatch.setattr(Cubillage, "_fill", lambda q, *args: built.append(q) or fill(q, *args))
+    monkeypatch.setattr(zonocube.bruhat, "volume_check",
+                        lambda t, *args: certified.append(t.simplices) or check(t, *args))
+    assert sec_surjectivity_experiment(6, 3)["total"] == 14
+    assert built == [] and len(certified) == len(set(certified)) == 14
+
+
+def test_surjectivity_refuses_a_triangulation_that_fails_its_certificate(monkeypatch):
+    search = zonocube.bruhat._triangulations
+    monkeypatch.setattr(zonocube.bruhat, "_triangulations",
+                        lambda *args: search(*args) | {((1, 2, 3),)})
+    with pytest.raises(CubillageError, match="fails the volume identity"):
+        sec_surjectivity_experiment(5, 3)
+
+
+def test_flip_search_matches_the_segment_and_polygon_oracles():
+    for n in range(2, 11):
+        assert _triangulations(n, 2, MAX_STATES) == segment_subdivisions(n)
+    for n in range(3, 11):
+        assert _triangulations(n, 3, MAX_STATES) == polygon_triangulations(n)
+
+
+def test_flip_search_holds_the_standard_and_antistandard_slices():
+    for n in range(6, 10):
+        for d in range(2, min(n, 6) + 1):
+            universe = _triangulations(n, d, MAX_STATES)
+            for q in (standard(crange(n), d), antistandard(crange(n), d)):
+                assert sec(q).simplices in universe
+
+
+def test_flip_search_refuses_past_its_state_cap():
+    assert len(_triangulations(7, 3, 42)) == 42
+    with pytest.raises(ScaleGuardError, match="state count passed the cap 41"):
+        _triangulations(7, 3, 41)
+
+
+def slice_moves(n, d):
+    """(changed, unchanged): the raising covers inv -> inv | bit(K) of B(n,d)
+    that move the slice and those that keep it.  Each move is the circuit
+    flip on K, asserted here: the side of K holding K - max K leaves and
+    the other side comes in."""
+    steps = zonocube.bruhat._masks(n, d, MAX_STATES)
+    roots = _walk(n, d, steps)
+    slices = {inv: frozenset(t for t, r in zip(_bits(n, d - 1), rs) if not r)
+              for inv, rs in roots.items()}
+    parents, changed, unchanged = list(_bits(n, d)), 0, 0
+    for inv, up in steps.items():
+        while up:
+            b = up & -up
+            up ^= b
+            parent = parents[b.bit_length() - 1]
+            before, after = slices[inv], slices[inv | b]
+            if before == after:
+                unchanged += 1
+                continue
+            faces = [tuple(c for c in parent if c != z) for z in parent]
+            leaving = frozenset(faces[::-1][::2])
+            assert leaving <= before and after == (before - leaving) | (frozenset(faces) - leaving)
+            changed += 1
+    return changed, unchanged
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7) for d in range(1, n + 1)]
+                         + [(7, 3), (7, 4), (7, 5), (8, 5)])
+def test_raising_covers_keep_the_slice_or_flip_it_on_their_circuit(n, d):
+    changed, _ = slice_moves(n, d)
+    assert changed >= (n > d)
+
+
+@pytest.mark.skipif(os.environ.get("ZONOCUBE_SLOW") != "1",
+                    reason="about 1-4 s each; set ZONOCUBE_SLOW=1 to run")
+@pytest.mark.parametrize("n,d,moves", [(7, 2, (11425, 68935)), (8, 4, (55456, 233952))])
+def test_slow_pin_raising_covers_flip_the_slice_on_their_circuit(n, d, moves):
+    assert slice_moves(n, d) == moves

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from zonocube import apply_flip, cli, find_flips, order_of
+from zonocube import apply_flip, bruhat, cli, find_flips, order_of
 from zonocube.cli import COMMANDS, _run, build_parser, main
-from zonocube.cubillage import MAX_EXTREME_WORK, Cubillage, standard, validate
+from zonocube.cubillage import MAX_EXTREME_WORK, Cubillage, CubillageError, standard, validate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.txt"
@@ -705,6 +705,9 @@ MALFORMED = [
     (["sec", "-", "--t-params", "x"], Z42, 2, ""),
     (["sec", "-", "--t-params", "1/0,2,3,4"], Z42, 2, "zero denominator"),
     (["sec-surjectivity", "-n", "3", "-d", "5"], "", 2, ""),
+    (["sec-surjectivity", "-n", "12", "-d", "6"], "", 1, "exceeds the cap"),
+    (["sec-surjectivity", "-n", "6", "-d", "2", "--max-states", "20"], "", 1,
+     "state count passed the cap 20"),
     (["check-separated", "--sets", "[[1], [2]]"], "", 2, "check-separated needs -d or -r"),
     (["check-separated", "--sets", "[[1.5]]", "-d", "2"], "", 2, "integers"),
     (["check-separated", "-r", "-1", "--sets", "[[1], [2]]"], "", 2, "r must be >= 0"),
@@ -736,6 +739,16 @@ def test_memory_error_exits_one_with_one_line(monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_membranes", exhausted)
     code, out, err = run_inprocess(["membranes", "-"], Z42)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sec_surjectivity_refuses_a_slice_outside_the_flip_search(monkeypatch):
+    search = bruhat._triangulations
+    monkeypatch.setattr(bruhat, "_triangulations", lambda *args: set(sorted(search(*args))[1:]))
+    with pytest.raises(CubillageError, match="missing from the flip search"):
+        bruhat.sec_surjectivity_experiment(6, 3)
+    code, out, err = run_inprocess(["sec-surjectivity", "-n", "6", "-d", "3"], "")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 

@@ -797,7 +797,7 @@ def test_split_cache_holds_tuples_and_answers_as_a_fresh_one():
     lambda: extension_search([(2, 4, 6), (2, 3, 5), (1, 3, 6)], 7, 4, "certify-maximal"),
     lambda: weak_separation_suite(6, 1),
     lambda: zonocube.bruhat.separated_system_count(6, 3),
-    lambda: zonocube.bruhat.polygon_triangulations(7),
+    lambda: zonocube.bruhat._triangulations(7, 3, zonocube.bruhat.MAX_STATES),
 ], ids=["extend-complete", "extend-certify", "weak-sep", "count", "polygons"])
 def test_searches_leave_no_cyclic_garbage(search):
     # a recursive search held in its own closure is a reference cycle, which
