@@ -17,7 +17,7 @@ from .colors import colorset  # noqa: F401
 from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, ScaleGuardError
 from .cubillage import _check_dimensions, _closure, _vertex_count
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume, volume_check
-from .masks import _cubillage_of_mask, _steps, _types, _walk
+from .masks import _cubillage_of_mask, _raises, _types, _walk
 from .order import find_flips  # noqa: F401
 from .systems import _adjacency, _count_cliques, _separation_scale_guard, _split
 
@@ -25,14 +25,23 @@ from .systems import _adjacency, _count_cliques, _separation_scale_guard, _split
 # the default state cap of enumerate_cubillages, bruhat_poset and the CLI's --max-states
 MAX_STATES = 200_000
 
+# a bit's blocking count to its flag among the raising steps: 0 to "1", else "0"
+_UNBLOCKED = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
+
 
 def _masks(n: int, d: int, max_states: int) -> dict[int, int]:
     """The consistent inversion masks of Z(n,d), each mapped to its raising
-    steps (the bits whose addition keeps it consistent).
+    steps (the bits whose addition keeps it consistent), rank by rank, so
+    every mask is listed after a mask that reaches it by a raising step.
 
     The search runs from the empty mask (the standard cubillage) by raising
     flips.  Complete because every non-standard cubillage admits a lowering
-    flip.  Refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
+    flip.  Each mask of the rank at hand carries its packet state
+    (masks._raises): per packet its flag pattern, per bit the number of
+    packets that block it.  A child copies its first parent's state and
+    updates the n-d-1 packets through the added bit; its raising steps are
+    the unset bits that no packet blocks.  Only two ranks of states are
+    held.  Refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
     count passes max_states.
     """
     _check_dimensions(n, d)
@@ -40,20 +49,29 @@ def _masks(n: int, d: int, max_states: int) -> dict[int, int]:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
     if comb(n, d) > MAX_ENUMERATION_TYPES:
         raise ScaleGuardError(f"C({n},{d}) = {comb(n, d)} exceeds the cap {MAX_ENUMERATION_TYPES}")
-    found = {0: 0}
-    todo = [0]
-    while todo:
-        inv = todo.pop()
-        steps = found[inv] = _steps(n, d, inv) & ~inv
-        while steps:
-            b = steps & -steps
-            steps ^= b
-            up = inv | b
-            if up not in found:
-                found[up] = 0
-                todo.append(up)
-                if len(found) > max_states:
+    pattern, count, through = _raises(n, d)
+    found, seen, rank = {}, 1, {0: (pattern, count)}
+    while rank:
+        below, rank = rank, {}
+        for inv, (pattern, count) in below.items():
+            steps = found[inv] = int(count.translate(_UNBLOCKED)[::-1] or b"0", 2) & ~inv
+            while steps:
+                b = steps & -steps
+                steps ^= b
+                up = inv | b
+                if up in rank:
+                    continue
+                seen += 1
+                if seen > max_states:
                     raise ScaleGuardError(f"state count passed the cap {max_states}")
+                pattern_up, count_up = bytearray(pattern), bytearray(count)
+                for j, row in through[b.bit_length() - 1]:
+                    pattern_up[j], freed, blocked = row[pattern_up[j]]
+                    for k in freed:
+                        count_up[k] -= 1
+                    for k in blocked:
+                        count_up[k] += 1
+                rank[up] = (pattern_up, count_up)
     return found
 
 

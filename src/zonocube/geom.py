@@ -10,6 +10,7 @@ tile-overlap test for d = 2, and the SVG renderer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -126,9 +127,14 @@ def gale_facets(colors, d: int):
 
     The polytope is the slice of the zonotope at height 1; it has dimension
     d-1 and its facets are the (d-1)-subsets S satisfying the evenness rule:
-    any two colors outside S enclose an even number of members of S.
+    any two colors outside S enclose an even number of members of S.  A
+    tuple of tuples, cached per canonical colors and d.
     """
-    cs = colorset(colors)
+    return _gale_facets(colorset(colors), d)
+
+
+@functools.lru_cache(maxsize=256)
+def _gale_facets(cs: Colors, d: int) -> tuple[Colors, ...]:
     out = []
     for s in subsets(cs, d - 1):
         ss = set(s)
@@ -147,7 +153,7 @@ def cyclic_polytope_volume(colors, d: int, realization: Realization):
     cs = colorset(colors)
     base = cs[0]
     total = 0
-    for facet in gale_facets(cs, d):
+    for facet in _gale_facets(cs, d):
         if base not in facet:
             total += abs(realization.det((base,) + facet))
     return total

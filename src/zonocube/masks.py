@@ -1,20 +1,22 @@
 """Inversion masks: a cubillage of Z(n,d) as a bitmask over the (d+1)-subsets
-of its colors, which fixes it, the packet table behind consistency, flips
-and enumeration, the root rule of cubillages and their membranes, the flip
-rule on root tables (a flip of the parent K changes only the d+1 roots of
-the types K - {c}, c in K), the tunnel chains of the natural order, and the
-lift rule of the canonical extension (Manin-Schechtman 1989; Ziegler,
-Topology 1993).  The flip rule is written once, in _flip: apply_flip
-patches a copy of its input's table with it, and _walk carries the roots
-of every mask of an enumeration along its raising steps, one parent's
-roots copied and d+1 patched per mask, so no mask's roots are read
-again.  The one module that knows the bit numbers of the (d+1)-subsets
-and the flag strings: its functions take and give colored sets.  Tables
-are cached per (n, d), index colors by position and hold bit numbers,
-never masks, so they stay linear in the number of packets; a mask is read
-through its flags, the string with bit k at index k.  Vertex sets, the one
-kind of color set it codes, go through the package's one position coder,
-colors._encode.
+of its colors, which fixes it, the packet table behind consistency and
+flips, the transition table that carries a mask's packet state along a
+raising step of the rank-by-rank enumeration in bruhat._masks (_raises:
+a step by K changes only the n-d-1 packets through K), the root rule of
+cubillages and their membranes, the flip rule on root tables (a flip of
+the parent K changes only the d+1 roots of the types K - {c}, c in K),
+the tunnel chains of the natural order, and the lift rule of the
+canonical extension (Manin-Schechtman 1989; Ziegler, Topology 1993).
+The flip rule is written once, in _flip: apply_flip patches a copy of
+its input's table with it, and _walk carries the roots of every mask of
+an enumeration along its raising steps, one parent's roots copied and
+d+1 patched per mask, so no mask's roots are read again.  The one module
+that knows the bit numbers of the (d+1)-subsets and the flag strings: its
+functions take and give colored sets.  Tables are cached per (n, d),
+index colors by position and hold bit numbers, never masks, so they stay
+linear in the number of packets; a mask is read through its flags, the
+string with bit k at index k.  Vertex sets, the one kind of color set it
+codes, go through the package's one position coder, colors._encode.
 """
 
 from __future__ import annotations
@@ -79,6 +81,40 @@ def _blocked(size: int) -> dict:
     return {get(r): tuple(i for i in range(size)
                           if r[:i] + "01"[r[i] == "0"] + r[i + 1:] not in ends)
             for r in ends}
+
+
+@functools.lru_cache(maxsize=None)
+def _raises(n: int, d: int) -> tuple:
+    """The packet state of the search in bruhat._masks, carried along raising
+    steps.  A consistent mask's state is, per packet in _packets order, the
+    number of its flag pattern among the sorted keys of _blocked, and, per
+    bit, the number of packets that block it.  Gives the empty mask's state
+    and, per bit of Z(n,d), per packet through it: (packet number, per
+    pattern number the triple (number of the pattern with the bit added, the
+    bits it no longer blocks, the bits it newly blocks), None where the bit
+    is already set or blocked)."""
+    size = d + 2
+    blocked = _blocked(size)
+    patterns = sorted(blocked)
+    number = {r: i for i, r in enumerate(patterns)}
+    steps = [[] for _ in range(comb(n, d + 1))]
+    pattern, count = bytearray(), bytearray(len(steps))
+    for j, (members, _) in enumerate(_packets(n, d).values()):
+        pattern.append(number[("0",) * size])
+        for i in blocked[("0",) * size]:
+            count[members[i]] += 1
+        for i, k in enumerate(members):
+            row = []
+            for r in patterns:
+                up = r[:i] + ("1",) + r[i + 1:]
+                if r[i] == "1" or up not in blocked:
+                    row.append(None)
+                    continue
+                old = {members[x] for x in blocked[r]}
+                new = {members[x] for x in blocked[up]}
+                row.append((number[up], tuple(sorted(old - new)), tuple(sorted(new - old))))
+            steps[k].append((j, tuple(row)))
+    return bytes(pattern), bytes(count), tuple(map(tuple, steps))
 
 
 def _steps(n: int, d: int, inv: int) -> int | None:

@@ -210,6 +210,13 @@ def test_max_states_below_one_is_bad_input():
     assert code == 1 and err.strip() == "error: state count passed the cap 10"
 
 
+def test_state_cap_at_the_count_of_b_6_2():
+    assert run_cli(["enumerate", "-n", "6", "-d", "2", "--count", "--max-states", "908"]) == (
+        0, "908\n", "")
+    assert run_cli(["enumerate", "-n", "6", "-d", "2", "--count", "--max-states", "907"]) == (
+        1, "", "error: state count passed the cap 907\n")
+
+
 def test_validate_ok_and_exit_codes():
     _, cubillage, _ = run_cli(["standard", "-n", "3", "-d", "2"])
     code, out, _ = run_cli(["validate", "-"], stdin=cubillage)

@@ -126,6 +126,19 @@ def test_gale_facets_segment():
     assert set(gale_facets(range(1, 6), 2)) == {(1,), (5,)}
 
 
+def test_gale_facets_are_cached_and_immutable():
+    first = gale_facets(range(1, 8), 4)
+    assert gale_facets((7, 6, 5, 4, 3, 2, 1), 4) == first
+    with pytest.raises(TypeError):
+        first[0] = (1, 2, 3)
+    with pytest.raises(TypeError):
+        first[0][0] = 9
+    assert gale_facets(range(1, 8), 4) == first
+    real = Realization(range(1, 8), 4)
+    assert cyclic_polytope_volume(range(1, 8), 4, real) == cyclic_polytope_volume(
+        range(1, 8), 4, real)
+
+
 # ------------------------------------------------------------------ SVG
 
 def test_render_svg_standard_3_2():

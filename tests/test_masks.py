@@ -8,11 +8,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from mask_oracles import masks_oracle
 
 from zonocube.bruhat import MAX_STATES, BruhatPoset, _masks, enumerate_cubillages
 from zonocube.cli import main
 from zonocube.colors import subsets
-from zonocube.cubillage import Cubillage, CubillageError, antistandard, standard, validate
+from zonocube.cubillage import (
+    Cubillage, CubillageError, ScaleGuardError, antistandard, standard, validate)
 from zonocube.masks import _cubes, _cubillage_of_mask, _mask, _mask_of, _restrictions, _walk
 from zonocube.order import apply_flip, find_flips
 
@@ -127,6 +129,24 @@ def test_restrictions_match_the_extreme_cubillages():
     for d in range(1, 7):
         for n in range(d + 1, 11):
             assert _restrictions(n, d) == restrictions_oracle(n, d), (n, d)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)])
+def test_carried_search_matches_the_stateless_oracle(n, d):
+    # d >= n-1 leaves no packets: every bit is a raising step of the empty mask
+    steps = _masks(n, d, MAX_STATES)
+    assert steps == masks_oracle(n, d)
+    listed = set()
+    for inv in steps:
+        assert not listed or any(inv ^ 1 << k in listed for k in range(inv.bit_length())
+                                 if inv >> k & 1), inv
+        listed.add(inv)
+
+
+def test_state_cap_refuses_exactly_past_the_count():
+    assert len(_masks(6, 2, 908)) == 908
+    with pytest.raises(ScaleGuardError, match="^state count passed the cap 907$"):
+        _masks(6, 2, 907)
 
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)])

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from facet_oracles import _expand, _membrane
 from hypothesis import given, settings, strategies as st
+from mask_oracles import masks_oracle
 
 import zonocube
 import zonocube.bruhat
@@ -961,7 +962,9 @@ slow = pytest.mark.skipif(os.environ.get("ZONOCUBE_SLOW") != "1",
 @slow
 def test_slow_pin_count_8_4_matches_the_flip_search():
     assert zonocube.bruhat.separated_system_count(8, 4) == 78032
-    assert len(zonocube.bruhat._masks(8, 4, zonocube.bruhat.MAX_STATES)) == 78032
+    steps = zonocube.bruhat._masks(8, 4, zonocube.bruhat.MAX_STATES)
+    assert len(steps) == 78032
+    assert steps == masks_oracle(8, 4)
 
 
 @slow
