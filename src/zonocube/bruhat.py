@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from math import comb
 from typing import NamedTuple
 
@@ -227,7 +228,7 @@ def sec(q: Cubillage, realization: Realization | None = None) -> Triangulation:
     The result is certified by an exact volume identity against the
     evenness-rule facet fan; a mismatch means the input was corrupt.
     """
-    simplices = tuple(sorted(c.type for c in q.cubes if c.root == ()))
+    simplices = tuple(sorted(t for t, r in q._root_by_type.items() if not r))
     if realization is None:
         realization = Realization(q.colors, q.d)
     got = triangulation_volume(simplices, realization)
@@ -295,7 +296,8 @@ def sec_surjectivity_experiment(n: int, d: int, max_states: int = MAX_STATES) ->
     raises CubillageError on a failed certificate or a slice outside the
     universe."""
     colors = tuple(range(1, n + 1))
-    image = {tuple(t for t, root in zip(_types(colors, d), roots) if not root)
+    types = list(_types(colors, d))
+    image = {tuple(itertools.compress(types, map(operator.not_, roots)))
              for roots in _walk(n, d, _masks(n, d, max_states)).values()}
     universe, realization = _triangulations(n, d, max_states), Realization(colors, d)
     if not all(volume_check(Triangulation(colors, d, t), realization) for t in universe):

@@ -15,12 +15,13 @@ alone, except in the body of expand, which reads the natural order.
 
 All values are immutable; operations return fresh objects.  Color sets are
 canonicalized and d checked where they enter: Cubillage(...), from_json, and
-public functions (root_of, expand, ...).  Internal builders pass canonical
-tuples and a checked d and read _root_by_type directly: those that list
-(root, type) pairs go through Cubillage._trusted, which checks only for a
-repeated type, while mask reads and flips hand Cubillage._adopt a finished
-type -> root dict that the instance adopts (a flip copies its input's and
-patches d+1 roots).  Every build passes through Cubillage._fill.
+public functions (root_of, expand, ...).  There are two constructors.
+The public one takes outside input: it canonicalizes every color set and
+refuses a repeated type.  Internal builders pass canonical tuples and a
+checked d, read _root_by_type directly and hand Cubillage._adopt a finished
+type -> root dict, its types distinct by construction, that the instance
+adopts (a flip copies its input's and patches d+1 roots).  Every build
+passes through Cubillage._fill.
 """
 
 from __future__ import annotations
@@ -95,14 +96,13 @@ class Cubillage:
 
     def __init__(self, colors, d: int, cubes):
         _check_dimension(d)
-        self._fill(colorset(colors), d,
-                   _root_map((colorset(root), colorset(typ)) for root, typ in cubes))
-
-    @classmethod
-    def _trusted(cls, colors: Colors, d: int, cubes) -> "Cubillage":
-        """Construction from canonical colors and (root, type) tuples built
-        inside the package: only duplicate types are checked."""
-        return cls._adopt(colors, d, _root_map(cubes))
+        colors, root_by_type = colorset(colors), {}
+        for root, typ in cubes:
+            root, typ = colorset(root), colorset(typ)
+            if typ in root_by_type:
+                raise ValueError(f"duplicate cube type {typ}")
+            root_by_type[typ] = root
+        self._fill(colors, d, root_by_type)
 
     @classmethod
     def _adopt(cls, colors: Colors, d: int, root_by_type: dict[Colors, Colors]) -> "Cubillage":
@@ -173,16 +173,6 @@ class Cubillage:
     def from_json(cls, text: str) -> "Cubillage":
         data = json.loads(text)
         return cls(data["colors"], data["d"], [(c["root"], c["type"]) for c in data["cubes"]])
-
-
-def _root_map(cubes) -> dict[Colors, Colors]:
-    """The type -> root dict of (root, type) pairs; ValueError on a repeated type."""
-    by_type = {}
-    for root, typ in cubes:
-        if typ in by_type:
-            raise ValueError(f"duplicate cube type {typ}")
-        by_type[typ] = root
-    return by_type
 
 
 def _colors_of(faces) -> Colors:
@@ -442,7 +432,7 @@ def _extreme(colors, d: int, even: bool) -> Cubillage:
     _extreme_work_guard(len(cs), d)
     if isinstance(cs, range):
         cs = colorset(cs)
-    return Cubillage._trusted(cs, d, [(_parity_root(cs, t, even), t) for t in subsets(cs, d)])
+    return Cubillage._adopt(cs, d, {t: _parity_root(cs, t, even) for t in subsets(cs, d)})
 
 
 def standard(colors, d: int) -> Cubillage:
@@ -492,17 +482,17 @@ def reduce(q: Cubillage, i: int) -> Reduction:
         raise ValueError(f"color {i} not in {q.colors}")
     if q.n == q.d:
         raise ValueError(f"deleting a color of Z({q.n},{q.d}) leaves fewer colors than d")
-    kept = []
+    kept = {}
     seam = set()
     below = set()
     for typ, root in q._root_by_type.items():
         if i in set(typ):
             seam.add(Facet(minus(root, (i,)), minus(typ, (i,))))
         else:
-            kept.append((minus(root, (i,)), typ))
+            kept[typ] = minus(root, (i,))
             if i not in set(root):
                 below.add(typ)
-    out = Cubillage._trusted(minus(q.colors, (i,)), q.d, kept)
+    out = Cubillage._adopt(minus(q.colors, (i,)), q.d, kept)
     return Reduction(out, frozenset(seam), frozenset(below))
 
 
@@ -510,9 +500,9 @@ def _insert(q: Cubillage, i: int, stack, layer) -> Cubillage:
     """Insert the fresh color i: cubes with types in the stack keep their
     roots, the others gain i, and each (root, J) of the layer becomes the
     cube (root, J ∪ {i}).  reduce(result, i) gives back q, stack and layer."""
-    cubes = [(root if t in stack else add(root, i), t) for t, root in q._root_by_type.items()]
-    cubes += [(root, add(j, i)) for root, j in layer]
-    return Cubillage._trusted(add(q.colors, i), q.d, cubes)
+    roots = {t: root if t in stack else add(root, i) for t, root in q._root_by_type.items()}
+    roots.update((add(j, i), root) for root, j in layer)
+    return Cubillage._adopt(add(q.colors, i), q.d, roots)
 
 
 def expand(q: Cubillage, stack, i: int) -> Cubillage:
@@ -595,9 +585,9 @@ def contract(q: Cubillage, i: int) -> Cubillage:
     lower color the projection can overlap itself, and then validate's
     diagnostic is raised as CubillageError.  Refuses d = 1 with ValueError.
     """
-    cubes = [(c.root, minus(c.type, (i,))) for c in partition(q, i)]
+    roots = {minus(c.type, (i,)): c.root for c in partition(q, i)}
     _check_dimension(q.d - 1)
-    out = Cubillage._trusted(minus(q.colors, (i,)), q.d - 1, cubes)
+    out = Cubillage._adopt(minus(q.colors, (i,)), q.d - 1, roots)
     diagnostic = validate(out)
     if diagnostic is not None:
         raise CubillageError(f"contracting color {i} gives no tiling: {diagnostic}")
@@ -607,5 +597,5 @@ def contract(q: Cubillage, i: int) -> Cubillage:
 def central_symmetry(q: Cubillage) -> Cubillage:
     """The image of the cubillage under the point symmetry of the zonotope."""
     full = set(q.colors)
-    cubes = [(tuple(sorted(full - set(c.root) - set(c.type))), c.type) for c in q.cubes]
-    return Cubillage._trusted(q.colors, q.d, cubes)
+    roots = {c.type: tuple(sorted(full - set(c.root) - set(c.type))) for c in q.cubes}
+    return Cubillage._adopt(q.colors, q.d, roots)

@@ -23,7 +23,7 @@ from .colors import _positions, _runs, _weak, colorset, subsets
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
 from .cubillage import _vertex_count
 from .masks import _cubes, _cubillage_of_mask, _lift, _mask, _mask_of, _mask_of_spectra
-from .masks import _sets, _steps
+from .masks import _sets, _steps, _tunnel_covers
 from .order import AdmissibleOrder, natural_order
 
 
@@ -73,12 +73,13 @@ def from_order(order: AdmissibleOrder) -> Cubillage:
 
     Its inversion mask is the order's _inv, the parents whose packet the
     order runs antilex; the root rule of the inversion masks builds the
-    cubillage from that.
+    cubillage from that, and the order must hold the tunnel covers of that
+    mask (masks._tunnel_covers), which generate the cubillage's natural order.
     """
     cs, d = order.colors, order.d
     _check_dimensions(len(cs), d)
     q = _cubillage_of_mask(cs, d, order._inv)
-    if not order.extends(order_of(q)):
+    if not all(order.leq(a, b) for a, b in _tunnel_covers(cs, d, order._inv)):
         raise CubillageError("reconstructed cubillage order is not refined by the input")
     return q
 
@@ -128,7 +129,7 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
     else:
         inv = _lift(colors, d, members)
     plates = _cubes(colors, d - 1, stack)
-    projected = Cubillage._trusted(colors, d - 1, plates) if d > 1 else None
+    projected = Cubillage._adopt(colors, d - 1, {t: r for r, t in plates}) if d > 1 else None
     return MembraneWitness(frozenset(itertools.starmap(Facet, plates)), projected,
                            _cubillage_of_mask(colors, d, inv), members)
 

@@ -124,7 +124,6 @@ def _membrane(q: Cubillage, stack: frozenset[Colors]) -> frozenset[Facet]:
 
 def _expand(q: Cubillage, stack: frozenset[Colors], i: int) -> Cubillage:
     """expand() for a canonical order ideal stack and a color above all of q's."""
-    cubes = [(root if typ in stack else add(root, i), typ)
-             for typ, root in q._root_by_type.items()]
-    cubes += [(plate.root, add(plate.type, i)) for plate in _membrane(q, stack)]
-    return Cubillage._trusted(add(q.colors, i), q.d, cubes)
+    roots = {typ: root if typ in stack else add(root, i) for typ, root in q._root_by_type.items()}
+    roots.update((add(plate.type, i), plate.root) for plate in _membrane(q, stack))
+    return Cubillage._adopt(add(q.colors, i), q.d, roots)

@@ -177,11 +177,10 @@ def apply_flip_oracle(q: Cubillage, parent) -> Cubillage:
         raise ValueError(f"parent {parent} is not flippable")
     unpos = dict(enumerate(parent, start=1))
     kset = set(parent)
-    cubes = [(root, typ) for typ, root in q._root_by_type.items() if not kset.issuperset(typ)]
+    roots = {typ: root for typ, root in q._root_by_type.items() if not kset.issuperset(typ)}
     for r_pos, t_pos in replacement:
-        root = union(x0, (unpos[p] for p in r_pos))
-        cubes.append((root, tuple(unpos[p] for p in t_pos)))
-    return Cubillage._trusted(q.colors, q.d, cubes)
+        roots[tuple(unpos[p] for p in t_pos)] = union(x0, (unpos[p] for p in r_pos))
+    return Cubillage._adopt(q.colors, q.d, roots)
 
 
 @pytest.mark.parametrize("colors,d", [(crange(6), 2), (crange(8), 3), (crange(9), 4),

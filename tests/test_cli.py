@@ -645,6 +645,8 @@ Z21_FLOAT_ROOT = ('{"colors": [1, 2], "d": 1, "cubes": [{"root": [], "type": [1]
 Z21_FLOAT_COLORS = '{"colors": [1.5, 2], "d": 1, "cubes": []}'
 Z21_BOOL_COLORS = ('{"colors": [true, 2], "d": 1, "cubes": [{"root": [], "type": [true]}, '
                    '{"root": [true], "type": [2]}]}')
+Z32_REPEATED_TYPE = json.dumps({"colors": [1, 2, 3], "d": 2, "cubes": [
+    {"root": [], "type": [1, 2]}, {"root": [3], "type": [1, 2]}, {"root": [], "type": [2, 3]}]})
 Z3_NON_CONTIGUOUS = json.dumps({"colors": [1, 2, 4], "d": 2, "cubes": [
     {"root": [], "type": [1, 2]}, {"root": [2], "type": [1, 4]}, {"root": [], "type": [2, 4]}]})
 # malformed input for every command: (argv, stdin, exit code, part of the message)
@@ -658,6 +660,7 @@ MALFORMED = [
     (["validate", "-"], "{", 2, ""),
     (["validate", "-"], "[1]", 2, ""),
     (["validate", "-"], "null", 2, ""),
+    (["validate", "-"], Z32_REPEATED_TYPE, 2, "bad input: duplicate cube type (1, 2)"),
     (["spectra", "-"], Z21_FLOAT_ROOT, 2, "integers"),
     (["spectra", "-"], Z21_BOOL_COLORS, 2, "integers"),
     (["reduce", "-", "--color", "9"], Z42, 2, ""),
@@ -666,7 +669,11 @@ MALFORMED = [
     (["expand", "-", "--color", "5", "--sets", "[[1.5, 2]]"], Z42, 2, "integers"),
     (["expand", "-", "--color", "5", "--sets", "5"], Z42, 2, ""),
     (["contract", "-", "--color", "9"], Z42, 2, ""),
-    (["contract", "-", "--color", "2"], Z42, 1, "claimed twice"),
+    # both diagnostics name the first clash in the order of the projected table
+    (["contract", "-", "--color", "2"], Z42, 1, "error: contracting color 2 gives no tiling: "
+     "facet Facet(root=(), type=()) claimed twice on the same side by (1,) and (3,)\n"),
+    (["contract", "-", "--color", "3"], Z53, 1, "error: contracting color 3 gives no tiling: "
+     "facet Facet(root=(), type=(1,)) claimed twice on the same side by (1, 2) and (1, 4)\n"),
     (["flips", "-"], '{"colors": [1, 2], "d": 1, "cubes": [5]}', 2, ""),
     (["flip", "-", "--parent", "[1, 2]"], Z42, 2, ""),
     (["flip", "-", "--parent", "[1.5, 2, 3]"], Z42, 2, "integers"),

@@ -507,6 +507,15 @@ def test_central_symmetry_is_involution_preserving_validity():
         assert central_symmetry(s) == q
 
 
+def test_constructor_refuses_a_repeated_type():
+    # the public constructor is the one builder that checks for a repeated
+    # type, after canonicalizing it
+    with pytest.raises(ValueError, match=r"^duplicate cube type \(1, 2\)$"):
+        Cubillage((1, 2, 3), 2, [((), (1, 2)), ((3,), (1, 2)), ((), (2, 3))])
+    with pytest.raises(ValueError, match=r"^duplicate cube type \(1, 2\)$"):
+        Cubillage((1, 2, 3), 2, [((), (1, 2)), ((3,), (2, 1))])
+
+
 def test_public_entry_points_canonicalize():
     q = Cubillage([2, 1], 2, [([], [2, 1])])
     assert q == Cubillage((1, 2), 2, [((), (1, 2))]) and q.root_of([2, 1]) == ()

@@ -427,7 +427,7 @@ def canonical_extension_oracle(qp: Cubillage) -> Cubillage:
     membrane in the result is exactly the set of recorded before-cubes, and
     no lowering flip of the result stays inside that stack.
     """
-    cubes = []
+    roots = {}
     for direction in ("lowering", "raising"):
         cur = qp
         while True:
@@ -435,9 +435,9 @@ def canonical_extension_oracle(qp: Cubillage) -> Cubillage:
             if parent is None:
                 break
             # the capsid's cubes share their root outside the parent
-            cubes.append((minus(cur._root_by_type[parent[1:]], parent), parent))
+            roots[parent] = minus(cur._root_by_type[parent[1:]], parent)
             cur = apply_flip(cur, parent)
-    return Cubillage._trusted(qp.colors, qp.d + 1, cubes)
+    return Cubillage._adopt(qp.colors, qp.d + 1, roots)
 
 
 ORACLE_SPACES = [(3, 1), (4, 1), (5, 1), (4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (6, 4),

@@ -1,3 +1,4 @@
+import copy
 import functools
 import gc
 import itertools
@@ -33,7 +34,7 @@ from zonocube.cubillage import (
     standard,
     validate,
 )
-from zonocube.masks import _sets
+from zonocube.masks import _bits, _sets
 from zonocube.order import (
     apply_flip,
     enumerate_stacks,
@@ -197,8 +198,19 @@ def test_order_of_is_the_natural_order_on_sparse_colors(d, monkeypatch):
     order = order_of(q)
     assert len(closures) == 2 and not packets
     assert from_order(order) == q
-    # and the natural order of the rebuilt cubillage, for the certificate
-    assert len(closures) == 3 and not packets
+    # the certificate reads the tunnel covers against the input order and
+    # closes no natural order of the rebuilt cubillage
+    assert len(closures) == 2 and not packets
+
+
+def test_from_order_refuses_an_order_that_misses_a_tunnel_cover():
+    # an order whose inversion mask was swapped for another consistent one:
+    # the rebuilt cubillage has a tunnel cover the order does not hold
+    order = copy.copy(order_of(standard(crange(5), 2)))
+    order._inv = 1 << _bits(5, 2)[(1, 2, 3)]
+    with pytest.raises(CubillageError,
+                       match="^reconstructed cubillage order is not refined by the input$"):
+        from_order(order)
 
 
 def test_from_order_lex_everywhere_gives_standard():
@@ -341,7 +353,7 @@ def _from_spectra_oracle(members, cs: Colors, d: int) -> Cubillage:
     if len(cs) == d:
         if members != {s for k in range(d + 1) for s in subsets(cs, k)}:
             raise NotRealizableError("base case is not the full cube spectrum")
-        return Cubillage._trusted(cs, d, [((), cs)])
+        return Cubillage._adopt(cs, d, {cs: ()})
     m = cs[-1]
     s0 = {s for s in members if m not in s}
     s2 = {minus(s, (m,)) for s in members if m in s}
