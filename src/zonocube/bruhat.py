@@ -81,15 +81,16 @@ def enumerate_cubillages(n: int, d: int, max_states: int = MAX_STATES) -> tuple[
 
     The consistent inversion masks come from the raising-flip search _masks,
     which refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
-    count passes max_states.  They are sorted canonically by their roots in
-    type order, which masks._walk carries along the search's raising steps:
-    every cubillage of Z(n,d) has the same types, so that tuple orders as
-    Cubillage.key does.  Each cubillage is then built once, from the roots.
+    count passes max_states.  masks._walk carries each mask's type -> root
+    dict, in type order, along the search's raising steps.  The masks are
+    sorted canonically by the dict's roots: every cubillage of Z(n,d) has
+    the same types, so that tuple orders as Cubillage.key does.  Each
+    cubillage then adopts its dict.
     """
-    roots = _walk(n, d, _masks(n, d, max_states))
+    tables = _walk(n, d, _masks(n, d, max_states), tables=True)
     colors = tuple(range(1, n + 1))
-    return tuple(_cubillage_of_mask(colors, d, inv, roots[inv])
-                 for inv in sorted(roots, key=roots.__getitem__))
+    return tuple(_cubillage_of_mask(colors, d, inv, tables[inv])
+                 for inv in sorted(tables, key=lambda inv: tuple(tables[inv].values())))
 
 
 def separated_system_count(n: int, d: int) -> int:
@@ -147,8 +148,8 @@ class BruhatPoset:
         masks, steps = self.masks, dict.fromkeys(self.masks, 0)
         for i, j in self.covers:  # masks in rank order: the walk meets a parent first
             steps[masks[i]] |= masks[j] ^ masks[i]
-        roots, colors = _walk(self.n, self.d, steps), tuple(range(1, self.n + 1))
-        return tuple(_cubillage_of_mask(colors, self.d, inv, roots[inv]) for inv in masks)
+        tables, colors = _walk(self.n, self.d, steps, tables=True), tuple(range(1, self.n + 1))
+        return tuple(_cubillage_of_mask(colors, self.d, inv, tables[inv]) for inv in masks)
 
     @functools.cached_property
     def _up(self) -> dict[int, int]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .colors import SetSystem, _blocks, _check_weak_k, _failing_pairs, _set_system_json, _weak
 from .colors import colorset, separation_blocks
-from .cubillage import Cubillage, CubillageError, point_cubillage, validate
+from .cubillage import Cubillage, CubillageError, _data, point_cubillage, validate
 from . import (
     AdmissibleOrder,
     ScaleGuardError,
@@ -32,7 +32,6 @@ from . import (
     bruhat_poset,
     contract,
     embed_subcubillage,
-    enumerate_cubillages,
     enumerate_stacks,
     expand,
     extension_search,
@@ -54,7 +53,7 @@ from . import (
 )
 from .bruhat import MAX_STATES, _masks
 from .geom import Realization
-from .masks import _mask_of
+from .masks import _mask_of, _types, _walk
 from .order import _plates
 
 
@@ -68,12 +67,18 @@ def _read_text(path: str) -> str:
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
+    _write(args, (text,))
+
+
+def _write(args, chunks) -> None:
+    """Write the strings of chunks one at a time to the -o (or --svg) file,
+    opened at the first write, else to stdout."""
     out = getattr(args, "output", None) or getattr(args, "svg", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _load_cubillage(args) -> Cubillage:
@@ -229,10 +234,21 @@ def cmd_from_order(args):
 def cmd_enumerate(args):
     if args.count:
         _emit(args, str(len(_masks(args.n, args.d, args.max_states))))
-    else:
-        qs = enumerate_cubillages(args.n, args.d, max_states=args.max_states)
-        # fresh trees of dicts and tuples hold no cycle to look for
-        _emit(args, json.dumps([q._data() for q in qs], check_circular=False))
+        return
+    # enumerate_cubillages' order and JSON, written one cubillage at a time
+    # from the walk's root tuples, sorted before the first byte; none is built
+    n, d = args.n, args.d
+    roots = sorted(_walk(n, d, _masks(n, d, args.max_states)).values())
+    colors = tuple(range(1, n + 1))
+    types = tuple(_types(colors, d))
+
+    def chunks():
+        for k, r in enumerate(roots):
+            yield ", " if k else "["
+            yield json.dumps(_data(colors, d, zip(types, r)))
+        yield "]\n"
+
+    _write(args, chunks())
 
 
 def cmd_poset(args):

@@ -160,11 +160,7 @@ class Cubillage:
 
     def _data(self) -> dict:
         """What to_json writes, to embed; json writes its tuples as arrays."""
-        return {
-            "colors": self.colors,
-            "d": self.d,
-            "cubes": [{"root": r, "type": t} for t, r in sorted(self._root_by_type.items())],
-        }
+        return _data(self.colors, self.d, sorted(self._root_by_type.items()))
 
     def to_json(self) -> str:
         return json.dumps(self._data())
@@ -173,6 +169,13 @@ class Cubillage:
     def from_json(cls, text: str) -> "Cubillage":
         data = json.loads(text)
         return cls(data["colors"], data["d"], [(c["root"], c["type"]) for c in data["cubes"]])
+
+
+def _data(colors: Colors, d: int, pairs) -> dict:
+    """The JSON shape of a cubillage, from its (type, root) pairs in type
+    order: the one writer of Cubillage._data and of the streamed output of
+    the enumerate command, which builds no cubillage."""
+    return {"colors": colors, "d": d, "cubes": [{"root": r, "type": t} for t, r in pairs]}
 
 
 def _colors_of(faces) -> Colors:
@@ -460,13 +463,20 @@ def partition(q: Cubillage, i: int) -> tuple[Cube, ...]:
     """All cubes whose type contains color i; always C(n-1,d-1) of them."""
     if i not in set(q.colors):
         raise ValueError(f"color {i} not in {q.colors}")
-    return tuple(c for c in q.cubes if i in set(c.type))
+    return _cubes_where(q, lambda t: i in t)
 
 
 def tunnel(q: Cubillage, dset) -> tuple[Cube, ...]:
     """All cubes whose type contains the fixed (d-1)-set; n-d+1 of them."""
     ds = set(colorset(dset))
-    return tuple(c for c in q.cubes if ds <= set(c.type))
+    return _cubes_where(q, ds.issubset)
+
+
+def _cubes_where(q: Cubillage, keep) -> tuple[Cube, ...]:
+    """The cubes of q whose type passes keep, in type order; only those
+    are built and sorted."""
+    return tuple(Cube(r, t) for t, r in sorted(item for item in q._root_by_type.items()
+                                               if keep(item[0])))
 
 
 def reduce(q: Cubillage, i: int) -> Reduction:
@@ -597,5 +607,5 @@ def contract(q: Cubillage, i: int) -> Cubillage:
 def central_symmetry(q: Cubillage) -> Cubillage:
     """The image of the cubillage under the point symmetry of the zonotope."""
     full = set(q.colors)
-    roots = {c.type: tuple(sorted(full - set(c.root) - set(c.type))) for c in q.cubes}
+    roots = {t: tuple(sorted(full.difference(r, t))) for t, r in sorted(q._root_by_type.items())}
     return Cubillage._adopt(q.colors, q.d, roots)

@@ -10,12 +10,15 @@ canonical extension (Manin-Schechtman 1989; Ziegler, Topology 1993).
 The flip rule is written once, in _flip: apply_flip patches a copy of
 its input's table with it, and _walk carries the roots of every mask of
 an enumeration along its raising steps, one parent's roots copied and
-d+1 patched per mask, so no mask's roots are read again.  The one module
-that knows the bit numbers of the (d+1)-subsets and the flag strings: its
-functions take and give colored sets.  Tables are cached per (n, d),
-index colors by position and hold bit numbers, never masks, so they stay
-linear in the number of packets; a mask is read through its flags, the
-string with bit k at index k.  Vertex sets, the one kind of color set it
+d+1 patched per mask, so no mask's roots are read again.  The walk
+carries either root tuples in type order or one type -> root dict per
+mask, which an enumerated cubillage adopts as it is: a dict copy keeps
+its keys' hashes, so no type tuple is hashed again per cubillage.  The
+one module that knows the bit numbers of the (d+1)-subsets and the flag
+strings: its functions take and give colored sets.  Tables are cached
+per (n, d), index colors by position and hold bit numbers, never masks,
+so they stay linear in the number of packets; a mask is read through its
+flags, the string with bit k at index k.  Vertex sets, the one kind of color set it
 codes, go through the package's one position coder, colors._encode.
 """
 
@@ -196,24 +199,27 @@ def _flip(roots, pairs, toggled=_toggled) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _flip_rows(n: int, d: int) -> tuple:
+def _flip_rows(n: int, d: int, by_type: bool = False) -> tuple:
     """Per bit of an inversion mask of Z(n,d), standing for the (d+1)-subset
     K, the pairs of _flip on roots in type order: (lex number of the type
-    K - {c}, c) per c in K."""
-    number = _bits(n, d - 1)
-    return tuple(tuple((number[minus(k, (c,))], c) for c in k) for k in _bits(n, d))
+    K - {c}, c) per c in K; with by_type, (the type K - {c}, c) on the keys
+    of _types, for a type -> root dict."""
+    key = {t: t if by_type else i for t, i in _bits(n, d - 1).items()}
+    return tuple(tuple((key[minus(k, (c,))], c) for c in k) for k in _bits(n, d))
 
 
-def _walk(n: int, d: int, steps: dict[int, int]) -> dict[int, tuple[Colors, ...]]:
-    """The roots in type order of the cubillage of every mask of Z(n,d) in
-    steps, which maps each mask to its raising steps (the bits whose
-    addition keeps it consistent) and lists every mask after one that
-    reaches it by such a step, the empty mask first, as bruhat._masks gives
-    them.  The empty mask's roots come by the root rule; every other mask
-    copies the roots of the first mask listed that reaches it and patches
-    the d+1 roots of the flip (_flip).  Equal roots are one tuple object, so
-    comparing root tuples meets an equal root as the same object."""
-    rows, interned, toggled = _flip_rows(n, d), {}, {}
+def _walk(n: int, d: int, steps: dict[int, int], tables: bool = False) -> dict:
+    """The roots of the cubillage of every mask of Z(n,d) in steps, which
+    maps each mask to its raising steps (the bits whose addition keeps it
+    consistent) and lists every mask after one that reaches it by such a
+    step, the empty mask first, as bruhat._masks gives them.  Each mask gets
+    a tuple of its roots in type order, or with tables its own type -> root
+    dict, in type order, for Cubillage._adopt.  The empty mask's roots come
+    by the root rule; every other mask copies the roots of the first mask
+    listed that reaches it and patches the d+1 roots of the flip (_flip).
+    Equal roots are one tuple object, so comparing root tuples meets an
+    equal root as the same object."""
+    rows, interned, toggled = _flip_rows(n, d, tables), {}, {}
 
     def toggle(root: Colors, c: int) -> Colors:
         new = toggled.get((root, c))
@@ -222,26 +228,30 @@ def _walk(n: int, d: int, steps: dict[int, int]) -> dict[int, tuple[Colors, ...]
             new = toggled[root, c] = interned.setdefault(new, new)
         return new
 
-    out = {0: tuple(interned.setdefault(r, r) for r in _roots(tuple(range(1, n + 1)), d, 0))}
+    colors = tuple(range(1, n + 1))
+    first = tuple(interned.setdefault(r, r) for r in _roots(colors, d, 0))
+    out = {0: dict(zip(_types(colors, d), first)) if tables else first}
+    copy = dict.copy if tables else list
     for inv, up in steps.items():
         here = out[inv]
         while up:
             b = up & -up
             up ^= b
             if inv | b not in out:
-                roots = list(here)
+                roots = copy(here)
                 _flip(roots, rows[b.bit_length() - 1], toggle)
-                out[inv | b] = tuple(roots)
+                out[inv | b] = roots if tables else tuple(roots)
     return out
 
 
-def _cubillage_of_mask(colors: Colors, d: int, inv: int, roots=None) -> Cubillage:
+def _cubillage_of_mask(colors: Colors, d: int, inv: int, table=None) -> Cubillage:
     """The cubillage of Z(colors,d) with the given consistent inversion
-    mask; roots, when given, are its roots in type order (as _walk gives
-    them), else the root rule reads them."""
-    if roots is None:
-        roots = _roots(colors, d, inv)
-    q = Cubillage._adopt(colors, d, dict(zip(_types(colors, d), roots)))
+    mask; table, when given, is its own type -> root dict (as _walk gives
+    it with tables), which the cubillage adopts, else the root rule reads
+    the roots."""
+    if table is None:
+        table = dict(zip(_types(colors, d), _roots(colors, d, inv)))
+    q = Cubillage._adopt(colors, d, table)
     q._cache["mask"] = inv
     return q
 

@@ -80,6 +80,42 @@ def test_enumerate_count_builds_no_cubillage(monkeypatch):
     assert built == []
 
 
+def test_enumerate_streams_without_building_a_cubillage(monkeypatch):
+    want = json.dumps([q._data() for q in bruhat.enumerate_cubillages(6, 2)]) + "\n"
+    built = []
+    fill = Cubillage._fill
+    monkeypatch.setattr(Cubillage, "_fill", lambda q, *args: built.append(q) or fill(q, *args))
+    code, out, err = run_inprocess(["enumerate", "-n", "6", "-d", "2"], "")
+    # the outputs are compared as a bool: a diff of megabytes of JSON takes minutes
+    assert (code, out == want, err) == (0, True, "")
+    assert built == []
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (5, 3), (7, 4), (8, 5)])
+def test_enumerate_writes_the_json_of_enumerate_cubillages(n, d, tmp_path):
+    want = json.dumps([q._data() for q in bruhat.enumerate_cubillages(n, d)]) + "\n"
+    args = ["enumerate", "-n", str(n), "-d", str(d)]
+    code, out, err = run_inprocess(args, "")
+    assert (code, out == want, err) == (0, True, "")
+    path = tmp_path / "out.json"
+    assert run_inprocess(args + ["-o", str(path)], "") == (0, "", "")
+    same = path.read_text(encoding="utf-8") == out
+    assert same
+
+
+def test_enumerate_refuses_before_the_first_byte(tmp_path):
+    args = ["enumerate", "-n", "5", "-d", "2", "--max-states", "10"]
+    assert run_inprocess(args, "") == (1, "", "error: state count passed the cap 10\n")
+    path = tmp_path / "out.json"
+    assert run_inprocess(args + ["-o", str(path)], "") == (
+        1, "", "error: state count passed the cap 10\n")
+    assert not path.exists()
+    for n, d, err in ((12, 6, "error: C(12,6) = 924 exceeds the cap 70\n"),
+                      (2, 3, "bad input: need n >= d >= 1, got (2,3)\n")):
+        assert run_inprocess(["enumerate", "-n", str(n), "-d", str(d)], "") == (
+            1 if err.startswith("error") else 2, "", err)
+
+
 def test_extend_certificate():
     code, out, _ = run_cli([
         "extend", "-n", "6", "-d", "4",

@@ -507,6 +507,28 @@ def test_central_symmetry_is_involution_preserving_validity():
         assert central_symmetry(s) == q
 
 
+@pytest.mark.parametrize("colors,d", [((1, 2, 3, 4, 5), 2), ((2, 4, 5, 7, 9, 11), 3)])
+def test_partition_tunnel_and_symmetry_read_the_table_in_type_order(colors, d):
+    # each cubillage once with its table in type order and once built from
+    # its cubes in reverse, so the table's own order is not type order
+    def relabel(cs):
+        return tuple(colors[c - 1] for c in cs)
+
+    for q in enumerate_cubillages(len(colors), d)[::3]:
+        q = Cubillage(colors, d, [(relabel(c.root), relabel(c.type)) for c in q.cubes])
+        cubes = q.cubes
+        for table in (q, Cubillage(colors, d, [(c.root, c.type) for c in reversed(cubes)])):
+            for i in colors:
+                assert partition(table, i) == tuple(c for c in cubes if i in c.type)
+            for j in itertools.combinations(colors, d - 1):
+                assert tunnel(table, j) == tuple(c for c in cubes if set(j) <= set(c.type))
+            s = central_symmetry(table)
+            assert list(s._root_by_type) == [c.type for c in cubes]
+            assert s.cubes == tuple(
+                Cube(tuple(c for c in colors if c not in cube.root + cube.type), cube.type)
+                for cube in cubes)
+
+
 def test_constructor_refuses_a_repeated_type():
     # the public constructor is the one builder that checks for a repeated
     # type, after canonicalizing it

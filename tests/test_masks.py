@@ -162,6 +162,22 @@ def test_walk_gives_every_mask_the_roots_of_the_root_rule(n, d):
         tuple(zip(types, roots[inv])) for inv in poset.masks]
 
 
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)])
+def test_dict_walk_gives_every_mask_its_own_table_of_the_tuple_walk(n, d):
+    steps, types = _masks(n, d, MAX_STATES), tuple(subsets(tuple(range(1, n + 1)), d))
+    roots, tables = _walk(n, d, steps), _walk(n, d, steps, tables=True)
+    assert list(tables) == list(roots)
+    assert len({id(table) for table in tables.values()}) == len(tables)
+    for inv, table in tables.items():
+        assert list(table.items()) == list(zip(types, roots[inv])), inv
+    values = [r for table in tables.values() for r in table.values()]
+    assert len({id(r) for r in values}) == len(set(values))
+    # enumerate_cubillages adopts the dicts: one table per cubillage, in type order
+    qs = enumerate_cubillages(n, d)
+    assert len({id(q._root_by_type) for q in qs}) == len(qs) == len(tables)
+    assert all(list(q._root_by_type) == list(types) for q in qs)
+
+
 @pytest.mark.parametrize("n,d", [(6, 2), (7, 3), (8, 5)])
 def test_walk_interns_equal_roots(n, d):
     roots = [r for rs in _walk(n, d, _masks(n, d, MAX_STATES)).values() for r in rs]
