@@ -110,10 +110,9 @@ def test_enumerate_refuses_before_the_first_byte(tmp_path):
     assert run_inprocess(args + ["-o", str(path)], "") == (
         1, "", "error: state count passed the cap 10\n")
     assert not path.exists()
-    for n, d, err in ((12, 6, "error: C(12,6) = 924 exceeds the cap 70\n"),
-                      (2, 3, "bad input: need n >= d >= 1, got (2,3)\n")):
-        assert run_inprocess(["enumerate", "-n", str(n), "-d", str(d)], "") == (
-            1 if err.startswith("error") else 2, "", err)
+    for n, d, code, err in ((12, 6, 1, "error: C(12,6) = 924 exceeds the cap 70\n"),
+                            (2, 3, 2, "bad input: need n >= d >= 1, got (2,3)\n")):
+        assert run_inprocess(["enumerate", "-n", str(n), "-d", str(d)], "") == (code, "", err)
 
 
 def test_extend_certificate():
