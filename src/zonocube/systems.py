@@ -212,63 +212,76 @@ def _relabel(adj: list[int], cand_mask: int, order: list[int]) -> list[int]:
 def _core_first(adj: list[int], cand_mask: int) -> list[int]:
     """The vertices of cand_mask in reverse min-degree removal order (ties
     to the lowest index): relabelled in this order, the high-core vertices
-    get the low bits, which _beyond puts in the early classes."""
-    degree = {v: (adj[v] & cand_mask).bit_count() for v in _bits(cand_mask)}
+    get the low bits, which _beyond puts in the early classes.  Each step
+    takes the degrees inside the vertices left as popcounts, one per vertex."""
+    verts = list(_bits(cand_mask))
     order = []
     left = cand_mask
-    while left:
-        v = min(_bits(left), key=degree.__getitem__)
+    while verts:
+        degrees = [(adj[u] & left).bit_count() for u in verts]
+        v = verts.pop(degrees.index(min(degrees)))
         order.append(v)
-        left &= ~(1 << v)
-        for u in _bits(adj[v] & left):
-            degree[u] -= 1
+        left ^= 1 << v
     order.reverse()
     return order
 
 
-def _beyond(adj: list[int], mask: int, size: int) -> int:
+def _complement(adj: list[int]) -> list[int]:
+    """The complement rows of adj over all its vertices: non[v] holds the
+    vertices other than v that are not adjacent to v.  Rows are positive
+    ints, so an & with one copies neither operand; while v is outside a
+    mask, mask & adj[v] is (mask & non[v]) ^ mask."""
+    full = (1 << len(adj)) - 1
+    return [full ^ (row | 1 << v) for v, row in enumerate(adj)]
+
+
+def _beyond(non: list[int], mask: int, size: int) -> int:
     """The vertices of mask left after greedy coloring, lowest free bit
-    first, builds size - 1 classes.  Each class is independent, so every
-    clique of the given size inside mask meets the result, and 0 (the
-    classes used up mask) means there is none."""
+    first, builds size - 1 classes; non holds the complement rows
+    (_complement), so a colored vertex takes itself and its neighbours out
+    of its class in one &.  Each class is independent, so every clique of
+    the given size inside mask meets the result, and 0 (the classes used up
+    mask) means there is none."""
     while mask and size > 1:
         size -= 1
         avail = mask
         while avail:
             low = avail & -avail
             mask ^= low
-            avail &= ~adj[low.bit_length() - 1] & (avail ^ low)
+            avail &= non[low.bit_length() - 1]
     return mask
 
 
-def _count(adj: list[int], mask: int, size: int, limit: int) -> int:
+def _count(non: list[int], mask: int, size: int, limit: int) -> int:
     """The number of cliques of exactly the given size inside mask, stopping
-    at limit.  Each node branches on the vertices _beyond leaves, from the
-    highest bit down, and drops each one after its branch; the last vertex
-    of a clique is counted straight from the candidates."""
+    at limit, on the complement rows non.  Each node branches on the
+    vertices _beyond leaves, from the highest bit down, and drops each one
+    before its branch; the last vertex of a clique is counted straight from
+    the candidates."""
     if size <= 1:
         return min(mask.bit_count(), limit) if size else 1
     found = 0
-    branch = _beyond(adj, mask, size)
+    branch = _beyond(non, mask, size)
     while branch and found < limit:
         v = branch.bit_length() - 1
-        found += _count(adj, mask & adj[v], size - 1, limit - found)
         mask ^= 1 << v
         branch ^= 1 << v
+        found += _count(non, (mask & non[v]) ^ mask, size - 1, limit - found)
     return found
 
 
-def _exists(adj: list[int], mask: int, size: int, orbits: list[int]) -> bool:
+def _exists(non: list[int], mask: int, size: int, orbits: list[int]) -> bool:
     """Whether mask, the whole graph, holds a clique of the given size:
     _count with limit 1, except that at the root, once the branch on v finds
     none, all of orbits[v] leaves mask and the branch, not v alone.  No
     clique of the size holds a vertex dropped before v, so none holds v
     anywhere in the graph, and none holds an image of v under an
     automorphism."""
-    branch = _beyond(adj, mask, size)
+    branch = _beyond(non, mask, size)
     while branch:
         v = branch.bit_length() - 1
-        if _count(adj, mask & adj[v], size - 1, 1):
+        rest = mask ^ 1 << v
+        if _count(non, (rest & non[v]) ^ rest, size - 1, 1):
             return True
         mask &= ~orbits[v]
         branch &= ~orbits[v]
@@ -294,7 +307,8 @@ def _max_clique(adj: list[int], cand_mask: int, symmetries=()) -> int:
     while common:
         best += 1
         common &= adj[(common & -common).bit_length() - 1]
-    while _exists(adj, full, best + 1, orbits):
+    non = _complement(adj)
+    while _exists(non, full, best + 1, orbits):
         best += 1
     return best
 
@@ -304,7 +318,8 @@ def _count_cliques(adj: list[int], cand_mask: int, size: int) -> int:
     with a limit no count reaches, after _relabel by descending degree inside
     cand_mask (ties keep the lower index); the count does not depend on labels."""
     order = sorted(_bits(cand_mask), key=lambda v: -(adj[v] & cand_mask).bit_count())
-    return _count(_relabel(adj, cand_mask, order), (1 << len(order)) - 1, size, 1 << len(order))
+    non = _complement(_relabel(adj, cand_mask, order))
+    return _count(non, (1 << len(order)) - 1, size, 1 << len(order))
 
 
 def _bron_kerbosch(adj: list[int], r: int, p: int, x: int, out: list[int]) -> None:
@@ -337,21 +352,22 @@ def _maximal_cliques(adj: list[int], cand_mask: int) -> list[int]:
     return out
 
 
-def _first_clique(adj: list[int], mask: int, size: int) -> int | None:
+def _first_clique(non: list[int], mask: int, size: int) -> int | None:
     """The lex-first clique (by sorted vertex list) of exactly the given size
-    inside mask, as a bitmask, or None; the witness of extension_search.
-    Each clique grows from its lowest vertex through its later neighbors, and
-    a node is pruned when _beyond finds no clique of the size still needed."""
+    inside mask, as a bitmask, or None, on the complement rows non; the
+    witness of extension_search.  Each clique grows from its lowest vertex
+    through its later neighbors, and a node is pruned when _beyond finds no
+    clique of the size still needed."""
     if size == 0:
         return 0
-    if not _beyond(adj, mask, size):
+    if not _beyond(non, mask, size):
         return None
     while mask:
         low = mask & -mask
         mask ^= low
-        nxt = mask & adj[low.bit_length() - 1]
+        nxt = (mask & non[low.bit_length() - 1]) ^ mask
         if nxt.bit_count() >= size - 1:
-            rest = _first_clique(adj, nxt, size - 1)
+            rest = _first_clique(non, nxt, size - 1)
             if rest is not None:
                 return rest | low
     return None
@@ -467,7 +483,7 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     base = sorted(set(members).union(peripheral))
     if mode == "complete":
         # the lexicographically first clique with the candidates by size, then lex
-        witness = _first_clique(adj, full, bound - len(base))
+        witness = _first_clique(_complement(adj), full, bound - len(base))
         completion = None
         if witness is not None:
             completion = tuple(sorted(base + [cands[v][0] for v in _bits(witness)]))

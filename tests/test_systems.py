@@ -53,6 +53,8 @@ from zonocube.systems import (
     _adjacency,
     _automorphisms,
     _check_separated,
+    _complement,
+    _core_first,
     _count,
     _count_cliques,
     _exists,
@@ -556,12 +558,13 @@ def test_clique_engines_match_oracles(shape, keep, seed, data):
     cand = sum(1 << v for v in range(size) if rng.random() < keep)
     best = max_clique_oracle(adj, cand)
     assert _max_clique(adj, cand) == best
+    non = _complement(adj)
     for k in range(best + 2):
         count = count_cliques_oracle(adj, cand, k)
         assert _count_cliques(adj, cand, k) == count
         for limit in (1, 2, 3):
-            assert _count(adj, cand, k, limit) == min(count, limit)
-        first = _first_clique(adj, cand, k)
+            assert _count(non, cand, k, limit) == min(count, limit)
+        first = _first_clique(non, cand, k)
         witness = clique_witness_oracle(adj, cand, k)
         assert (None if first is None else [v for v in range(size) if first >> v & 1]) == witness
     maximal = _maximal_cliques(adj, cand)
@@ -575,8 +578,23 @@ def test_count_stops_at_its_limit(monkeypatch):
     adj = [((1 << 16) - 1) & ~(1 << v) for v in range(16)]
     calls = []
     monkeypatch.setattr(zonocube.systems, "_beyond", lambda *a: calls.append(a) or _beyond(*a))
-    assert _count(adj, (1 << 16) - 1, 8, 1) == 1
+    assert _count(_complement(adj), (1 << 16) - 1, 8, 1) == 1
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize("search,answer,nodes", [
+    (lambda: weak_separation_suite(7, 1)["max_size"], 29, 7311),
+    (lambda: weak_separation_suite(7, 3)["max_size"], 99, 86),
+    (lambda: zonocube.bruhat.separated_system_count(8, 5), 752, 4626),
+    (lambda: zonocube.bruhat.separated_system_count(7, 4), 338, 1457),
+], ids=["weak-7-1", "weak-7-3", "count-8-5", "count-7-4"])
+def test_search_trees_are_pinned(monkeypatch, search, answer, nodes):
+    # the number of _beyond calls is the number of search nodes: a change to
+    # the kernel's arithmetic must leave the answer and the tree as they are
+    calls = []
+    monkeypatch.setattr(zonocube.systems, "_beyond", lambda *a: calls.append(None) or _beyond(*a))
+    assert search() == answer
+    assert len(calls) == nodes
 
 
 def is_automorphism(adj, perm):
@@ -610,7 +628,7 @@ def test_max_clique_prunes_orbits_of_an_involution_exactly(shape, keep, seed, da
     for symmetries in ([perm], [perm, perm, list(range(size)), list(range(size))]):
         assert _max_clique(adj, cand, symmetries) == best
     orbits = [1 << v | 1 << perm[v] for v in range(size)]
-    assert [_exists(adj, cand, k, orbits) for k in range(1, best + 2)] == [True] * best + [False]
+    assert [_exists(_complement(adj), cand, k, orbits) for k in range(1, best + 2)] == [True] * best + [False]
 
 
 def test_exists_prunes_orbits_at_the_root_only():
@@ -621,7 +639,7 @@ def test_exists_prunes_orbits_at_the_root_only():
     adj = [202, 105, 184, 87, 236, 150, 155, 117]
     assert is_automorphism(adj, perm)
     orbits = [1 << v | 1 << perm[v] for v in range(8)]
-    assert [_exists(adj, 255, k, orbits) for k in range(1, 6)] == [True] * 4 + [False]
+    assert [_exists(_complement(adj), 255, k, orbits) for k in range(1, 6)] == [True] * 4 + [False]
     assert _max_clique(adj, 255, [perm]) == 4
 
 
@@ -666,12 +684,60 @@ def test_beyond_leaves_what_the_first_classes_miss(shape, keep, seed, data):
             adj[j] |= 1 << i
     cand = sum(1 << v for v in range(size) if rng.random() < keep)
     classes = first_fit_classes(adj, cand)
-    beyond = {k: _beyond(adj, cand, k) for k in range(1, len(classes) + 2)}
+    non = _complement(adj)
+    beyond = {k: _beyond(non, cand, k) for k in range(1, len(classes) + 2)}
     for k, rest in beyond.items():
         assert (rest == 0) == (len(classes) < k)
         assert rest == cand & ~sum(classes[:k - 1])
     for clique in every_clique(adj, cand):
         assert clique & beyond[clique.bit_count()]
+    # each complement row holds exactly the vertices that are neither v nor its neighbours
+    for v, row in enumerate(non):
+        assert row >= 0 and [u for u in range(size) if row >> u & 1] == \
+            [u for u in range(size) if u != v and not adj[v] >> u & 1]
+
+
+def core_first_oracle(adj, cand_mask):
+    """Reverse min-degree removal order, ties to the lowest index, with the
+    degrees kept in a dict and lowered as each vertex leaves."""
+    degree = {v: (adj[v] & cand_mask).bit_count() for v in bits_of(cand_mask)}
+    order = []
+    left = cand_mask
+    while left:
+        v = min(bits_of(left), key=degree.__getitem__)
+        order.append(v)
+        left &= ~(1 << v)
+        for u in bits_of(adj[v] & left):
+            degree[u] -= 1
+    order.reverse()
+    return order
+
+
+def bits_of(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(40, 0.1), (40, 0.3), (40, 0.5), (30, 0.7), (20, 0.9)]),
+       st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**32 - 1), st.data())
+def test_core_first_matches_the_degree_dict_order(shape, keep, seed, data):
+    most, density = shape
+    size = data.draw(st.integers(0, most), label="vertices")
+    rng = random.Random(seed)
+    adj = [0] * size
+    for i, j in itertools.combinations(range(size), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    cand = sum(1 << v for v in range(size) if rng.random() < keep)
+    assert _core_first(adj, cand) == core_first_oracle(adj, cand)
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (7, 3), (8, 5)])
+def test_core_first_matches_the_degree_dict_order_on_weak_graphs(n, k):
+    codes, adj = weak_graph(n, k)
+    full = (1 << len(codes)) - 1
+    assert _core_first(adj, full) == core_first_oracle(adj, full)
 
 
 def test_scale_guard_is_one_class():
