@@ -558,6 +558,7 @@ def test_clique_engines_match_oracles(shape, keep, seed, data):
     cand = sum(1 << v for v in range(size) if rng.random() < keep)
     best = max_clique_oracle(adj, cand)
     assert _max_clique(adj, cand) == best
+    assert _core_first(adj, cand) == core_first_oracle(adj, cand)
     non = _complement(adj)
     for k in range(best + 2):
         count = count_cliques_oracle(adj, cand, k)
@@ -693,8 +694,7 @@ def test_beyond_leaves_what_the_first_classes_miss(shape, keep, seed, data):
         assert clique & beyond[clique.bit_count()]
     # each complement row holds exactly the vertices that are neither v nor its neighbours
     for v, row in enumerate(non):
-        assert row >= 0 and [u for u in range(size) if row >> u & 1] == \
-            [u for u in range(size) if u != v and not adj[v] >> u & 1]
+        assert row == sum(1 << u for u in range(size) if u != v and not adj[v] >> u & 1)
 
 
 def core_first_oracle(adj, cand_mask):
@@ -715,22 +715,6 @@ def core_first_oracle(adj, cand_mask):
 
 def bits_of(mask):
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from([(40, 0.1), (40, 0.3), (40, 0.5), (30, 0.7), (20, 0.9)]),
-       st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**32 - 1), st.data())
-def test_core_first_matches_the_degree_dict_order(shape, keep, seed, data):
-    most, density = shape
-    size = data.draw(st.integers(0, most), label="vertices")
-    rng = random.Random(seed)
-    adj = [0] * size
-    for i, j in itertools.combinations(range(size), 2):
-        if rng.random() < density:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    cand = sum(1 << v for v in range(size) if rng.random() < keep)
-    assert _core_first(adj, cand) == core_first_oracle(adj, cand)
 
 
 @pytest.mark.parametrize("n,k", [(7, 1), (7, 3), (8, 5)])
