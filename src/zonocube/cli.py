@@ -98,7 +98,10 @@ def _load_sets(args) -> list:
         data = json.loads(args.sets)
         if not isinstance(data, list):
             raise ValueError("--sets must be a JSON list of color lists")
-        return [colorset(s) for s in data]
+        sets = [colorset(s) for s in data]
+        if len(set(sets)) != len(sets):  # as SetSystem refuses it in an input file
+            raise ValueError("duplicate member sets")
+        return sets
     if getattr(args, "input", None):
         return list(SetSystem.from_json(_read_text(args.input)).sets)
     raise ValueError("no sets given: pass --sets or an input file")

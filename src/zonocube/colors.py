@@ -8,10 +8,12 @@ and immutable.  colorset canonicalizes color sets where they enter from
 callers; inside the package only canonical tuples (from colorset, subsets,
 add, minus, union) are passed on, and they are never canonicalized again.
 Color sets are coded by position, by one coder pair: _encode makes the
-k-th color of a tuple bit k and _decode reads a code back, so any colors,
-however large, give codes of as many bits as the tuple has colors.  The
-separation kernels read only the order of the colors, so the predicates
-and the pairwise pass (_failing_pairs) code sets in their union (_codes).
+k-th color of a tuple bit k and _decode reads a code back, a byte at a
+time, from per-byte tables of color tuples built once per color tuple
+(_byte_tables, a bounded cache), so any colors, however large, give codes
+of as many bits as the tuple has colors.  The separation kernels read
+only the order of the colors, so the predicates and the pairwise pass
+(_failing_pairs) code sets in their union (_codes).
 """
 
 from __future__ import annotations
@@ -26,13 +28,19 @@ Colors = tuple[int, ...]
 def colorset(items) -> Colors:
     """Canonicalize an iterable of colors into a strictly increasing tuple."""
     cs = tuple(sorted(items))
+    last = 0
+    for c in cs:  # sorted ints rise from 0 exactly when they are positive and distinct
+        if type(c) is not int or c <= last:
+            break
+        last = c
+    else:
+        return cs
+    # the checks below name the first rule broken
     if not {int}.issuperset(map(type, cs)):
         raise ValueError(f"colors must be integers, got {cs}")
     if len(set(cs)) != len(cs):  # past the int check, sorted ints fail b > a only on a repeat
         raise ValueError(f"duplicate colors in {cs}")
-    if cs and cs[0] < 1:
-        raise ValueError(f"colors must be positive integers, got {cs}")
-    return cs
+    raise ValueError(f"colors must be positive integers, got {cs}")
 
 
 def _check_dimension(value, name: str = "d") -> int:
@@ -116,13 +124,32 @@ def _encode(x, index) -> int:
 
 def _decode(code: int, colors: Colors) -> Colors:
     """The inverse of _encode: the colors at the set bits of code, in
-    increasing order when the color tuple increases."""
-    out = []
-    while code:
-        low = code & -code
-        out.append(colors[low.bit_length() - 1])
-        code ^= low
-    return tuple(out)
+    increasing order when the color tuple increases.  It reads the code a
+    byte at a time from _byte_tables; a bit at or past the number of
+    colors raises IndexError."""
+    out = ()
+    for table in _byte_tables(colors):
+        out += table[code & 255]
+        code >>= 8
+        if not code:
+            return out
+    raise IndexError("code has a bit past the colors")
+
+
+@functools.lru_cache(maxsize=16)
+def _byte_tables(colors: Colors) -> tuple[list[Colors], ...]:
+    """Per byte k of a code, the tuples of the colors 8k..8k+7 of the tuple,
+    indexed by the byte: 256 tuples for a full byte, 2**m for a last byte
+    of m colors, so a higher bit there raises IndexError, and the one table
+    [()] for no colors.  They take about 2.6 KB per color on a 64-bit build,
+    and the cache keeps the tables of 16 color tuples."""
+    tables = []
+    for k in range(0, len(colors) or 1, 8):
+        table = [()]
+        for c in colors[k:k + 8]:  # bit m of the byte doubles the table
+            table += [t + (c,) for t in table]
+        tables.append(table)
+    return tuple(tables)
 
 
 class _Positions(dict):

@@ -8,9 +8,13 @@ exact determinants and is used in the tests to cross-check this module.
 Only validate reads facets, independently of the inversion masks (masks)
 that the order module reads.  validate and the vertex spectra code color
 sets by position (colors._encode): a facet (root, J) is the int
-root << n | J, and only the spectra, or a facet a diagnostic names, are
-decoded back into tuples (colors._decode).  All three expansions insert a
-color by one rule, _insert, which reduce inverts.  This module imports from colors
+root << n | J.  One submask kernel, _spectrum_codes, gives the spectra
+as codes: q.vertices() decodes them (colors._decode, which reads byte
+tables), validate only counts them.  validate takes the boundary plates
+from _plate_codes, a table built once per (n, d), and checks for cycles
+by _topological, the Kahn pass _closure builds on; it decodes only the
+facet a diagnostic names.  All three expansions insert a color by one
+rule, _insert, which reduce inverts.  This module imports from colors
 alone, except in the body of expand, which reads the natural order.
 
 All values are immutable; operations return fresh objects.  Color sets are
@@ -26,12 +30,14 @@ passes through Cubillage._fill.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, _check_dimension, _decode, _encode, add, colorset, is_even, minus, subsets
+from .colors import (Colors, _check_dimension, _decode, _encode, _positions, add, colorset, is_even,
+                     minus, subsets)
 
 
 class Cube(NamedTuple):
@@ -189,6 +195,20 @@ def _coded(faces, colors: Colors) -> list[tuple[int, int]]:
     return [(_encode(root, index), _encode(typ, index)) for root, typ in faces]
 
 
+def _spectrum_codes(coded) -> set[int]:
+    """The codes r | s of the vertex spectra of the coded faces (r, t), s
+    over the submasks of each type code t."""
+    codes = set()
+    for r, t in coded:
+        s = t
+        while True:  # s runs over the submasks of t, down to 0
+            codes.add(r | s)
+            if not s:
+                break
+            s = (s - 1) & t
+    return codes
+
+
 def _spectra(faces) -> frozenset[Colors]:
     """The vertex spectra root ∪ S of the faces (root, type), S over the
     subsets of each type.  The sets are coded by position in the colors of
@@ -196,15 +216,7 @@ def _spectra(faces) -> frozenset[Colors]:
     distinct spectrum is decoded once."""
     faces = list(faces)
     colors = _colors_of(faces)
-    codes = set()
-    for r, t in _coded(faces, colors):
-        s = t
-        while True:  # s runs over the submasks of t, down to 0
-            codes.add(r | s)
-            if not s:
-                break
-            s = (s - 1) & t
-    return frozenset(_decode(v, colors) for v in codes)
+    return frozenset(_decode(v, colors) for v in _spectrum_codes(_coded(faces, colors)))
 
 
 def facet_sides(cube: Cube) -> dict[int, tuple[Facet, Facet]]:
@@ -252,6 +264,22 @@ def boundary_plates(colors, d: int, side: str) -> frozenset[Facet]:
     return frozenset(Facet(_parity_root(cs, j, side == "back"), j) for j in subsets(cs, d - 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _plate_codes(n: int, d: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The front and back boundary plates of Z(n,d) as facet codes
+    root << n | J by position, which depend on positions alone: the front
+    plate of J is rooted at the positions outside J that are odd relative
+    to J, the back plate at the even ones."""
+    index, positions = _positions(n), tuple(range(1, n + 1))
+    front, back = set(), set()
+    full = (1 << n) - 1
+    for j in subsets(positions, d - 1):
+        jc, odd = _encode(j, index), _encode(_parity_root(positions, j, False), index)
+        front.add(odd << n | jc)
+        back.add((full ^ jc ^ odd) << n | jc)
+    return frozenset(front), frozenset(back)
+
+
 def _facet(code: int, colors: Colors) -> Facet:
     """The facet of the code root << n | J, n the number of colors."""
     n = len(colors)
@@ -280,10 +308,10 @@ def _pairing(types, coded, colors: Colors):
             else:
                 vis, invis = shifted, at_root
             for table, facet in ((visible, vis), (invisible, invis)):
-                if facet in table:
+                owner = table.setdefault(facet, typ)
+                if owner is not typ:
                     raise CubillageError(f"facet {_facet(facet, colors)} claimed twice on the "
-                                         f"same side by {table[facet]} and {typ}")
-                table[facet] = typ
+                                         f"same side by {owner} and {typ}")
     covers = sorted((below, visible[facet]) for facet, below in invisible.items()
                     if facet in visible)
     return visible, invisible, tuple(covers)
@@ -297,12 +325,10 @@ def cover_relations(q: Cubillage) -> tuple[tuple[Colors, Colors], ...]:
     return _pairing(q._root_by_type, _coded(faces, colors), colors)[2]
 
 
-def _closure(nodes, relations):
-    """(index, topological order, up) of (below, above) relations on nodes,
-    or None on a cycle: index[t] is t's position in nodes, up[t] the bitmask
-    of the indices reachable from t, and the order is Kahn's, taken in the
-    order of nodes and relations."""
-    index = {t: k for k, t in enumerate(nodes)}
+def _topological(nodes, relations):
+    """(topological order, successor lists) of (below, above) relations on
+    nodes, or None on a cycle: the order is Kahn's, taken in the order of
+    nodes and relations, and succs[t] lists the nodes above t."""
     succs = {t: [] for t in nodes}
     indeg = dict.fromkeys(nodes, 0)
     for below, above in relations:
@@ -314,8 +340,18 @@ def _closure(nodes, relations):
             indeg[s] -= 1
             if indeg[s] == 0:
                 topo.append(s)
-    if len(topo) != len(nodes):
+    return (topo, succs) if len(topo) == len(nodes) else None
+
+
+def _closure(nodes, relations):
+    """(index, topological order, up) of (below, above) relations on nodes,
+    or None on a cycle: index[t] is t's position in nodes, up[t] the bitmask
+    of the indices reachable from t, and the order is _topological's."""
+    found = _topological(nodes, relations)
+    if found is None:
         return None
+    topo, succs = found
+    index = {t: k for k, t in enumerate(nodes)}
     up = {}
     for t in reversed(topo):
         mask = 1 << index[t]
@@ -333,8 +369,9 @@ def validate(q: Cubillage):
     visible facet of exactly one other cube, and symmetrically, (iii) the
     facet-induced precedence relation is acyclic, (iv) the vertex count is
     C(n, <=d).  It reads no inversion mask and no natural order; its sets
-    are coded by position in the colors, and the facets of the boundary
-    plates are coded from _parity_root.
+    are coded by position in the colors, the facets of the boundary plates
+    come from _plate_codes, the cycle check is _topological's, and the
+    vertices are counted as distinct codes, none decoded.
     """
     n, d, colors = q.n, q.d, q.colors
     if n < d:
@@ -358,12 +395,7 @@ def validate(q: Cubillage):
         visible, invisible, covers = _pairing(q._root_by_type, coded, colors)
     except CubillageError as exc:
         return str(exc)
-    front, back = set(), set()
-    full = (1 << n) - 1
-    for j in subsets(colors, d - 1):
-        jc, odd = _encode(j, index), _encode(_parity_root(colors, j, False), index)
-        front.add(odd << n | jc)
-        back.add((full ^ jc ^ odd) << n | jc)
+    front, back = _plate_codes(n, d)
     for facet, typ in invisible.items():
         if facet not in back and facet not in visible:
             return f"invisible facet {_facet(facet, colors)} of cube {typ} is unmatched"
@@ -376,11 +408,11 @@ def validate(q: Cubillage):
             uncovered = {_facet(p, colors) for p in plates - table.keys()}
             plate = next(p for p in boundary_plates(colors, d, side) if p in uncovered)
             return f"{side} plate {plate} not covered"
-    if _closure(q.types(), covers) is None:
+    if _topological(q._root_by_type, covers) is None:
         return "precedence relation between cubes has a cycle"
-    want = _vertex_count(n, d)
-    if len(q.vertices()) != want:
-        return f"vertex count {len(q.vertices())} != C({n},<={d}) = {want}"
+    have, want = len(_spectrum_codes(coded)), _vertex_count(n, d)
+    if have != want:
+        return f"vertex count {have} != C({n},<={d}) = {want}"
     return None
 
 

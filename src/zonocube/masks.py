@@ -18,8 +18,8 @@ one module that knows the bit numbers of the (d+1)-subsets and the flag
 strings: its functions take and give colored sets.  Tables are cached
 per (n, d), index colors by position and hold bit numbers, never masks,
 so they stay linear in the number of packets; a mask is read through its
-flags, the string with bit k at index k.  Vertex sets, the one kind of color set it
-codes, go through the package's one position coder, colors._encode.
+flags, the string with bit k at index k.  Vertex sets reach it as codes
+of the package's one position coder, colors._encode.
 """
 
 from __future__ import annotations
@@ -315,30 +315,26 @@ def _restrictions(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
                  for k in _bits(n, d))
 
 
-def _mask_of_spectra(colors: Colors, d: int, sets) -> int | None:
-    """The inversion mask read off a set system of the colors.
+def _mask_of_spectra(n: int, d: int, codes) -> int | None:
+    """The inversion mask read off a set system of n colors, its members
+    given as position codes in the colors (colors._encode).
 
     The restriction of the spectrum of a cubillage of Z(colors,d) to a
     (d+1)-subset K is the spectrum of its restriction to Z(K,d): the
     standard cubillage when K is no inversion, the antistandard one when it
-    is.  Either misses one subset of K, its own.  None when a set has a
-    color outside the colors, when some restriction is not all subsets of
-    K but one of these two, or when the mask read is not consistent.  Not a
-    certificate on its own: the caller compares the spectrum of the
-    cubillage of the mask with the input.
+    is.  Either misses one subset of K, its own.  None when some
+    restriction is not all subsets of K but one of these two, or when the
+    mask read is not consistent.  Not a certificate on its own: the caller
+    compares the spectrum codes of the cubillage of the mask with the
+    input's.
     """
-    index = {c: i for i, c in enumerate(colors)}
-    try:
-        vertex_bits = [_encode(s, index) for s in sets]
-    except KeyError:
-        return None
     inv, size = 0, (1 << (d + 1)) - 1
-    for bit, (k, standard, antistandard) in enumerate(_restrictions(len(colors), d)):
-        seen = {v & k for v in vertex_bits}
+    for bit, (k, standard, antistandard) in enumerate(_restrictions(n, d)):
+        seen = {v & k for v in codes}
         if len(seen) != size:
             return None
         if standard in seen:
             if antistandard in seen:
                 return None
             inv |= 1 << bit
-    return inv if _steps(len(colors), d, inv) is not None else None
+    return inv if _steps(n, d, inv) is not None else None

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .colors import Colors, _blocks, _check_dimension, _check_weak_k, _encode, _failing_pairs
 from .colors import _positions, _runs, _weak, colorset, subsets
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
-from .cubillage import _vertex_count
+from .cubillage import _coded, _spectrum_codes, _vertex_count
 from .masks import _cubes, _cubillage_of_mask, _lift, _mask, _mask_of, _mask_of_spectra
 from .masks import _sets, _steps, _tunnel_covers
 from .order import AdmissibleOrder, natural_order
@@ -155,9 +155,13 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
     is read off its restrictions to the (d+1)-subsets of the colors
     (masks._mask_of_spectra), and the cubillage the root rule builds from
     the mask is returned when its spectrum is the input, which certifies
-    it.  Otherwise the pairwise separation (ValueError) and then the color
-    universe (NotRealizableError) say what is wrong.  A range of colors is
-    sized against the system before its colors are listed.
+    it.  The members are coded by position in the colors once; the mask
+    is read from these codes and the certificate compares them with the
+    rebuilt cubillage's spectrum codes (cubillage._spectrum_codes), so no
+    spectrum is decoded.  Otherwise the pairwise separation (ValueError)
+    and then the color universe (NotRealizableError) say what is wrong.  A
+    repeated member counts once: the system is taken as a set.  A range of
+    colors is sized against the system before its colors are listed.
     """
     cs = colors if isinstance(colors, range) else colorset(colors)
     members = {colorset(s) for s in sets}
@@ -171,10 +175,16 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
         raise ValueError("system size is not C(n,<=d)")
     if isinstance(cs, range):
         cs = colorset(cs)
-    inv = _mask_of_spectra(cs, d, members)
+    index = {c: k for k, c in enumerate(cs)}
+    try:
+        codes = {_encode(s, index) for s in members}
+    except KeyError:  # a color outside the universe, named below
+        codes = None
+    inv = None if codes is None else _mask_of_spectra(len(cs), d, codes)
     if inv is not None:
         q = _cubillage_of_mask(cs, d, inv)
-        if q.vertices() == members:
+        faces = [(r, t) for t, r in q._root_by_type.items()]
+        if _spectrum_codes(_coded(faces, cs)) == codes:
             return q
     _check_separated(members, d - 1)
     if any(not set(s) <= set(cs) for s in members):

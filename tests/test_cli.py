@@ -685,6 +685,9 @@ Z32_REPEATED_TYPE = json.dumps({"colors": [1, 2, 3], "d": 2, "cubes": [
 Z3_NON_CONTIGUOUS = json.dumps({"colors": [1, 2, 4], "d": 2, "cubes": [
     {"root": [], "type": [1, 2]}, {"root": [2], "type": [1, 4]}, {"root": [], "type": [2, 4]}]})
 # malformed input for every command: (argv, stdin, exit code, part of the message)
+# the spectra of a cubillage of Z(4,2) with the member [4] listed twice
+REPEATED_SPECTRA = ("[[], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [2], [2, 3], [2, 3, 4], "
+                    "[3], [3, 4], [4], [4]]")
 MALFORMED = [
     (["standard", "-n", "100000", "-d", "1"], "", 1, "exceeds the cap"),
     (["standard", "-n", "2", "-d", "3"], "", 2, ""),
@@ -734,6 +737,11 @@ MALFORMED = [
      "(1,) and (1000000000000,) are not 0-separated"),
     (["from-spectra", "--sets", "[[], [1], [1, 1000000000000]]", "-n", "2"], "", 1,
      "spectra leave the color universe"),
+    # a repeated member is refused inline as SetSystem refuses it in a file
+    (["from-spectra", "--sets", REPEATED_SPECTRA, "-d", "2"], "", 2,
+     "bad input: duplicate member sets"),
+    (["from-spectra", "-", "-d", "2"], f'{{"n": 4, "sets": {REPEATED_SPECTRA}}}', 2,
+     "bad input: duplicate member sets"),
     (["from-consistent", "--sets", "[[1, 2]]", "-n", "3", "-d", "5"], "", 2, ""),
     (["from-consistent", "--sets", "[[true]]", "-n", "2", "-d", "1"], "", 2, "integers"),
     (["from-consistent", "--sets", "[[1]]", "-n", "3", "-d", "2"], "", 2,
@@ -765,6 +773,8 @@ MALFORMED = [
     (["extend", "-", "-n", "4", "-d", "2"], '{"n": true, "sets": [[1]]}', 2,
      "n must be an integer"),
     (["extend", "-n", "4", "-d", "2", "--sets", "[[true]]"], "", 2, "integers"),
+    (["extend", "-n", "4", "-d", "2", "--sets", "[[1, 3], [3, 1]]"], "", 2,
+     "bad input: duplicate member sets"),
     (["weak-sep", "-n", "4", "-k", "2"], "", 2, ""),
     (["weak-sep", "-k", "1"], "", 2, ""),
     (["weak-sep", "-n", "0", "-k", "1"], "", 2, "n must be an integer >= 1"),

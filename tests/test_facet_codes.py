@@ -8,8 +8,9 @@ import random
 import pytest
 from facet_oracles import _facet_pairing, validate_oracle, vertices_oracle
 
-from zonocube.colors import _decode, _encode, subsets
-from zonocube.cubillage import Cubillage, CubillageError, cover_relations, standard, validate
+from zonocube.colors import _byte_tables, _decode, _encode, subsets
+from zonocube.cubillage import (Cubillage, CubillageError, _facet, _plate_codes, _topological,
+                                boundary_plates, cover_relations, standard, validate)
 from zonocube.order import apply_flip, find_flips
 
 
@@ -82,6 +83,55 @@ def test_position_code_is_the_color_code_on_one_to_n():
             for x in subsets(colors, k):
                 assert _encode(x, index) == sum(1 << (c - 1) for c in x)
                 assert _decode(_encode(x, index), colors) == x
+
+
+def sparse_colors(n, rng):
+    """n increasing colors with random gaps, the last ones at or past 10**12."""
+    colors, c = [], 0
+    for k in range(n):
+        c += rng.randrange(1, 10**12 if k >= n - 2 else 5)
+        colors.append(c)
+    return tuple(colors)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 70])
+def test_decode_reads_back_every_code_by_bytes(n):
+    rng = random.Random(n)
+    for colors in (tuple(range(1, n + 1)), sparse_colors(n, rng)):
+        index = {c: k for k, c in enumerate(colors)}
+        picks = [(), colors, colors[:1], colors[-1:], colors[7:9], colors[8:]]
+        picks += [tuple(c for c in colors if rng.random() < 0.5) for _ in range(200)]
+        for x in picks:
+            assert _decode(_encode(x, index), colors) == x
+        # a bit at or past the last color, in the last byte or beyond it
+        for bit in (n, n + 1, n + 8, n + 9, -(-n // 8) * 8, 64 * (n + 1)):
+            with pytest.raises(IndexError):
+                _decode(1 << bit | _encode(colors[:2], index), colors)
+
+
+def test_decode_tables_are_a_bounded_cache():
+    assert _byte_tables.cache_info().maxsize is not None
+    assert [len(table) for table in _byte_tables(tuple(range(1, 20)))] == [256, 256, 8]
+    assert _byte_tables(()) == ([()],)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_plate_codes_are_the_boundary_plates_on_any_colors(n):
+    rng = random.Random(n)
+    for colors in (tuple(range(1, n + 1)), sparse_colors(n, rng)):
+        for d in range(1, n + 1):
+            for side, codes in zip(("front", "back"), _plate_codes(n, d)):
+                plates = {_facet(code, colors) for code in codes}
+                assert len(plates) == len(codes)
+                assert plates == boundary_plates(colors, d, side), (colors, d, side)
+
+
+def test_topological_reports_a_cycle():
+    nodes = ("a", "b", "c", "d")
+    assert _topological(nodes, [("a", "b"), ("b", "c"), ("c", "a")]) is None
+    assert _topological(nodes, [("a", "b"), ("b", "c"), ("c", "a"), ("d", "a")]) is None
+    topo, succs = _topological(nodes, [("c", "a"), ("a", "b"), ("d", "b")])
+    assert topo == ["c", "d", "a", "b"] and succs["a"] == ["b"] and succs["b"] == []
 
 
 def test_a_huge_color_takes_one_bit():

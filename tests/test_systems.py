@@ -14,6 +14,7 @@ from mask_oracles import masks_oracle
 import zonocube
 import zonocube.bruhat
 import zonocube.cli
+import zonocube.masks
 import zonocube.systems
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import (
@@ -179,30 +180,30 @@ def test_order_of_is_the_natural_order_on_sparse_colors(d, monkeypatch):
         assert order is natural_order(q)
         assert order == AdmissibleOrder(q.colors, q.d, natural_order(q).relations)
         assert from_order(order) == q
-    closures, closure = [], zonocube.cubillage._closure
+    sorts, topological = [], zonocube.cubillage._topological
     packets, packet_direction = [], AdmissibleOrder.packet_direction
 
     def counted(nodes, relations):
-        closures.append(len(nodes))
-        return closure(nodes, relations)
+        sorts.append(len(nodes))
+        return topological(nodes, relations)
 
     def counted_packet(order, parent):
         packets.append(parent)
         return packet_direction(order, parent)
 
-    # validate and AdmissibleOrder each look _closure up in their own module
-    for module in (zonocube.cubillage, zonocube.order):
-        monkeypatch.setattr(module, "_closure", counted)
+    # validate's cycle check and the closure of every AdmissibleOrder run the
+    # one topological sort, looked up in the cubillage module
+    monkeypatch.setattr(zonocube.cubillage, "_topological", counted)
     monkeypatch.setattr(AdmissibleOrder, "packet_direction", counted_packet)
     q = Cubillage.from_json(q.to_json())
-    assert validate(q) is None and len(closures) == 1
+    assert validate(q) is None and len(sorts) == 1
     # validate leaves no natural order behind; the mask gives its antilex packets
     order = order_of(q)
-    assert len(closures) == 2 and not packets
+    assert len(sorts) == 2 and not packets
     assert from_order(order) == q
     # the certificate reads the tunnel covers against the input order and
     # closes no natural order of the rebuilt cubillage
-    assert len(closures) == 2 and not packets
+    assert len(sorts) == 2 and not packets
 
 
 def test_from_order_refuses_an_order_that_misses_a_tunnel_cover():
@@ -448,6 +449,18 @@ def test_from_spectra_errors_match_oracle(colors, d):
     assert {"cubillage", ValueError} <= kinds
     if len(colors) > d:  # n = d has no 2-block pair, so nothing fails separation
         assert NotRealizableError in kinds
+
+
+def test_from_spectra_certifies_the_mask_it_reads(monkeypatch):
+    # handed the consistent mask of another cubillage, from_spectra compares
+    # its spectrum codes with the input's and returns nothing; the input is
+    # separated and inside the colors, so only the last refusal is left
+    q = standard(crange(5), 2)
+    other = zonocube.masks._mask_of(apply_flip(q, (1, 2, 3)))
+    monkeypatch.setattr(zonocube.systems, "_mask_of_spectra", lambda n, d, codes: other)
+    with pytest.raises(NotRealizableError, match="^separated system of size C.n,<=d. is not a "
+                                                 "cubillage spectrum$"):
+        from_spectra(q.vertices(), crange(5), 2)
 
 
 # ------------------------------------- oracle: the unordered clique engines
