@@ -684,10 +684,10 @@ Z32_REPEATED_TYPE = json.dumps({"colors": [1, 2, 3], "d": 2, "cubes": [
     {"root": [], "type": [1, 2]}, {"root": [3], "type": [1, 2]}, {"root": [], "type": [2, 3]}]})
 Z3_NON_CONTIGUOUS = json.dumps({"colors": [1, 2, 4], "d": 2, "cubes": [
     {"root": [], "type": [1, 2]}, {"root": [2], "type": [1, 4]}, {"root": [], "type": [2, 4]}]})
-# malformed input for every command: (argv, stdin, exit code, part of the message)
 # the spectra of a cubillage of Z(4,2) with the member [4] listed twice
 REPEATED_SPECTRA = ("[[], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [2], [2, 3], [2, 3, 4], "
                     "[3], [3, 4], [4], [4]]")
+# malformed input for every command: (argv, stdin, exit code, part of the message)
 MALFORMED = [
     (["standard", "-n", "100000", "-d", "1"], "", 1, "exceeds the cap"),
     (["standard", "-n", "2", "-d", "3"], "", 2, ""),
