@@ -18,16 +18,13 @@ from .colors import colorset  # noqa: F401
 from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, ScaleGuardError
 from .cubillage import _check_dimensions, _closure, _vertex_count
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume, volume_check
-from .masks import _cubillage_of_mask, _raises, _types, _walk
+from .masks import _UNBLOCKED, _cubillage_of_mask, _raises, _types, _walk
 from .order import find_flips  # noqa: F401
 from .systems import _adjacency, _count_cliques, _separation_scale_guard, _split
 
 
 # the default state cap of enumerate_cubillages, bruhat_poset and the CLI's --max-states
 MAX_STATES = 200_000
-
-# a bit's blocking count to its flag among the raising steps: 0 to "1", else "0"
-_UNBLOCKED = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
 
 
 def _masks(n: int, d: int, max_states: int) -> dict[int, int]:
@@ -39,10 +36,11 @@ def _masks(n: int, d: int, max_states: int) -> dict[int, int]:
     flips.  Complete because every non-standard cubillage admits a lowering
     flip.  Each mask of the rank at hand carries its packet state
     (masks._raises): per packet its flag pattern, per bit the number of
-    packets that block it.  A child copies its first parent's state and
-    updates the n-d-1 packets through the added bit; its raising steps are
-    the unset bits that no packet blocks.  Only two ranks of states are
-    held.  Refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
+    packets that block it, the counts masks._blocking scans and
+    masks._flipped carries along one flip of a cubillage.  A child copies
+    its first parent's state and updates the n-d-1 packets through the
+    added bit; its raising steps are the unset bits that no packet blocks.
+    Only two ranks of states are held.  Refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
     count passes max_states.
     """
     _check_dimensions(n, d)

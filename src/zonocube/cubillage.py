@@ -10,7 +10,8 @@ that the order module reads.  validate and the vertex spectra code color
 sets by position (colors._encode): a facet (root, J) is the int
 root << n | J.  One submask kernel, _spectrum_codes, gives the spectra
 as codes: q.vertices() decodes them (colors._decode, which reads byte
-tables), validate only counts them.  validate takes the boundary plates
+tables), validate counts them and, when q passes, leaves them for
+q.vertices().  validate takes the boundary plates
 from _plate_codes, a table built once per (n, d), and checks for cycles
 by _topological, the Kahn pass _closure builds on; it decodes only the
 facet a diagnostic names.  All three expansions insert a color by one
@@ -159,10 +160,15 @@ class Cubillage:
         return f"Cubillage(Z({self.n},{self.d}); {body})"
 
     def vertices(self) -> frozenset[Colors]:
-        """All vertex spectra: root ∪ S over cubes and subsets S of their types."""
-        if "vertices" not in self._cache:
-            self._cache["vertices"] = _spectra([(r, t) for t, r in self._root_by_type.items()])
-        return self._cache["vertices"]
+        """All vertex spectra: root ∪ S over cubes and subsets S of their
+        types.  Decodes the codes a passing validate left, if any."""
+        cache = self._cache
+        if "vertices" not in cache:
+            codes = cache.get("spectrum_codes")
+            cache["vertices"] = (_spectra([(r, t) for t, r in self._root_by_type.items()])
+                                 if codes is None else
+                                 frozenset(_decode(v, self.colors) for v in codes))
+        return cache["vertices"]
 
     def _data(self) -> dict:
         """What to_json writes, to embed; json writes its tuples as arrays."""
@@ -371,7 +377,9 @@ def validate(q: Cubillage):
     C(n, <=d).  It reads no inversion mask and no natural order; its sets
     are coded by position in the colors, the facets of the boundary plates
     come from _plate_codes, the cycle check is _topological's, and the
-    vertices are counted as distinct codes, none decoded.
+    vertices are counted as distinct codes, none decoded.  A pass leaves
+    the codes on q for q.vertices(): they are by position in q.colors,
+    which only a q that passes is known to fit.
     """
     n, d, colors = q.n, q.d, q.colors
     if n < d:
@@ -410,9 +418,11 @@ def validate(q: Cubillage):
             return f"{side} plate {plate} not covered"
     if _topological(q._root_by_type, covers) is None:
         return "precedence relation between cubes has a cycle"
-    have, want = len(_spectrum_codes(coded)), _vertex_count(n, d)
+    codes = _spectrum_codes(coded)
+    have, want = len(codes), _vertex_count(n, d)
     if have != want:
         return f"vertex count {have} != C({n},<={d}) = {want}"
+    q._cache["spectrum_codes"] = codes
     return None
 
 

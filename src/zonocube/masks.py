@@ -1,14 +1,21 @@
 """Inversion masks: a cubillage of Z(n,d) as a bitmask over the (d+1)-subsets
 of its colors, which fixes it, the packet table behind consistency and
-flips, the transition table that carries a mask's packet state along a
-raising step of the rank-by-rank enumeration in bruhat._masks (_raises:
-a step by K changes only the n-d-1 packets through K), the root rule of
-cubillages and their membranes, the flip rule on root tables (a flip of
-the parent K changes only the d+1 roots of the types K - {c}, c in K),
-the tunnel chains of the natural order, and the lift rule of the
-canonical extension (Manin-Schechtman 1989; Ziegler, Topology 1993).
-The flip rule is written once, in _flip: apply_flip patches a copy of
-its input's table with it, and _walk carries the roots of every mask of
+flips, the blocking counts a cubillage carries along its flips, the
+transition table that carries a mask's packet state along a raising step
+of the rank-by-rank enumeration in bruhat._masks (_raises: a step by K
+changes only the n-d-1 packets through K), the root rule of cubillages and
+their membranes, the flip rule on root tables (a flip of the parent K
+changes only the d+1 roots of the types K - {c}, c in K), the tunnel
+chains of the natural order, and the lift rule of the canonical extension
+(Manin-Schechtman 1989; Ziegler, Topology 1993).
+_blocking is the one fresh scan of every packet: per bit, the number of
+packets that block it, a bit being free to toggle when none does (_steps).
+_mask_of keeps the counts of the mask it certifies on the cubillage beside
+the mask, and _flipped, the flip of apply_flip, carries them: it reads only
+the packets through the flipped bit (_through), so no cubillage of a flip
+walk has its packets scanned again.
+The flip rule is written once, in _flip: _flipped patches a copy of its
+input's table with it, and _walk carries the roots of every mask of
 an enumeration along its raising steps, one parent's roots copied and
 d+1 patched per mask, so no mask's roots are read again.  The walk
 carries either root tuples in type order or one type -> root dict per
@@ -32,11 +39,22 @@ from math import comb
 from .colors import Colors, _encode, _positions, add, is_even, minus, subsets, union
 from .cubillage import Cubillage, CubillageError
 
+# a bit's blocking count to its flag among the free bits: 0 to "1", else "0"
+_UNBLOCKED = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
+# a flag to its selector for itertools.compress: "0" to 0, "1" to 1
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+
 
 @functools.lru_cache(maxsize=None)
 def _bits(n: int, d: int) -> dict[Colors, int]:
     """Bit k of an inversion mask stands for the k-th (d+1)-subset of [n] in lex order."""
     return {k: i for i, k in enumerate(subsets(range(1, n + 1), d + 1))}
+
+
+@functools.lru_cache(maxsize=64)
+def _parents(colors: Colors, d: int) -> tuple[Colors, ...]:
+    """The (d+1)-subsets of the colors in lex order: bit k stands for the k-th."""
+    return tuple(subsets(colors, d + 1))
 
 
 def _flags(inv: int, size: int) -> str:
@@ -50,8 +68,13 @@ def _mask(colors: Colors, d: int, inverted) -> int:
 
 def _sets(colors: Colors, d: int, inv: int) -> list[Colors]:
     """The (d+1)-subsets of the colors in the mask inv, in lex order."""
-    flags = _flags(inv, comb(len(colors), d + 1))
-    return [k for k, flag in zip(subsets(colors, d + 1), flags) if flag == "1"]
+    select = bin(inv)[:1:-1].encode().translate(_SELECT)
+    return list(itertools.compress(_parents(colors, d), select))
+
+
+def _free(count) -> int:
+    """The mask of the bits whose blocking count is 0."""
+    return int(count.translate(_UNBLOCKED)[::-1] or b"0", 2)
 
 
 def _lift(colors: Colors, d: int, below) -> int:
@@ -91,21 +114,17 @@ def _raises(n: int, d: int) -> tuple:
     """The packet state of the search in bruhat._masks, carried along raising
     steps.  A consistent mask's state is, per packet in _packets order, the
     number of its flag pattern among the sorted keys of _blocked, and, per
-    bit, the number of packets that block it.  Gives the empty mask's state
-    and, per bit of Z(n,d), per packet through it: (packet number, per
-    pattern number the triple (number of the pattern with the bit added, the
-    bits it no longer blocks, the bits it newly blocks), None where the bit
-    is already set or blocked)."""
+    bit, the number of packets that block it.  Gives the empty mask's state,
+    its counts by _blocking, and, per bit of Z(n,d), per packet through it:
+    (packet number, per pattern number the triple (number of the pattern
+    with the bit added, the bits it no longer blocks, the bits it newly
+    blocks), None where the bit is already set or blocked)."""
     size = d + 2
     blocked = _blocked(size)
     patterns = sorted(blocked)
     number = {r: i for i, r in enumerate(patterns)}
     steps = [[] for _ in range(comb(n, d + 1))]
-    pattern, count = bytearray(), bytearray(len(steps))
     for j, (members, _) in enumerate(_packets(n, d).values()):
-        pattern.append(number[("0",) * size])
-        for i in blocked[("0",) * size]:
-            count[members[i]] += 1
         for i, k in enumerate(members):
             row = []
             for r in patterns:
@@ -117,37 +136,87 @@ def _raises(n: int, d: int) -> tuple:
                 new = {members[x] for x in blocked[up]}
                 row.append((number[up], tuple(sorted(old - new)), tuple(sorted(new - old))))
             steps[k].append((j, tuple(row)))
-    return bytes(pattern), bytes(count), tuple(map(tuple, steps))
+    empty = bytes([number[("0",) * size]]) * comb(n, d + 2)
+    return empty, _blocking(n, d, 0), tuple(map(tuple, steps))
 
 
-def _steps(n: int, d: int, inv: int) -> int | None:
-    """The bits whose toggle keeps the mask inv consistent, that is, meeting
-    every packet in a prefix or a suffix (adding one is a raising flip,
-    removing one a lowering flip); None when inv itself is not consistent."""
+@functools.lru_cache(maxsize=None)
+def _through(n: int, d: int) -> tuple:
+    """Per bit of Z(n,d), the n-d-1 packets through it, as _packets gives them."""
+    out = [[] for _ in range(comb(n, d + 1))]
+    for packet in _packets(n, d).values():
+        for k in packet[0]:
+            out[k].append(packet)
+    return tuple(map(tuple, out))
+
+
+def _blocking(n: int, d: int, inv: int) -> bytes | None:
+    """Per bit of the mask inv, the number of packets that block it: whose
+    pattern its toggle leaves neither a prefix nor a suffix.  None when inv
+    itself is not consistent.  The one fresh scan of every packet."""
     size, table = comb(n, d + 1), _blocked(d + 2)
-    flags, free = _flags(inv, size), bytearray(b"1" * size)
+    flags, count = _flags(inv, size), bytearray(size)
     for members, get in _packets(n, d).values():
         blocked = table.get(get(flags))
         if blocked is None:
             return None
         for i in blocked:
-            free[members[i]] = 48  # "0"
-    return int(free[::-1] or b"0", 2)
+            count[members[i]] += 1
+    return bytes(count)
 
 
-def _toggle(colors: Colors, d: int, inv: int, parent: Colors) -> int | None:
-    """inv with the parent, a (d+1)-subset of the colors, toggled, when that
-    keeps it consistent; else None.  Only the packets through it are read."""
-    n, position = len(colors), {c: i for i, c in enumerate(colors, 1)}
-    at = tuple(position.get(c, 0) for c in parent)
-    k = _bits(n, d).get(at)
-    if k is None:
+def _steps(n: int, d: int, inv: int) -> int | None:
+    """The bits whose toggle keeps the mask inv consistent, that is, meeting
+    every packet in a prefix or a suffix (adding one is a raising flip,
+    removing one a lowering flip): the bits _blocking counts no packet
+    against.  None when inv itself is not consistent."""
+    count = _blocking(n, d, inv)
+    return None if count is None else _free(count)
+
+
+def _state(q: Cubillage) -> tuple[int, bytes]:
+    """q's inversion mask (certified by _mask_of) and its blocking counts,
+    both cached on q; the counts are scanned only for a mask cached
+    without them, as _cubillage_of_mask caches it."""
+    inv = _mask_of(q)
+    count = q._cache.get("blocking")
+    if count is None:
+        count = q._cache["blocking"] = _blocking(q.n, q.d, inv)
+    return inv, count
+
+
+def _flipped(q: Cubillage, parent: Colors) -> Cubillage | None:
+    """q with the parent, a canonical (d+1)-subset of its colors, toggled in
+    its inversion set, when no packet blocks it; else None.  The flipped
+    cubillage patches a copy of q's roots by _flip and adopts the toggled
+    mask and the counts carried from q's (_state): each packet through the
+    parent takes off what its old pattern blocked and adds what its new one
+    blocks, and no other packet is read."""
+    inv, count = _state(q)
+    colors, n, d = q.colors, q.n, q.d
+    contiguous = colors[-1:] == (n,)
+    if not contiguous:
+        position = {c: i for i, c in enumerate(colors, 1)}
+        parent = tuple(position.get(c, 0) for c in parent)
+    k = _bits(n, d).get(parent)
+    if k is None or count[k]:
         return None
-    flags, table = _flags(inv, comb(n, d + 1)), _blocked(d + 2)
-    through = (_packets(n, d)[add(at, c)] for c in range(1, n + 1) if c not in at)
-    if any(members.index(k) in table[get(flags)] for members, get in through):
-        return None
-    return inv ^ 1 << k
+    flags = _flags(inv, len(count))
+    toggled = flags[:k] + "01"[flags[k] == "0"] + flags[k + 1:]
+    table, carried = _blocked(d + 2), bytearray(count)
+    for members, get in _through(n, d)[k]:
+        for i in table[get(flags)]:
+            carried[members[i]] -= 1
+        for i in table[get(toggled)]:
+            carried[members[i]] += 1
+    pairs = _flip_rows(n, d, True)[k]
+    if not contiguous:
+        pairs = [(tuple(colors[x - 1] for x in t), colors[c - 1]) for t, c in pairs]
+    roots = dict(q._root_by_type)
+    _flip(roots, pairs)
+    flipped = Cubillage._adopt(colors, d, roots)
+    flipped._cache["mask"], flipped._cache["blocking"] = inv ^ 1 << k, bytes(carried)
+    return flipped
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,21 +356,23 @@ def _tunnel_covers(colors: Colors, d: int, inv: int) -> list[tuple[Colors, Color
 
 def _mask_of(q: Cubillage) -> int:
     """q's inversion mask, cached on q once q passes a validity certificate
-    (else CubillageError): the type map is exactly the d-subsets of the
-    colors, the mask read from the roots is consistent, and the root rule
-    gives back every root from it, so q is the cubillage of a consistent
-    inversion set."""
+    (else CubillageError, and nothing cached): the type map is exactly the
+    d-subsets of the colors, the mask read from the roots is consistent,
+    and the root rule gives back every root from it, so q is the cubillage
+    of a consistent inversion set.  The blocking counts of the consistency
+    check are cached beside the mask, for _state."""
     if "mask" in q._cache:
         return q._cache["mask"]
     colors, d, roots = q.colors, q.d, q._root_by_type
     if q.n < d or len(roots) != comb(q.n, d) or any(t not in roots for t in subsets(colors, d)):
         raise CubillageError("type map is not a bijection onto the d-subsets of the colors")
     inv = _mask(colors, d, lambda k: k[-1] in roots[k[:-1]])
-    if _steps(q.n, d, inv) is None:
+    count = _blocking(q.n, d, inv)
+    if count is None:
         raise CubillageError("the inversion set read from the roots is not consistent")
     if any(roots[t] != r for r, t in _cubes(colors, d, inv)):
         raise CubillageError("the roots break the root rule of their inversion set")
-    q._cache["mask"] = inv
+    q._cache["mask"], q._cache["blocking"] = inv, count
     return inv
 
 

@@ -14,18 +14,18 @@ import itertools
 import json
 from typing import NamedTuple
 
-from .colors import Colors, _check_dimension, add, colorset, inter, minus, subsets, union
+from .colors import Colors, _check_dimension, add, colorset, inter, subsets, union
 from .cubillage import Cubillage, CubillageError, Facet, _closure, _spectra, boundary_plates
 from .masks import (
     _cubes,
     _cubillage_of_mask,
-    _flip,
+    _flipped,
+    _free,
     _lift,
     _mask,
     _mask_of,
     _sets,
-    _steps,
-    _toggle,
+    _state,
     _tunnel_covers,
 )
 
@@ -236,10 +236,12 @@ def find_flips(q: Cubillage) -> tuple[tuple[Colors, str], ...]:
 
     A parent K, a (d+1)-subset of the colors, is flippable when toggling it
     in the inversion set keeps every packet through K met in a prefix or a
-    suffix; the flip raises when K is not an inversion, else it lowers.
-    Raises CubillageError when q fails the certificate of masks._mask_of."""
-    inv = _mask_of(q)
-    free = _steps(q.n, q.d, inv)
+    suffix, that is, when no packet blocks it; the flip raises when K is not
+    an inversion, else it lowers.  Read off the blocking counts q carries
+    (masks._state).  Raises CubillageError when q fails the certificate of
+    masks._mask_of."""
+    inv, count = _state(q)
+    free = _free(count)
     lowering = set(_sets(q.colors, q.d, free & inv))
     return tuple((parent, "lowering" if parent in lowering else "raising")
                  for parent in _sets(q.colors, q.d, free))
@@ -247,17 +249,15 @@ def find_flips(q: Cubillage) -> tuple[tuple[Colors, str], ...]:
 
 def apply_flip(q: Cubillage, parent) -> Cubillage:
     """Toggle the parent K in the inversion set: for each c in K, toggle c
-    in the root of type K - {c}; no other cube changes.  Raises ValueError
-    when the packets through K do not allow it, and CubillageError when q
-    fails the certificate of masks._mask_of."""
+    in the root of type K - {c}; no other cube changes.  The result carries
+    its mask and blocking counts (masks._flipped), so flipping or listing
+    the flips of it reads no packet away from K.  Raises ValueError when a
+    packet through K blocks it or K is no (d+1)-subset of the colors, and
+    CubillageError when q fails the certificate of masks._mask_of."""
     parent = colorset(parent)
-    toggled = _toggle(q.colors, q.d, _mask_of(q), parent)
-    if toggled is None:
+    flipped = _flipped(q, parent)
+    if flipped is None:
         raise ValueError(f"parent {parent} is not flippable")
-    roots = dict(q._root_by_type)
-    _flip(roots, [(minus(parent, (c,)), c) for c in parent])
-    flipped = Cubillage._adopt(q.colors, q.d, roots)
-    flipped._cache["mask"] = toggled
     return flipped
 
 

@@ -35,7 +35,7 @@ from zonocube.cubillage import (
     standard,
     validate,
 )
-from zonocube.masks import _bits, _cubes, _cubillage_of_mask, _mask_of, _steps, _walk
+from zonocube.masks import _bits, _blocking, _cubes, _cubillage_of_mask, _mask_of, _steps, _walk
 from zonocube.order import apply_flip, find_flips
 from zonocube.systems import (
     extension_search,
@@ -196,6 +196,30 @@ def test_flips_match_capsid_oracle_on_seeded_walks(colors, d):
         for parent, _ in flips:
             assert apply_flip(q, parent) == apply_flip_oracle(q, parent)
         q = apply_flip_oracle(q, rng.choice(flips)[0])
+
+
+@pytest.mark.parametrize("colors,d", [(crange(8), 3), (crange(9), 4), ((2, 4, 5, 7, 9, 11), 3)],
+                         ids=["Z8_3", "Z9_4", "C6_3"])
+def test_flips_carry_their_blocking_counts_on_seeded_walks(colors, d):
+    # the walk steps with apply_flip itself, raising and lowering mixed, so
+    # every cubillage after the first lists its flips from carried counts
+    rng, n = random.Random(len(colors) * 10 + d + 1), len(colors)
+    q, ways = standard(colors, d), set()
+    outside = colors[:d] + (colors[-1] + 1,)
+    for step in range(60):
+        assert step == 0 or "blocking" in q._cache
+        flips = find_flips(q)
+        assert flips == find_flips_oracle(q)
+        assert q._cache["blocking"] == _blocking(n, d, q._cache["mask"])
+        listed = {parent for parent, _ in flips}
+        for parent in [*subsets(colors, d + 1), outside]:
+            if parent not in listed:
+                with pytest.raises(ValueError, match="is not flippable"):
+                    apply_flip(q, parent)
+        parent, way = rng.choice(flips)
+        ways.add(way)
+        q = apply_flip(q, parent)
+    assert ways == {"raising", "lowering"}
 
 
 # ------------------------------------------- oracle: the flip-graph search

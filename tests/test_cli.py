@@ -716,6 +716,9 @@ MALFORMED = [
     (["flip", "-", "--parent", "[1, 2]"], Z42, 2, ""),
     (["flip", "-", "--parent", "[1.5, 2, 3]"], Z42, 2, "integers"),
     (["flip", "-", "--parent", "\"abc\""], Z42, 2, ""),
+    # a parent find_flips does not list, and one with a color outside the input's
+    (["flip", "-", "--parent", "[1, 2, 4]"], Z42, 2, "parent (1, 2, 4) is not flippable"),
+    (["flip", "-", "--parent", "[1, 2, 5]"], Z42, 2, "parent (1, 2, 5) is not flippable"),
     (["standardize", "-"], '{"colors": [1, 2], "d": 1.0, "cubes": []}', 2, ""),
     (["membranes", "-"], '{"colors": [1, 2], "d": 0, "cubes": []}', 2, ""),
     (["garland", "-"], '{"colors": "ab", "d": 1, "cubes": []}', 2, ""),

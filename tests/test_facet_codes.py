@@ -75,6 +75,25 @@ def test_validate_and_vertices_match_the_facet_oracles(n, d):
     assert {kind for kind, valid in kinds if not valid} == {"toggle", "swap", "drop", "two toggles"}
 
 
+@pytest.mark.parametrize("colors,d", [(tuple(range(1, 9)), 3), (tuple(range(1, 10)), 4),
+                                      ((2, 4, 5, 7, 9, 11), 3)], ids=["Z8_3", "Z9_4", "C6_3"])
+def test_vertices_after_validate_are_the_vertices_of_a_fresh_copy(colors, d):
+    # a passing validate leaves its codes for q.vertices(), a failing one none
+    rng = random.Random(len(colors) * 10 + d)
+    for _ in range(3):
+        q = standard(colors, d)
+        for _ in range(rng.randrange(40)):
+            q = apply_flip(q, rng.choice(find_flips(q))[0])
+        roots = dict(q._root_by_type)
+        t = rng.choice(sorted(roots))
+        roots[t] += (colors[-1] + 1,)
+        foreign = Cubillage(colors, d, [(r, t) for t, r in roots.items()])
+        for kind, m in [("walk", q), *mutants(q, rng, 4), ("foreign root", foreign)]:
+            diagnostic = validate(m)
+            assert ("spectrum_codes" in m._cache) == (diagnostic is None), kind
+            assert m.vertices() == Cubillage.from_json(m.to_json()).vertices(), kind
+
+
 def test_position_code_is_the_color_code_on_one_to_n():
     for n in range(1, 8):
         colors = tuple(range(1, n + 1))

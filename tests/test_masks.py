@@ -88,6 +88,30 @@ def test_certificate_rejects_exactly_what_validate_rejects(colors, d):
     assert rejected >= 80
 
 
+@pytest.mark.parametrize("colors,d", [(range(1, 7), 2), (range(1, 8), 3),
+                                      ((2, 4, 5, 7, 9, 11), 3)], ids=["Z6_2", "Z7_3", "C6_3"])
+def test_a_failed_certificate_caches_nothing(colors, d):
+    # a color below max T toggled in the root of T leaves the mask read from
+    # the roots consistent, so the certificate fails at the root rule, after
+    # the packet scan
+    rng = random.Random(len(colors) * 10 + d)
+    colors, failed = tuple(colors), 0
+    for _ in range(10):
+        q = random_walk(colors, d, rng.randrange(12), rng)
+        t = rng.choice(q.types())
+        below = [c for c in colors if c < t[-1] and c not in t]
+        if not below:
+            continue
+        root = tuple(sorted(set(q.root_of(t)) ^ {rng.choice(below)}))
+        bad = fresh(q, {t: root})
+        for f in (_mask_of, find_flips, lambda q: apply_flip(q, q.types()[0] + (colors[-1],))):
+            with pytest.raises(CubillageError, match="root rule"):
+                f(bad)
+            assert bad._cache == {}
+        failed += 1
+    assert failed >= 5
+
+
 @pytest.mark.parametrize("colors,d,cubes", [
     pytest.param((1, 2, 3), 2, [((), (1, 2)), ((2,), (1, 3))], id="missing-type"),
     pytest.param((1, 2, 3), 2, [((), (1, 2)), ((2,), (1, 3)), ((), (2, 3)), ((), (1, 4))],
