@@ -471,13 +471,17 @@ def snakes(q: Cubillage):
 
 def _extreme(colors, d: int, even: bool) -> Cubillage:
     """The bottom (odd roots) or top (even roots) of the higher Bruhat order.
-    A range of colors is sized and guarded before its colors are listed."""
+    A range of colors is sized and guarded before its colors are listed.
+    It comes with its inversion mask cached, as masks._mask_of keeps it:
+    no bit for the bottom, all C(n,d+1) bits for the top."""
     cs = colors if isinstance(colors, range) else colorset(colors)
     _check_dimensions(len(cs), d)
     _extreme_work_guard(len(cs), d)
     if isinstance(cs, range):
         cs = colorset(cs)
-    return Cubillage._adopt(cs, d, {t: _parity_root(cs, t, even) for t in subsets(cs, d)})
+    q = Cubillage._adopt(cs, d, {t: _parity_root(cs, t, even) for t in subsets(cs, d)})
+    q._cache["mask"] = (1 << comb(len(cs), d + 1)) - 1 if even else 0
+    return q
 
 
 def standard(colors, d: int) -> Cubillage:

@@ -26,7 +26,9 @@ strings: its functions take and give colored sets.  Tables are cached
 per (n, d), index colors by position and hold bit numbers, never masks,
 so they stay linear in the number of packets; a mask is read through its
 flags, the string with bit k at index k.  Vertex sets reach it as codes
-of the package's one position coder, colors._encode.
+of the package's one position coder, colors._encode: _mask_of_spectra
+transposes them once into per-color member bitsets and reads each bit of
+a mask with d+1 ands of them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import itertools
 import operator
 from math import comb
 
-from .colors import Colors, _encode, _positions, add, is_even, minus, subsets, union
+from .colors import Colors, add, is_even, minus, subsets, union
 from .cubillage import Cubillage, CubillageError
 
 # a bit's blocking count to its flag among the free bits: 0 to "1", else "0"
@@ -376,36 +378,34 @@ def _mask_of(q: Cubillage) -> int:
     return inv
 
 
-@functools.lru_cache(maxsize=None)
-def _restrictions(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
-    """Per (d+1)-subset K = {k_1 < ... < k_{d+1}} of [n] in bit order, as
-    position codes on 1..n: K, and the one subset of K missing from the
-    spectrum of the standard cubillage of Z(K,d), {k_{d+1}, k_{d-1}, ...},
-    and of the antistandard one, {k_d, k_{d-2}, ...}."""
-    return tuple(tuple(_encode(part, _positions(n)) for part in (k, k[::-1][::2], k[::-1][1::2]))
-                 for k in _bits(n, d))
-
-
 def _mask_of_spectra(n: int, d: int, codes) -> int | None:
     """The inversion mask read off a set system of n colors, its members
     given as position codes in the colors (colors._encode).
 
     The restriction of the spectrum of a cubillage of Z(colors,d) to a
-    (d+1)-subset K is the spectrum of its restriction to Z(K,d): the
-    standard cubillage when K is no inversion, the antistandard one when it
-    is.  Either misses one subset of K, its own.  None when some
-    restriction is not all subsets of K but one of these two, or when the
-    mask read is not consistent.  Not a certificate on its own: the caller
-    compares the spectrum codes of the cubillage of the mask with the
-    input's.
+    (d+1)-subset K = {k_1 < ... < k_{d+1}} is the spectrum of its
+    restriction to Z(K,d): the standard cubillage when K is no inversion,
+    the antistandard one when it is, and only the standard one misses the
+    subset {k_{d+1}, k_{d-1}, ...} of K.  So K is read as an inversion when
+    some member meets K in exactly that subset.  The members are transposed
+    once into one bitset per color, the members holding it, and its
+    complement, the members lacking it; K then takes d+1 ands, position i
+    of K (from 0) holding its color when d - i is even and lacking it when
+    odd.  None when the mask read is not consistent.  Not a certificate on
+    its own: the caller compares the spectrum codes of the cubillage of the
+    mask with the input's, which decides every input.
     """
-    inv, size = 0, (1 << (d + 1)) - 1
-    for bit, (k, standard, antistandard) in enumerate(_restrictions(n, d)):
-        seen = {v & k for v in codes}
-        if len(seen) != size:
-            return None
-        if standard in seen:
-            if antistandard in seen:
-                return None
-            inv |= 1 << bit
+    rows = [format(v, f"0{n}b") for v in codes]
+    full = (1 << len(rows)) - 1
+    holding = [int("".join(column), 2) for column in zip(*rows)][::-1]
+    lacking = [full ^ members for members in holding]
+    roles = [lacking if (d - i) % 2 else holding for i in range(d + 1)]
+
+    def inverted(k: Colors) -> bool:
+        meet = full
+        for role, c in zip(roles, k):
+            meet &= role[c]
+        return meet != 0
+
+    inv = _mask(range(n), d, inverted)
     return inv if _steps(n, d, inv) is not None else None

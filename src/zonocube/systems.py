@@ -152,11 +152,14 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
 
     A system of size C(n,<=d) is the spectrum of a cubillage of Z(n,d)
     exactly when it is (d-1)-separated (Galashin 2018).  Its inversion mask
-    is read off its restrictions to the (d+1)-subsets of the colors
-    (masks._mask_of_spectra), and the cubillage the root rule builds from
-    the mask is returned when its spectrum is the input, which certifies
-    it.  The members are coded by position in the colors once; the mask
-    is read from these codes and the certificate compares them with the
+    is read off per-color member bitsets: a (d+1)-subset of the colors is
+    an inversion when some member meets it in the one subset the standard
+    cubillage's spectrum misses (masks._mask_of_spectra).  The cubillage
+    the root rule builds from the mask is returned when its spectrum is
+    the input, and this compare alone decides: it certifies every answer
+    and refuses every other input, so the read need not check the input.
+    The members are coded by position in the colors once; the mask is
+    read from these codes and the certificate compares them with the
     rebuilt cubillage's spectrum codes (cubillage._spectrum_codes), so no
     spectrum is decoded.  Otherwise the pairwise separation (ValueError)
     and then the color universe (NotRealizableError) say what is wrong.  A

@@ -1,7 +1,13 @@
-"""The raising-flip search of B(n,d) without carried state, kept as the test
-oracle of bruhat._masks: every mask popped has all its packets read again
-by masks._steps."""
+"""Test oracles of the inversion masks.  The raising-flip search of B(n,d)
+without carried state, kept as the oracle of bruhat._masks: every mask
+popped has all its packets read again by masks._steps.  The per-subset
+reader of a mask off vertex spectra, kept as the oracle of
+masks._mask_of_spectra: it restricts every member to every (d+1)-subset."""
 
+import itertools
+
+from zonocube.colors import subsets
+from zonocube.cubillage import antistandard, standard
 from zonocube.masks import _steps
 
 
@@ -21,3 +27,35 @@ def masks_oracle(n: int, d: int) -> dict[int, int]:
                 found[up] = 0
                 todo.append(up)
     return found
+
+
+def restrictions_oracle(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """Per (d+1)-subset K of [n] in lex order, as vertex bits: K, and the
+    subset of K missing from the vertices of standard and of antistandard
+    Z(K,d), read off the vertex sets of Z(d+1,d)."""
+    colors = tuple(range(1, d + 2))
+    every = {s for k in range(d + 2) for s in itertools.combinations(colors, k)}
+    missing = [(every - extreme(colors, d).vertices()).pop()
+               for extreme in (standard, antistandard)]
+    return tuple((sum(1 << (c - 1) for c in k),
+                  *(sum(1 << (k[i - 1] - 1) for i in m) for m in missing))
+                 for k in subsets(range(1, n + 1), d + 1))
+
+
+def mask_of_spectra_oracle(n: int, d: int, codes) -> int | None:
+    """The inversion mask read off a set system of n colors, its members
+    given as position codes: per (d+1)-subset K, the members restricted to
+    K must be all subsets of K but the one the standard or the antistandard
+    cubillage of Z(K,d) misses, and K is an inversion when the standard
+    one's is present.  None when some restriction is neither, or when the
+    mask read is not consistent."""
+    inv, size = 0, (1 << (d + 1)) - 1
+    for bit, (k, below, above) in enumerate(restrictions_oracle(n, d)):
+        seen = {v & k for v in codes}
+        if len(seen) != size:
+            return None
+        if below in seen:
+            if above in seen:
+                return None
+            inv |= 1 << bit
+    return inv if _steps(n, d, inv) is not None else None

@@ -687,6 +687,10 @@ Z3_NON_CONTIGUOUS = json.dumps({"colors": [1, 2, 4], "d": 2, "cubes": [
 # the spectra of a cubillage of Z(4,2) with the member [4] listed twice
 REPEATED_SPECTRA = ("[[], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [2], [2, 3], [2, 3, 4], "
                     "[3], [3, 4], [4], [4]]")
+# the spectra of standard Z(4,2) with the member [] swapped for [1, 3]: the
+# mask read from it is consistent, so the spectrum compare refuses it
+SWAPPED_SPECTRA = json.dumps({"n": 4, "sets": [
+    [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 3], [2], [2, 3], [2, 3, 4], [3], [3, 4], [4]]})
 # malformed input for every command: (argv, stdin, exit code, part of the message)
 MALFORMED = [
     (["standard", "-n", "100000", "-d", "1"], "", 1, "exceeds the cap"),
@@ -745,6 +749,8 @@ MALFORMED = [
      "bad input: duplicate member sets"),
     (["from-spectra", "-", "-d", "2"], f'{{"n": 4, "sets": {REPEATED_SPECTRA}}}', 2,
      "bad input: duplicate member sets"),
+    (["from-spectra", "-"], SWAPPED_SPECTRA, 2,
+     "bad input: (1, 3) and (2,) are not 1-separated"),
     (["from-consistent", "--sets", "[[1, 2]]", "-n", "3", "-d", "5"], "", 2, ""),
     (["from-consistent", "--sets", "[[true]]", "-n", "2", "-d", "1"], "", 2, "integers"),
     (["from-consistent", "--sets", "[[1]]", "-n", "3", "-d", "2"], "", 2,

@@ -1,21 +1,23 @@
-"""The validity certificate of the inversion masks against validate(), and the
-root tables that the flip search carries and that flips patch."""
+"""The validity certificate of the inversion masks against validate(), the
+root tables that the flip search carries and that flips patch, and the
+mask read off vertex spectra."""
 
 import io
-import itertools
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 
 import pytest
-from mask_oracles import masks_oracle
+from mask_oracles import mask_of_spectra_oracle, masks_oracle
 
 from zonocube.bruhat import MAX_STATES, BruhatPoset, _masks, enumerate_cubillages
 from zonocube.cli import main
-from zonocube.colors import subsets
+from zonocube.colors import _encode, subsets
 from zonocube.cubillage import (
     Cubillage, CubillageError, ScaleGuardError, antistandard, standard, validate)
-from zonocube.masks import _cubes, _cubillage_of_mask, _mask, _mask_of, _restrictions, _walk
+from zonocube.masks import (
+    _cubes, _cubillage_of_mask, _mask, _mask_of, _mask_of_spectra, _walk)
 from zonocube.order import apply_flip, find_flips
 
 
@@ -54,11 +56,14 @@ def test_every_cubillage_up_to_six_colors_is_certified():
                 assert _mask_of(again) == _mask_of(q)
 
 
-def random_walk(colors, d, steps, rng):
-    q = standard(colors, d)
+def walk(q, steps, rng):
     for _ in range(steps):
         q = apply_flip(q, rng.choice(find_flips(q))[0])
     return q
+
+
+def random_walk(colors, d, steps, rng):
+    return walk(standard(colors, d), steps, rng)
 
 
 @pytest.mark.parametrize("colors,d", [(range(1, 6), 2), (range(1, 7), 3), (range(1, 8), 3),
@@ -136,23 +141,55 @@ def test_certificate_rejects_malformed_type_maps(colors, d, cubes):
     assert code == 1 and not out and err.startswith("error: ")
 
 
-def restrictions_oracle(n, d):
-    """Per (d+1)-subset K of [n] in lex order, as vertex bits: K, and the
-    subset of K missing from the vertices of standard and of antistandard
-    Z(K,d), read off the vertex sets of Z(d+1,d)."""
-    colors = tuple(range(1, d + 2))
-    every = {s for k in range(d + 2) for s in itertools.combinations(colors, k)}
-    missing = [(every - extreme(colors, d).vertices()).pop()
-               for extreme in (standard, antistandard)]
-    return tuple((sum(1 << (c - 1) for c in k),
-                  *(sum(1 << (k[i - 1] - 1) for i in m) for m in missing))
-                 for k in subsets(range(1, n + 1), d + 1))
+def spectrum_codes(q):
+    """q's vertex spectra as position codes in its colors, as from_spectra codes them."""
+    index = {c: i for i, c in enumerate(q.colors)}
+    return {_encode(v, index) for v in q.vertices()}
 
 
-def test_restrictions_match_the_extreme_cubillages():
+def test_spectrum_reader_reads_the_extreme_cubillages_and_single_flips():
+    # no inversion on standard's spectrum, every one on antistandard's, and
+    # exactly the flipped parent after each flip of standard
     for d in range(1, 7):
         for n in range(d + 1, 11):
-            assert _restrictions(n, d) == restrictions_oracle(n, d), (n, d)
+            colors = tuple(range(1, n + 1))
+            bottom = standard(colors, d)
+            assert _mask_of_spectra(n, d, spectrum_codes(bottom)) == 0, (n, d)
+            top = spectrum_codes(antistandard(colors, d))
+            assert _mask_of_spectra(n, d, top) == (1 << comb(n, d + 1)) - 1, (n, d)
+            for parent, _ in find_flips(bottom):
+                flipped = spectrum_codes(apply_flip(bottom, parent))
+                assert _mask_of_spectra(n, d, flipped) == _mask(colors, d, parent.__eq__)
+
+
+@pytest.mark.parametrize("colors,d", [(range(1, 9), 3), (range(1, 10), 4), (range(1, 11), 5),
+                                      ((2, 4, 5, 7, 9, 11), 3)],
+                         ids=["Z8_3", "Z9_4", "Z10_5", "C6_3"])
+def test_spectrum_reader_matches_the_per_subset_oracle_on_seeded_walks(colors, d):
+    rng = random.Random(len(colors) * 10 + d)
+    colors, n = tuple(colors), len(colors)
+    q = standard(colors, d)
+    for step in range(24):
+        if step % 4 == 0:
+            codes = spectrum_codes(q)
+            assert _mask_of_spectra(n, d, codes) == mask_of_spectra_oracle(n, d, codes) \
+                == _mask_of(fresh(q)), step
+        q = apply_flip(q, rng.choice(find_flips(q))[0])
+
+
+@pytest.mark.parametrize("colors", [range(1, 8), (2, 4, 5, 7, 9, 11, 12)],
+                         ids=["contiguous", "sparse"])
+def test_extreme_cubillages_come_with_their_masks(colors):
+    # the cached mask is what the certificate reads off a fresh copy, and a
+    # walk from it ends where a walk from the fresh copy, which certifies
+    # its mask first, ends
+    colors = tuple(colors)
+    for d in range(1, 6):
+        for extreme in (standard, antistandard):
+            q = extreme(colors, d)
+            assert q._cache["mask"] == _mask_of(fresh(q)), (extreme, d)
+            seed = len(colors) * 10 + d
+            assert walk(q, 12, random.Random(seed)) == walk(fresh(q), 12, random.Random(seed))
 
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 from facet_oracles import _expand, _membrane
@@ -428,15 +429,20 @@ def canonical_extension_oracle(qp: Cubillage) -> Cubillage:
     no lowering flip of the result stays inside that stack.
     """
     roots = {}
+    bound = comb(len(qp.colors), qp.d + 1)
     for direction in ("lowering", "raising"):
         cur = qp
-        while True:
+        # each flip toggles one (d+1)-subset one way, so a walk that has not
+        # ended after C(n,d+1) flips has met a wrong apply_flip
+        for _ in range(bound + 1):
             parent = _canonical_flip(cur, direction)
             if parent is None:
                 break
             # the capsid's cubes share their root outside the parent
             roots[parent] = minus(cur._root_by_type[parent[1:]], parent)
             cur = apply_flip(cur, parent)
+        else:
+            raise AssertionError(f"the {direction} walk passed {bound} flips")
     return Cubillage._adopt(qp.colors, qp.d + 1, roots)
 
 
