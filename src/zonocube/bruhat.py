@@ -16,9 +16,9 @@ from .colors import Colors, _blocks, is_even, minus, subsets
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
 from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, ScaleGuardError
-from .cubillage import _check_dimensions, _closure, _vertex_count
+from .cubillage import _check_dimensions, _closure, _numbering, _vertex_count
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume, volume_check
-from .masks import _UNBLOCKED, _cubillage_of_mask, _raises, _types, _walk
+from .masks import _UNBLOCKED, _cubillage_of_mask, _raises, _walk
 from .order import find_flips  # noqa: F401
 from .systems import _adjacency, _count_cliques, _separation_scale_guard, _split
 
@@ -150,8 +150,8 @@ class BruhatPoset:
         return tuple(_cubillage_of_mask(colors, self.d, inv, tables[inv]) for inv in masks)
 
     @functools.cached_property
-    def _up(self) -> dict[int, int]:
-        return _closure(range(len(self.masks)), self.covers)[2]
+    def _up(self) -> list[int]:
+        return _closure(len(self.masks), self.covers)[1]
 
     def __len__(self):
         return len(self.masks)
@@ -295,7 +295,7 @@ def sec_surjectivity_experiment(n: int, d: int, max_states: int = MAX_STATES) ->
     raises CubillageError on a failed certificate or a slice outside the
     universe."""
     colors = tuple(range(1, n + 1))
-    types = list(_types(colors, d))
+    types = list(_numbering(colors, d))
     image = {tuple(itertools.compress(types, map(operator.not_, roots)))
              for roots in _walk(n, d, _masks(n, d, max_states)).values()}
     universe, realization = _triangulations(n, d, max_states), Realization(colors, d)

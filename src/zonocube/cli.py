@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .colors import SetSystem, _blocks, _check_weak_k, _failing_pairs, _set_system_json, _weak
 from .colors import colorset, separation_blocks
-from .cubillage import Cubillage, CubillageError, _data, point_cubillage, validate
+from .cubillage import Cubillage, CubillageError, _data, _numbering, point_cubillage, validate
 from . import (
     AdmissibleOrder,
     ScaleGuardError,
@@ -53,7 +53,7 @@ from . import (
 )
 from .bruhat import MAX_STATES, _masks
 from .geom import Realization
-from .masks import _mask_of, _types, _walk
+from .masks import _mask_of, _walk
 from .order import _plates
 
 
@@ -243,7 +243,7 @@ def cmd_enumerate(args):
     n, d = args.n, args.d
     roots = sorted(_walk(n, d, _masks(n, d, args.max_states)).values())
     colors = tuple(range(1, n + 1))
-    types = tuple(_types(colors, d))
+    types = tuple(_numbering(colors, d))
 
     def chunks():
         for k, r in enumerate(roots):

@@ -11,12 +11,17 @@ sets by position (colors._encode): a facet (root, J) is the int
 root << n | J.  One submask kernel, _spectrum_codes, gives the spectra
 as codes: q.vertices() decodes them (colors._decode, which reads byte
 tables), validate counts them and, when q passes, leaves them for
-q.vertices().  validate takes the boundary plates
-from _plate_codes, a table built once per (n, d), and checks for cycles
-by _topological, the Kahn pass _closure builds on; it decodes only the
-facet a diagnostic names.  All three expansions insert a color by one
-rule, _insert, which reduce inverts.  This module imports from colors
-alone, except in the body of expand, which reads the natural order.
+q.vertices().  The types of Z(C,d) are numbered once, by their lex
+position among the d-subsets of C (_numbering, a table cached per (C, d)
+that validate, the orders on types and the inversion masks all read).
+validate takes each type's code and facet sides from _type_rows and the
+boundary plates from _plate_codes, tables built once per (n, d), records
+each facet's owner as a type number, and checks for cycles by
+_topological, the Kahn pass on numbers that _closure builds on; it
+decodes only the facet and the types a diagnostic names.  All three
+expansions insert a color by one rule, _insert, which reduce inverts.
+This module imports from colors alone, except in the body of expand,
+which reads the natural order.
 
 All values are immutable; operations return fresh objects.  Color sets are
 canonicalized and d checked where they enter: Cubillage(...), from_json, and
@@ -292,79 +297,122 @@ def _facet(code: int, colors: Colors) -> Facet:
     return Facet(_decode(code >> n, colors), _decode(code & ((1 << n) - 1), colors))
 
 
-def _pairing(types, coded, colors: Colors):
-    """Facet incidence maps, facet code -> owning type, per side, and the
-    sorted pairs (below, above) of types sharing a facet invisible below,
-    visible above, for the cubes of the types, coded (root code, type code)
-    by position in the colors.  The facets are facet_sides' pairs coded root << n | J:
-    across the type color t the unshifted facet is the visible one when J
-    has an even number of members above t.  Raises on clashes."""
+def _sides(t: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """facet_sides on the type code t, n the number of colors: per color bit
+    of t, from the lowest, (J, the shift of the visible facet, the shift of
+    the invisible one).  The facets of a root code r across that color are
+    r << n | J at the root and, shifted by the color bit moved up n places,
+    away from it; the unshifted facet is the visible one when J has an even
+    number of members above the color."""
+    out, rest = [], t
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        j, shift = t ^ low, low << n
+        out.append((j, 0, shift) if (j & -low).bit_count() % 2 == 0 else (j, shift, 0))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _lex(n: int, d: int) -> dict[Colors, int]:
+    """The lex number of each d-subset of the colors 1..n."""
+    return {t: k for k, t in enumerate(subsets(range(1, n + 1), d))}
+
+
+@functools.lru_cache(maxsize=64)
+def _numbering(colors: Colors, d: int) -> dict[Colors, int]:
+    """The lex number of each d-subset of the colors, its keys the types in
+    lex order: the one numbering of the types that validate, the orders on
+    types and the inversion masks read.  On the colors 1..n it is _lex's."""
     n = len(colors)
-    visible = {}
-    invisible = {}
-    for typ, (r, t) in zip(types, coded):
-        rest = t
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = t ^ low
-            at_root, shifted = r << n | j, (r | low) << n | j
-            if (j & -low).bit_count() % 2 == 0:
-                vis, invis = at_root, shifted
-            else:
-                vis, invis = shifted, at_root
-            for table, facet in ((visible, vis), (invisible, invis)):
-                owner = table.setdefault(facet, typ)
-                if owner is not typ:
-                    raise CubillageError(f"facet {_facet(facet, colors)} claimed twice on the "
-                                         f"same side by {owner} and {typ}")
-    covers = sorted((below, visible[facet]) for facet, below in invisible.items()
-                    if facet in visible)
-    return visible, invisible, tuple(covers)
+    return _lex(n, d) if colors[-1:] == (n,) else {t: k for k, t in enumerate(subsets(colors, d))}
+
+
+@functools.lru_cache(maxsize=64)
+def _type_rows(n: int, d: int) -> tuple[tuple[int, tuple], ...]:
+    """Per lex number of a d-subset of n colors, its position code and its
+    facet sides (_sides), which depend on positions alone."""
+    bits = [1 << k for k in range(n)]
+    return tuple((t, _sides(t, n)) for t in map(sum, subsets(bits, d)))
+
+
+def _claimed(facet: int, owner: int, k: int, types, colors: Colors) -> CubillageError:
+    """_pairing's clash: the types numbered owner and k claim the facet on one side."""
+    return CubillageError(f"facet {_facet(facet, colors)} claimed twice on the same side by "
+                          f"{types[owner]} and {types[k]}")
+
+
+def _pairing(rows, n: int, types, colors: Colors):
+    """Facet incidence maps, facet code -> owning type's number, per side,
+    and the sorted pairs (below, above) of numbers of types sharing a facet
+    invisible below, visible above.  rows gives each cube as (the number of
+    its type in types, its root code, its type's facet sides by _sides),
+    codes by position in the colors, n of them.  Raises on clashes."""
+    visible, invisible = {}, {}
+    for k, r, sides in rows:
+        base = r << n
+        for j, vis, invis in sides:
+            facet = base | j
+            owner = visible.setdefault(facet | vis, k)
+            if owner != k:
+                raise _claimed(facet | vis, owner, k, types, colors)
+            owner = invisible.setdefault(facet | invis, k)
+            if owner != k:
+                raise _claimed(facet | invis, owner, k, types, colors)
+    above = visible.get
+    covers = [(below, a) for facet, below in invisible.items() if (a := above(facet)) is not None]
+    covers.sort()
+    return visible, invisible, covers
 
 
 def cover_relations(q: Cubillage) -> tuple[tuple[Colors, Colors], ...]:
     """Pairs (below, above) of types sharing a facet invisible below, visible
-    above.  Roots are taken to avoid their types, as validate requires."""
+    above.  Roots are taken to avoid their types, as validate requires.
+    Coded by position in the colors of its cubes, so any type map will do;
+    numbered in type order, so the sorted number pairs are the sorted pairs."""
     faces = [(root, typ) for typ, root in q._root_by_type.items()]
     colors = _colors_of(faces)
-    return _pairing(q._root_by_type, _coded(faces, colors), colors)[2]
+    n, types = len(colors), sorted(q._root_by_type)
+    number = {t: k for k, t in enumerate(types)}
+    rows = [(number[typ], r, _sides(t, n))
+            for (_, typ), (r, t) in zip(faces, _coded(faces, colors))]
+    return tuple((types[a], types[b]) for a, b in _pairing(rows, n, types, colors)[2])
 
 
-def _topological(nodes, relations):
+def _topological(size: int, relations):
     """(topological order, successor lists) of (below, above) relations on
-    nodes, or None on a cycle: the order is Kahn's, taken in the order of
-    nodes and relations, and succs[t] lists the nodes above t."""
-    succs = {t: [] for t in nodes}
-    indeg = dict.fromkeys(nodes, 0)
+    the numbers 0..size-1, or None on a cycle: the order is Kahn's, taken
+    in the order of the numbers and the relations, and succs[k] lists the
+    numbers above k.  The package's one topological sort."""
+    succs = [[] for _ in range(size)]
+    indeg = [0] * size
     for below, above in relations:
         succs[below].append(above)
         indeg[above] += 1
-    topo = [t for t in nodes if indeg[t] == 0]
-    for t in topo:  # grows while it is read
-        for s in succs[t]:
+    topo = [k for k in range(size) if not indeg[k]]
+    for k in topo:  # grows while it is read
+        for s in succs[k]:
             indeg[s] -= 1
-            if indeg[s] == 0:
+            if not indeg[s]:
                 topo.append(s)
-    return (topo, succs) if len(topo) == len(nodes) else None
+    return (topo, succs) if len(topo) == size else None
 
 
-def _closure(nodes, relations):
-    """(index, topological order, up) of (below, above) relations on nodes,
-    or None on a cycle: index[t] is t's position in nodes, up[t] the bitmask
-    of the indices reachable from t, and the order is _topological's."""
-    found = _topological(nodes, relations)
+def _closure(size: int, relations):
+    """(topological order, up) of (below, above) relations on the numbers
+    0..size-1, or None on a cycle: up[k] is the bitmask of the numbers
+    reachable from k, and the order is _topological's."""
+    found = _topological(size, relations)
     if found is None:
         return None
     topo, succs = found
-    index = {t: k for k, t in enumerate(nodes)}
-    up = {}
-    for t in reversed(topo):
-        mask = 1 << index[t]
-        for s in succs[t]:
+    up = [0] * size
+    for k in reversed(topo):
+        mask = 1 << k
+        for s in succs[k]:
             mask |= up[s]
-        up[t] = mask
-    return index, topo, up
+        up[k] = mask
+    return topo, up
 
 
 def validate(q: Cubillage):
@@ -375,48 +423,54 @@ def validate(q: Cubillage):
     visible facet of exactly one other cube, and symmetrically, (iii) the
     facet-induced precedence relation is acyclic, (iv) the vertex count is
     C(n, <=d).  It reads no inversion mask and no natural order; its sets
-    are coded by position in the colors, the facets of the boundary plates
-    come from _plate_codes, the cycle check is _topological's, and the
-    vertices are counted as distinct codes, none decoded.  A pass leaves
+    are coded by position in the colors, each type's code and facet sides
+    come from _type_rows by its number (_numbering), the facets of the
+    boundary plates from _plate_codes, the facet owners are type numbers,
+    the cycle check is _topological's on those numbers, and the vertices
+    are counted as distinct codes, none decoded.  A pass leaves
     the codes on q for q.vertices(): they are by position in q.colors,
     which only a q that passes is known to fit.
     """
     n, d, colors = q.n, q.d, q.colors
     if n < d:
         return f"fewer colors ({n}) than the dimension ({d})"
-    expected = set(subsets(colors, d))
-    have = set(q._root_by_type)
-    if have != expected:
+    number, roots = _numbering(colors, d), q._root_by_type
+    numbers = [number.get(t) for t in roots]
+    if len(roots) != len(number) or None in numbers:
+        expected, have = set(number), set(roots)
         missing = sorted(expected - have)
         extra = sorted(have - expected)
         return f"type map is not a bijection (missing {missing[:3]}, extra {extra[:3]})"
-    index = {c: k for k, c in enumerate(colors)}
-    coded = []
-    for typ, root in q._root_by_type.items():
-        t = _encode(typ, index)
-        # a root color outside the colors fails as a root meeting the type does
-        r = _encode(root, index) if index.keys() >= set(root) else t
+    index, table, types = {c: k for k, c in enumerate(colors)}, _type_rows(n, d), list(number)
+    rows, coded = [], []
+    for k, root in zip(numbers, roots.values()):
+        t, sides = table[k]
+        try:
+            r = _encode(root, index)
+        except KeyError:  # a root color outside the colors fails as a root meeting the type does
+            r = t
         if r & t:
-            return f"cube {typ} has invalid root {root}"
+            return f"cube {types[k]} has invalid root {root}"
+        rows.append((k, r, sides))
         coded.append((r, t))
     try:
-        visible, invisible, covers = _pairing(q._root_by_type, coded, colors)
+        visible, invisible, covers = _pairing(rows, n, types, colors)
     except CubillageError as exc:
         return str(exc)
     front, back = _plate_codes(n, d)
-    for facet, typ in invisible.items():
+    for facet, k in invisible.items():
         if facet not in back and facet not in visible:
-            return f"invisible facet {_facet(facet, colors)} of cube {typ} is unmatched"
-    for facet, typ in visible.items():
+            return f"invisible facet {_facet(facet, colors)} of cube {types[k]} is unmatched"
+    for facet, k in visible.items():
         if facet not in front and facet not in invisible:
-            return f"visible facet {_facet(facet, colors)} of cube {typ} is unmatched"
-    for side, plates, table in (("front", front, visible), ("back", back, invisible)):
-        if not plates <= table.keys():
+            return f"visible facet {_facet(facet, colors)} of cube {types[k]} is unmatched"
+    for side, plates, facets in (("front", front, visible), ("back", back, invisible)):
+        if not plates <= facets.keys():
             # name the first uncovered plate in the order boundary_plates lists them
-            uncovered = {_facet(p, colors) for p in plates - table.keys()}
+            uncovered = {_facet(p, colors) for p in plates - facets.keys()}
             plate = next(p for p in boundary_plates(colors, d, side) if p in uncovered)
             return f"{side} plate {plate} not covered"
-    if _topological(q._root_by_type, covers) is None:
+    if _topological(len(types), covers) is None:
         return "precedence relation between cubes has a cycle"
     codes = _spectrum_codes(coded)
     have, want = len(codes), _vertex_count(n, d)

@@ -5,9 +5,10 @@ transition table that carries a mask's packet state along a raising step
 of the rank-by-rank enumeration in bruhat._masks (_raises: a step by K
 changes only the n-d-1 packets through K), the root rule of cubillages and
 their membranes, the flip rule on root tables (a flip of the parent K
-changes only the d+1 roots of the types K - {c}, c in K), the tunnel
-chains of the natural order, and the lift rule of the canonical extension
-(Manin-Schechtman 1989; Ziegler, Topology 1993).
+changes only the d+1 roots of the types K - {c}, c in K), and the lift
+rule of the canonical extension (Manin-Schechtman 1989; Ziegler, Topology
+1993).  The natural order reads its tunnel chains off the roots of a
+cubillage this module certifies (order._chain_covers).
 _blocking is the one fresh scan of every packet: per bit, the number of
 packets that block it, a bit being free to toggle when none does (_steps).
 _mask_of keeps the counts of the mask it certifies on the cubillage beside
@@ -20,15 +21,17 @@ an enumeration along its raising steps, one parent's roots copied and
 d+1 patched per mask, so no mask's roots are read again.  The walk
 carries either root tuples in type order or one type -> root dict per
 mask, which an enumerated cubillage adopts as it is: a dict copy keeps
-its keys' hashes, so no type tuple is hashed again per cubillage.  The
-one module that knows the bit numbers of the (d+1)-subsets and the flag
-strings: its functions take and give colored sets.  Tables are cached
-per (n, d), index colors by position and hold bit numbers, never masks,
-so they stay linear in the number of packets; a mask is read through its
-flags, the string with bit k at index k.  Vertex sets reach it as codes
-of the package's one position coder, colors._encode: _mask_of_spectra
-transposes them once into per-color member bitsets and reads each bit of
-a mask with d+1 ands of them.
+its keys' hashes, so no type tuple is hashed again per cubillage.  Bit
+k of a mask stands for the (d+1)-subset of lex number k, the numbering of
+the types of Z(n,d+1) (cubillage._lex), and this is the one module that
+reads masks by bit and knows the flag strings: its functions take and
+give colored sets.  Tables are cached per (n, d), index colors by
+position and hold bit numbers, never masks, so they stay linear in the
+number of packets; a mask is read through its flags, the string with
+bit k at index k.  Vertex sets reach it as codes of the package's one
+position coder, colors._encode: _mask_of_spectra transposes them once
+into per-color member bitsets and reads each bit of a mask with d+1 ands
+of them.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import itertools
 import operator
 from math import comb
 
-from .colors import Colors, add, is_even, minus, subsets, union
-from .cubillage import Cubillage, CubillageError
+from .colors import Colors, add, is_even, minus, subsets
+from .cubillage import Cubillage, CubillageError, _lex, _numbering
 
 # a bit's blocking count to its flag among the free bits: 0 to "1", else "0"
 _UNBLOCKED = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
@@ -49,8 +52,9 @@ _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 @functools.lru_cache(maxsize=None)
 def _bits(n: int, d: int) -> dict[Colors, int]:
-    """Bit k of an inversion mask stands for the k-th (d+1)-subset of [n] in lex order."""
-    return {k: i for i, k in enumerate(subsets(range(1, n + 1), d + 1))}
+    """Bit k of an inversion mask stands for the k-th (d+1)-subset of [n] in
+    lex order: the lex numbering of the cube types of Z(n,d+1)."""
+    return _lex(n, d + 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -233,13 +237,6 @@ def _root_rows(n: int, d: int) -> tuple:
                  for t in subsets(range(1, n + 1), d))
 
 
-def _types(colors: Colors, d: int):
-    """The d-subsets of the colors in lex order; on the colors 1..n the keys
-    of _bits(n, d - 1), shared by every call."""
-    n = len(colors)
-    return _bits(n, d - 1) if colors[-1:] == (n,) else subsets(colors, d)
-
-
 def _roots(colors: Colors, d: int, inv: int) -> list[Colors]:
     """The roots, in type order, of the cubillage of Z(colors,d) with the
     consistent inversion mask inv, by the root rule."""
@@ -253,7 +250,7 @@ def _cubes(colors: Colors, d: int, inv: int) -> list[tuple[Colors, Colors]]:
     consistent inversion mask inv, types in lex order, by the root rule.
     Also at d = 0, for the plates of a membrane of Z(colors,1): the one
     point, rooted at the colors of the members of inv."""
-    return list(zip(_roots(colors, d, inv), _types(colors, d)))
+    return list(zip(_roots(colors, d, inv), _numbering(colors, d)))
 
 
 def _toggled(root: Colors, c: int) -> Colors:
@@ -274,7 +271,7 @@ def _flip_rows(n: int, d: int, by_type: bool = False) -> tuple:
     """Per bit of an inversion mask of Z(n,d), standing for the (d+1)-subset
     K, the pairs of _flip on roots in type order: (lex number of the type
     K - {c}, c) per c in K; with by_type, (the type K - {c}, c) on the keys
-    of _types, for a type -> root dict."""
+    of _numbering, for a type -> root dict."""
     key = {t: t if by_type else i for t, i in _bits(n, d - 1).items()}
     return tuple(tuple((key[minus(k, (c,))], c) for c in k) for k in _bits(n, d))
 
@@ -301,7 +298,7 @@ def _walk(n: int, d: int, steps: dict[int, int], tables: bool = False) -> dict:
 
     colors = tuple(range(1, n + 1))
     first = tuple(interned.setdefault(r, r) for r in _roots(colors, d, 0))
-    out = {0: dict(zip(_types(colors, d), first)) if tables else first}
+    out = {0: dict(zip(_numbering(colors, d), first)) if tables else first}
     copy = dict.copy if tables else list
     for inv, up in steps.items():
         here = out[inv]
@@ -321,39 +318,10 @@ def _cubillage_of_mask(colors: Colors, d: int, inv: int, table=None) -> Cubillag
     it with tables), which the cubillage adopts, else the root rule reads
     the roots."""
     if table is None:
-        table = dict(zip(_types(colors, d), _roots(colors, d, inv)))
+        table = dict(zip(_numbering(colors, d), _roots(colors, d, inv)))
     q = Cubillage._adopt(colors, d, table)
     q._cache["mask"] = inv
     return q
-
-
-@functools.lru_cache(maxsize=None)
-def _tunnels(n: int, d: int) -> tuple:
-    """Per (d-1)-subset J of [n], the lex numbers of the d-subsets J ∪ {c}
-    of its tunnel, c outside J increasing, and per pair of indices a < b
-    into them, (a, b, bit of the union of the two)."""
-    number, bit, out = _bits(n, d - 1), _bits(n, d), []
-    for j in subsets(range(1, n + 1), d - 1):
-        tunnel = [add(j, c) for c in range(1, n + 1) if c not in j]
-        pairs = itertools.combinations(range(len(tunnel)), 2)
-        out.append((tuple(number[t] for t in tunnel),
-                    tuple((a, b, bit[union(tunnel[a], tunnel[b])]) for a, b in pairs)))
-    return tuple(out)
-
-
-def _tunnel_covers(colors: Colors, d: int, inv: int) -> list[tuple[Colors, Colors]]:
-    """The consecutive pairs (below, above) of every tunnel chain of the
-    cubillage of Z(colors,d) with the consistent inversion mask inv: the
-    a-th type of a tunnel lies below its b-th (a < b) unless their union is
-    an inversion.  They are covers of its natural order and generate it."""
-    flags, types, covers = _flags(inv, comb(len(colors), d + 1)), list(subsets(colors, d)), []
-    for tunnel, pairs in _tunnels(len(colors), d):
-        below = [0] * len(tunnel)  # per type, how many of its tunnel lie below it
-        for a, b, k in pairs:
-            below[a if flags[k] == "1" else b] += 1
-        chain = [types[t] for _, t in sorted(zip(below, tunnel))]
-        covers += zip(chain, chain[1:])
-    return covers
 
 
 def _mask_of(q: Cubillage) -> int:

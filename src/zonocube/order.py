@@ -10,12 +10,16 @@ public constructor builds one from generating relations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, _check_dimension, add, colorset, inter, subsets, union
-from .cubillage import Cubillage, CubillageError, Facet, _closure, _spectra, boundary_plates
+from .colors import (Colors, _check_dimension, _encode, _positions, add, colorset, inter, minus,
+                     subsets, union)
+from .cubillage import (Cubillage, CubillageError, Facet, _closure, _numbering, _parity_root,
+                        _spectra, boundary_plates)
 from .masks import (
     _cubes,
     _cubillage_of_mask,
@@ -26,7 +30,6 @@ from .masks import (
     _mask_of,
     _sets,
     _state,
-    _tunnel_covers,
 )
 
 
@@ -34,35 +37,49 @@ class AdmissibleOrder:
     """A partial order on d-subsets whose packet restrictions are all lex
     or antilex chains (Manin-Schechtman 1989; Ziegler, Topology 1993), kept
     as its sorted generating relations, one closure and _inv, the inversion
-    mask of the parents whose packet runs antilex.  The constructor runs
+    mask of the parents whose packet runs antilex.  The relations and the
+    closure run on the lex numbers of the types (cubillage._numbering):
+    _relations holds the sorted number pairs, _topo the topological order
+    and _up[k] the bitmask of the numbers above k.  The constructor runs
     every check and builds _inv by the packet check; natural_order stores
     the mask it certified, with no packet check.  Methods take canonical types."""
 
     def __init__(self, colors, d: int, relations):
         colors, d = colorset(colors), _check_dimension(d)
         relations = [(colorset(a), colorset(b)) for a, b in relations]
-        known = set(subsets(colors, d))
+        number = _numbering(colors, d)
         for a, b in relations:
-            if a not in known or b not in known:
+            if a not in number or b not in number:
                 raise ValueError(f"relation {a} < {b} leaves the grassmannian")
-        self._fill(colors, d, relations)
+        self._fill(colors, d, sorted((number[a], number[b]) for a, b in relations))
         self._inv = _mask(colors, d, lambda parent: self.packet_direction(parent) == "antilex")
 
     def _fill(self, colors: Colors, d: int, relations):
+        """Set the order up from relations, sorted (below, above) pairs of
+        lex numbers of types, and close them."""
         self.colors = colors
         self.d = d
-        self.types = list(subsets(colors, d))
-        self.relations = tuple(sorted(relations))
-        closure = _closure(self.types, self.relations)
+        self._number = _numbering(colors, d)
+        self.types = list(self._number)
+        self._relations = tuple(relations)
+        closure = _closure(len(self.types), self._relations)
         if closure is None:
             raise ValueError("relations contain a cycle; not an order")
-        self._index, self._topo, self._up = closure
+        self._topo, self._up = closure
+
+    @functools.cached_property
+    def relations(self) -> tuple[tuple[Colors, Colors], ...]:
+        """The sorted generating relations as (below, above) type pairs."""
+        types = self.types
+        return tuple((types[a], types[b]) for a, b in self._relations)
 
     def leq(self, a, b) -> bool:
-        return bool(self._up[a] & (1 << self._index[b]))
+        number = self._number
+        return bool(self._up[number[a]] >> number[b] & 1)
 
     def topological(self) -> list[Colors]:
-        return list(self._topo)
+        types = self.types
+        return [types[k] for k in self._topo]
 
     def packet_direction(self, parent) -> str:
         """"lex" or "antilex"; raises when the packet is not a full chain."""
@@ -74,25 +91,29 @@ class AdmissibleOrder:
         raise ValueError(f"packet of {parent} is not a lex or antilex chain")
 
     def linear_extension(self) -> list[Colors]:
-        return sorted(self.types, key=lambda t: (-bin(self._up[t]).count("1"), t))
+        """The types by falling size of their up sets, ties in lex order."""
+        up, types = self._up, self.types
+        return [types[k] for k in sorted(range(len(up)), key=lambda k: -up[k].bit_count())]
 
     def extends(self, other: "AdmissibleOrder") -> bool:
         """True when every relation of other also holds here."""
         return all(self.leq(a, b) for a, b in other.relations)
 
     def is_ideal(self, types_set) -> bool:
+        number = self._number
         member = frozenset(types_set)
-        if not self._index.keys() >= member:
+        if not number.keys() >= member:
             return False
-        return all(below in member for below, above in self.relations if above in member)
+        numbers = {number[t] for t in member}
+        return all(below in numbers for below, above in self._relations if above in numbers)
 
     def ideals(self):
         """All downward closed type sets, by size then lexicographically; in
         topological order, each type joins every ideal so far holding all it covers."""
-        found = [frozenset()]
-        for t in self._topo:
-            below = {b for b, a in self.relations if a == t}
-            found += [ideal | {t} for ideal in found if below <= ideal]
+        types, found = self.types, [frozenset()]
+        for k in self._topo:
+            below = {types[b] for b, a in self._relations if a == k}
+            found += [ideal | {types[k]} for ideal in found if below <= ideal]
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def to_dot(self) -> str:
@@ -113,7 +134,7 @@ class AdmissibleOrder:
                 and self._up == other._up)
 
     def __hash__(self):
-        return hash((self.colors, self.d, tuple(sorted(self._up.items()))))
+        return hash((self.colors, self.d, tuple(self._up)))
 
     def to_json(self) -> str:
         n = self.colors[-1] if self.colors else 0
@@ -134,15 +155,60 @@ class AdmissibleOrder:
                    [(a, b) for a, b in data["relations"]])
 
 
+@functools.lru_cache(maxsize=64)
+def _chain_rows(n: int, d: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per lex number of a type T of Z(n,d), per color c of T, the triple
+    (the first slot of the tunnel of J = T - {c} in _chains, the position
+    code of the root of J's front plate, the mask of every position but
+    c's), J's tunnels taken in the lex order of the (d-1)-subsets."""
+    positions, length, full = tuple(range(1, n + 1)), n - d + 1, (1 << n) - 1
+    tunnel = {j: (k * length, _encode(_parity_root(positions, j, False), _positions(n)))
+              for k, j in enumerate(subsets(positions, d - 1))}
+    return tuple(tuple((*tunnel[minus(t, (c,))], full ^ 1 << (c - 1)) for c in t)
+                 for t in subsets(positions, d))
+
+
+def _chains(q: Cubillage) -> list[int]:
+    """The tunnel chains of q, a cubillage certified by masks._mask_of, as
+    lex numbers of types: the tunnel of each (d-1)-subset J, in lex order
+    of J, fills n-d+1 slots from its front to its back.  Read off the
+    roots: the tunnel runs from the front plate of J, rooted at F_J, to its
+    back plate, and each cube J ∪ {c} toggles c once on the way, so the
+    root of J ∪ {c}, less c, differs from F_J in exactly the colors toggled
+    before it; their count is its slot in the chain."""
+    colors, d, roots = q.colors, q.d, q._root_by_type
+    n = len(colors)
+    index = _positions(n) if colors[-1:] == (n,) else {c: k for k, c in enumerate(colors)}
+    chains = [0] * (comb(n, d - 1) * (n - d + 1))
+    for k, (t, rows) in enumerate(zip(_numbering(colors, d), _chain_rows(n, d))):
+        r = _encode(roots[t], index)
+        for slot, front, others in rows:
+            chains[slot + ((r ^ front) & others).bit_count()] = k
+    return chains
+
+
+def _chain_covers(q: Cubillage) -> list[tuple[int, int]]:
+    """The consecutive pairs (below, above) of the tunnel chains of q (_chains),
+    as lex numbers of types: covers of its natural order that generate it."""
+    chains = _chains(q)
+    covers = list(zip(chains, chains[1:]))
+    length = q.n - q.d + 1
+    del covers[length - 1::length]  # the pairs that straddle two tunnels
+    return covers
+
+
 def natural_order(q: Cubillage) -> AdmissibleOrder:
-    """The natural order on the cube types of q, cached on q: the closure of
-    its tunnel chains (masks._tunnel_covers), whose antilex packets are the
-    inversions, so no packet check runs.  Raises CubillageError when q
-    fails the certificate of masks._mask_of."""
+    """The natural order on the cube types of q, cached on q: masks._mask_of
+    certifies q, the tunnel chains are read off its roots (_chains), and
+    their covers, sorted as number pairs, are closed on lex numbers.  Its
+    antilex packets are the inversions of the certified mask, so no packet
+    check runs.  Raises CubillageError when q fails the certificate."""
     if "natural_order" not in q._cache:
         inv = _mask_of(q)
+        covers = _chain_covers(q)
+        covers.sort()
         order = AdmissibleOrder.__new__(AdmissibleOrder)
-        order._fill(q.colors, q.d, _tunnel_covers(q.colors, q.d, inv))
+        order._fill(q.colors, q.d, covers)
         order._inv = inv
         q._cache["natural_order"] = order
     return q._cache["natural_order"]

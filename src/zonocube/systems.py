@@ -23,8 +23,8 @@ from .colors import _positions, _runs, _weak, colorset, subsets
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
 from .cubillage import _coded, _spectrum_codes, _vertex_count
 from .masks import _cubes, _cubillage_of_mask, _lift, _mask, _mask_of, _mask_of_spectra
-from .masks import _sets, _steps, _tunnel_covers
-from .order import AdmissibleOrder, natural_order
+from .masks import _sets, _steps
+from .order import AdmissibleOrder, _chain_covers, natural_order
 
 
 class NotRealizableError(CubillageError):
@@ -73,13 +73,16 @@ def from_order(order: AdmissibleOrder) -> Cubillage:
 
     Its inversion mask is the order's _inv, the parents whose packet the
     order runs antilex; the root rule of the inversion masks builds the
-    cubillage from that, and the order must hold the tunnel covers of that
-    mask (masks._tunnel_covers), which generate the cubillage's natural order.
+    cubillage from that, and the order must hold the tunnel covers read off
+    the rebuilt cubillage's roots (order._chain_covers), which generate its
+    natural order: each is checked on the order's numbered up masks, and no
+    order is closed.
     """
     cs, d = order.colors, order.d
     _check_dimensions(len(cs), d)
     q = _cubillage_of_mask(cs, d, order._inv)
-    if not all(order.leq(a, b) for a, b in _tunnel_covers(cs, d, order._inv)):
+    up = order._up
+    if not all(up[a] >> b & 1 for a, b in _chain_covers(q)):
         raise CubillageError("reconstructed cubillage order is not refined by the input")
     return q
 

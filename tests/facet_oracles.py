@@ -88,7 +88,8 @@ def validate_oracle(q: Cubillage):
     for plate in back:
         if plate not in invisible:
             return f"back plate {plate} not covered"
-    if _closure(q.types(), covers) is None:
+    number = {t: k for k, t in enumerate(q.types())}
+    if _closure(len(number), [(number[a], number[b]) for a, b in covers]) is None:
         return "precedence relation between cubes has a cycle"
     want = _vertex_count(n, d)
     vertices = vertices_oracle(q)

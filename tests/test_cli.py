@@ -765,6 +765,13 @@ MALFORMED = [
      "d must be an integer"),
     (["from-order", "-"], '{"n": 2, "d": "1", "relations": [[[1], [2]]]}', 2,
      "d must be an integer"),
+    (["from-order", "-"], '{"n": 3, "d": 2, "relations": [[[1, 2], [1, 4]]]}', 2,
+     "relation (1, 2) < (1, 4) leaves the grassmannian"),
+    (["from-order", "-"], '{"n": 3, "d": 2, "relations": [[[1], [1, 2]]]}', 2,
+     "relation (1,) < (1, 2) leaves the grassmannian"),
+    # the endpoint [2, 1] is canonicalized before the numbering table is read
+    (["from-order", "-"], '{"n": 3, "d": 2, "relations": [[[2, 1], [1, 3]]]}', 2,
+     "packet of (1, 2, 3) is not a lex or antilex chain"),
     (["enumerate", "-n", "2", "-d", "3"], "", 2, ""),
     (["enumerate", "-n", "12", "-d", "6"], "", 1, "exceeds the cap"),
     (["poset", "-n", "2", "-d", "0"], "", 2, ""),

@@ -4,6 +4,8 @@ mutants, and the pins of the position coding.  The CLI on noncontiguous
 colors is pinned in test_cli.test_module_entry_point."""
 
 import random
+from math import comb
+from pathlib import Path
 
 import pytest
 from facet_oracles import _facet_pairing, validate_oracle, vertices_oracle
@@ -145,12 +147,46 @@ def test_plate_codes_are_the_boundary_plates_on_any_colors(n):
                 assert plates == boundary_plates(colors, d, side), (colors, d, side)
 
 
+VALIDATE_GOLDEN = Path(__file__).resolve().parent / "golden" / "validate_mutants.txt"
+
+
+def relabeled(q, colors):
+    """q with its i-th color renamed colors[i]."""
+    name = dict(zip(q.colors, colors))
+    return Cubillage(colors, q.d, [(tuple(name[c] for c in r), tuple(name[c] for c in t))
+                                   for t, r in q._root_by_type.items()])
+
+
+def validate_transcript():
+    """validate's diagnostic and cover_relations (or the message it raises)
+    on the mutants of seeded raising walks at Z(5,2), Z(6,3) and Z(8,4), on
+    the colors 1..n and on sparse colors, and on two hand-built cubillages
+    two of whose cubes claim one facet on the same side."""
+    inputs = []
+    for n, d in ((5, 2), (6, 3), (8, 4)):
+        rng = random.Random(10 * n + d)
+        q = raising_walk(n, d, comb(n, d + 1) // 2, rng)
+        for colors in (q.colors, sparse_colors(n, rng)):
+            inputs += [(f"Z({n},{d}) on {colors}, {kind}", m)
+                       for kind, m in mutants(relabeled(q, colors), rng, 2)]
+    for colors in ((1, 2, 3), (2, 5, 9)):
+        inputs.append((f"Z(3,2) on {colors}, every root empty",
+                       Cubillage(colors, 2, [((), t) for t in subsets(colors, 2)])))
+    return "".join(f"# {label}\n{validate(m)!r}\n{outcome(cover_relations, m)!r}\n"
+                   for label, m in inputs)
+
+
+def test_validate_and_cover_relations_match_golden_output():
+    # tests/golden/validate_mutants.txt was written by validate_transcript()
+    assert validate_transcript() == VALIDATE_GOLDEN.read_text(encoding="utf-8")
+
+
 def test_topological_reports_a_cycle():
-    nodes = ("a", "b", "c", "d")
-    assert _topological(nodes, [("a", "b"), ("b", "c"), ("c", "a")]) is None
-    assert _topological(nodes, [("a", "b"), ("b", "c"), ("c", "a"), ("d", "a")]) is None
-    topo, succs = _topological(nodes, [("c", "a"), ("a", "b"), ("d", "b")])
-    assert topo == ["c", "d", "a", "b"] and succs["a"] == ["b"] and succs["b"] == []
+    # the numbers 0, 1, 2, 3 stand for the nodes a, b, c, d
+    assert _topological(4, [(0, 1), (1, 2), (2, 0)]) is None
+    assert _topological(4, [(0, 1), (1, 2), (2, 0), (3, 0)]) is None
+    topo, succs = _topological(4, [(2, 0), (0, 1), (3, 1)])
+    assert topo == [2, 3, 0, 1] and succs[0] == [1] and succs[1] == []
 
 
 def test_a_huge_color_takes_one_bit():

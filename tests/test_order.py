@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 from facet_oracles import _expand, _membrane
+from mask_oracles import tunnel_covers_oracle
 
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import Colors, add, minus, packet
@@ -23,7 +24,10 @@ from zonocube.cubillage import (
     standard,
     validate,
 )
+from zonocube.masks import _mask_of
 from zonocube.order import (
+    AdmissibleOrder,
+    _chain_covers,
     apply_flip,
     avalanche,
     canonical_extension,
@@ -503,6 +507,32 @@ def test_mask_functions_match_oracles_on_all_cubillages(n, d):
 def test_mask_functions_match_oracles_on_seeded_walks(colors, d, walks):
     for q in seeded_walk_ends(colors, d, walks):
         assert_matches_oracles(q, oracle_stacks(q))
+
+
+def assert_chains_match_oracle(q):
+    # the chains read off the roots are the chains the mask orders pair by pair
+    types = q.types()
+    oracle = tunnel_covers_oracle(q.colors, q.d, _mask_of(q))
+    assert [(types[a], types[b]) for a, b in _chain_covers(q)] == oracle
+    order, expected = natural_order(q), AdmissibleOrder(q.colors, q.d, oracle)
+    assert order.relations == expected.relations
+    assert order.topological() == expected.topological()
+    assert [order.leq(a, b) for a in types for b in types] == \
+        [expected.leq(a, b) for a in types for b in types]
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (6, 3), (7, 4)])
+def test_tunnel_chains_match_the_mask_oracle_on_all_cubillages(n, d):
+    for q in enumerate_cubillages(n, d):
+        assert_chains_match_oracle(q)
+
+
+@pytest.mark.parametrize("colors,d,walks", [(crange(8), 3, 6), (crange(9), 4, 3),
+                                             (crange(10), 5, 2), ((2, 4, 5, 7, 9, 11), 3, 6)],
+                         ids=["Z8_3", "Z9_4", "Z10_5", "C6_3"])
+def test_tunnel_chains_match_the_mask_oracle_on_seeded_walks(colors, d, walks):
+    for q in seeded_walk_ends(colors, d, walks):
+        assert_chains_match_oracle(q)
 
 
 def test_canonical_extension_is_the_ambient_of_from_consistent():

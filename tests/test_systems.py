@@ -183,9 +183,9 @@ def test_order_of_is_the_natural_order_on_sparse_colors(d, monkeypatch):
     sorts, topological = [], zonocube.cubillage._topological
     packets, packet_direction = [], AdmissibleOrder.packet_direction
 
-    def counted(nodes, relations):
-        sorts.append(len(nodes))
-        return topological(nodes, relations)
+    def counted(size, relations):
+        sorts.append(size)
+        return topological(size, relations)
 
     def counted_packet(order, parent):
         packets.append(parent)
