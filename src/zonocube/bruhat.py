@@ -18,7 +18,7 @@ from .colors import colorset  # noqa: F401
 from .cubillage import MAX_ENUMERATION_TYPES, Cubillage, CubillageError, ScaleGuardError
 from .cubillage import _check_dimensions, _closure, _numbering, _vertex_count
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume, volume_check
-from .masks import _UNBLOCKED, _cubillage_of_mask, _raises, _walk
+from .masks import _blocking, _cubillage_of_mask, _free, _toggle, _toggles, _walk
 from .order import find_flips  # noqa: F401
 from .systems import _adjacency, _count_cliques, _separation_scale_guard, _split
 
@@ -34,26 +34,25 @@ def _masks(n: int, d: int, max_states: int) -> dict[int, int]:
 
     The search runs from the empty mask (the standard cubillage) by raising
     flips.  Complete because every non-standard cubillage admits a lowering
-    flip.  Each mask of the rank at hand carries its packet state
-    (masks._raises): per packet its flag pattern, per bit the number of
-    packets that block it, the counts masks._blocking scans and
-    masks._flipped carries along one flip of a cubillage.  A child copies
-    its first parent's state and updates the n-d-1 packets through the
-    added bit; its raising steps are the unset bits that no packet blocks.
-    Only two ranks of states are held.  Refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
-    count passes max_states.
+    flip.  Each mask of the rank at hand carries its packet state, which
+    masks._blocking scans for the empty mask: a child takes its first
+    parent's state through masks._toggle, the carry masks._flipped runs
+    along one flip of a cubillage, and its raising steps are the unset bits
+    masks._free reads as free.  Only two ranks of states are held.  Refuses
+    when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state count passes
+    max_states.
     """
     _check_dimensions(n, d)
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
     if comb(n, d) > MAX_ENUMERATION_TYPES:
         raise ScaleGuardError(f"C({n},{d}) = {comb(n, d)} exceeds the cap {MAX_ENUMERATION_TYPES}")
-    pattern, count, through = _raises(n, d)
-    found, seen, rank = {}, 1, {0: (pattern, count)}
+    through = _toggles(n, d)
+    found, seen, rank = {}, 1, {0: _blocking(n, d, 0)}
     while rank:
         below, rank = rank, {}
-        for inv, (pattern, count) in below.items():
-            steps = found[inv] = int(count.translate(_UNBLOCKED)[::-1] or b"0", 2) & ~inv
+        for inv, state in below.items():
+            steps = found[inv] = _free(state) & ~inv
             while steps:
                 b = steps & -steps
                 steps ^= b
@@ -63,14 +62,7 @@ def _masks(n: int, d: int, max_states: int) -> dict[int, int]:
                 seen += 1
                 if seen > max_states:
                     raise ScaleGuardError(f"state count passed the cap {max_states}")
-                pattern_up, count_up = bytearray(pattern), bytearray(count)
-                for j, row in through[b.bit_length() - 1]:
-                    pattern_up[j], freed, blocked = row[pattern_up[j]]
-                    for k in freed:
-                        count_up[k] -= 1
-                    for k in blocked:
-                        count_up[k] += 1
-                rank[up] = (pattern_up, count_up)
+                rank[up] = _toggle(state, through[b.bit_length() - 1])
     return found
 
 

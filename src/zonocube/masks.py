@@ -1,20 +1,22 @@
 """Inversion masks: a cubillage of Z(n,d) as a bitmask over the (d+1)-subsets
-of its colors, which fixes it, the packet table behind consistency and
-flips, the blocking counts a cubillage carries along its flips, the
-transition table that carries a mask's packet state along a raising step
-of the rank-by-rank enumeration in bruhat._masks (_raises: a step by K
-changes only the n-d-1 packets through K), the root rule of cubillages and
-their membranes, the flip rule on root tables (a flip of the parent K
-changes only the d+1 roots of the types K - {c}, c in K), and the lift
-rule of the canonical extension (Manin-Schechtman 1989; Ziegler, Topology
-1993).  The natural order reads its tunnel chains off the roots of a
-cubillage this module certifies (order._chain_covers).
-_blocking is the one fresh scan of every packet: per bit, the number of
-packets that block it, a bit being free to toggle when none does (_steps).
-_mask_of keeps the counts of the mask it certifies on the cubillage beside
-the mask, and _flipped, the flip of apply_flip, carries them: it reads only
-the packets through the flipped bit (_through), so no cubillage of a flip
-walk has its packets scanned again.
+of its colors, which fixes it, the packet state behind consistency and
+flips, the root rule of cubillages and their membranes, the flip rule on
+root tables (a flip of the parent K changes only the d+1 roots of the types
+K - {c}, c in K), and the lift rule of the canonical extension
+(Manin-Schechtman 1989; Ziegler, Topology 1993).  The natural order reads
+its tunnel chains off the roots of a cubillage this module certifies
+(order._chain_covers).
+A consistent mask's packet state is one bytearray: per bit, the number of
+packets that block its toggle, then, per packet, the number of its
+prefix or suffix flag pattern (_blocked).  _blocking is the one fresh scan
+of every packet; a bit is free to toggle when no packet blocks it (_free,
+_steps).  A toggle of the bit K changes only the n-d-1 packets through K,
+so _toggle, the one carry, copies a state and updates those packets from
+the transition table _toggles, in either direction.  The rank-by-rank
+search of bruhat._masks carries each mask's state along its raising
+steps, and _flipped, the flip of apply_flip, carries the state _mask_of
+keeps on a cubillage, so no cubillage of a flip walk has its packets
+scanned again.
 The flip rule is written once, in _flip: _flipped patches a copy of its
 input's table with it, and _walk carries the roots of every mask of
 an enumeration along its raising steps, one parent's roots copied and
@@ -23,9 +25,9 @@ carries either root tuples in type order or one type -> root dict per
 mask, which an enumerated cubillage adopts as it is: a dict copy keeps
 its keys' hashes, so no type tuple is hashed again per cubillage.  Bit
 k of a mask stands for the (d+1)-subset of lex number k, the numbering of
-the types of Z(n,d+1) (cubillage._lex), and this is the one module that
-reads masks by bit and knows the flag strings: its functions take and
-give colored sets.  Tables are cached per (n, d), index colors by
+the types of Z(n,d+1) (cubillage._numbering), and this is the one module
+that reads masks by bit and knows the packet state: its functions take
+and give colored sets.  Tables are cached per (n, d), index colors by
 position and hold bit numbers, never masks, so they stay linear in the
 number of packets; a mask is read through its flags, the string with
 bit k at index k.  Vertex sets reach it as codes of the package's one
@@ -44,7 +46,8 @@ from math import comb
 from .colors import Colors, add, is_even, minus, subsets
 from .cubillage import Cubillage, CubillageError, _lex, _numbering
 
-# a bit's blocking count to its flag among the free bits: 0 to "1", else "0"
+# a state byte to its flag among the free bits: a count of 0 to "1", else
+# "0"; pattern numbers start at 1, so a packet's byte never reads as free
 _UNBLOCKED = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
 # a flag to its selector for itertools.compress: "0" to 0, "1" to 1
 _SELECT = bytes.maketrans(b"01", b"\0\1")
@@ -55,12 +58,6 @@ def _bits(n: int, d: int) -> dict[Colors, int]:
     """Bit k of an inversion mask stands for the k-th (d+1)-subset of [n] in
     lex order: the lex numbering of the cube types of Z(n,d+1)."""
     return _lex(n, d + 1)
-
-
-@functools.lru_cache(maxsize=64)
-def _parents(colors: Colors, d: int) -> tuple[Colors, ...]:
-    """The (d+1)-subsets of the colors in lex order: bit k stands for the k-th."""
-    return tuple(subsets(colors, d + 1))
 
 
 def _flags(inv: int, size: int) -> str:
@@ -75,12 +72,12 @@ def _mask(colors: Colors, d: int, inverted) -> int:
 def _sets(colors: Colors, d: int, inv: int) -> list[Colors]:
     """The (d+1)-subsets of the colors in the mask inv, in lex order."""
     select = bin(inv)[:1:-1].encode().translate(_SELECT)
-    return list(itertools.compress(_parents(colors, d), select))
+    return list(itertools.compress(_numbering(colors, d + 1), select))
 
 
-def _free(count) -> int:
-    """The mask of the bits whose blocking count is 0."""
-    return int(count.translate(_UNBLOCKED)[::-1] or b"0", 2)
+def _free(state) -> int:
+    """The mask of the bits of a packet state whose blocking count is 0."""
+    return int(state.translate(_UNBLOCKED)[::-1] or b"0", 2)
 
 
 def _lift(colors: Colors, d: int, below) -> int:
@@ -105,70 +102,73 @@ def _packets(n: int, d: int) -> dict:
 @functools.lru_cache(maxsize=None)
 def _blocked(size: int) -> dict:
     """For a packet of the given size, per flags of a prefix or a suffix of
-    its lex order (as a _packets getter reads them), the members whose
-    toggle leaves neither; flags missing here are inconsistent."""
+    its lex order (as a _packets getter reads them), its pattern number,
+    from 1, and the members whose toggle leaves neither; flags missing
+    here are inconsistent."""
     ends = {"1" * i + "0" * (size - i) for i in range(size + 1)}
     ends |= {r[::-1] for r in ends}
     get = operator.itemgetter(*range(size))
-    return {get(r): tuple(i for i in range(size)
-                          if r[:i] + "01"[r[i] == "0"] + r[i + 1:] not in ends)
-            for r in ends}
+    return {get(r): (number, tuple(i for i in range(size)
+                                   if r[:i] + "01"[r[i] == "0"] + r[i + 1:] not in ends))
+            for number, r in enumerate(sorted(ends), 1)}
+
+
+def _blocking(n: int, d: int, inv: int) -> bytearray | None:
+    """The packet state of the mask inv: per bit, the number of packets that
+    block it, whose pattern its toggle leaves neither a prefix nor a suffix,
+    then per packet in _packets order its pattern number (_blocked).  None
+    when inv itself is not consistent.  The one fresh scan of every packet."""
+    size, table = comb(n, d + 1), _blocked(d + 2)
+    flags, state = _flags(inv, size), bytearray(size)
+    for members, get in _packets(n, d).values():
+        pattern = table.get(get(flags))
+        if pattern is None:
+            return None
+        state.append(pattern[0])
+        for i in pattern[1]:
+            state[members[i]] += 1
+    return state
 
 
 @functools.lru_cache(maxsize=None)
-def _raises(n: int, d: int) -> tuple:
-    """The packet state of the search in bruhat._masks, carried along raising
-    steps.  A consistent mask's state is, per packet in _packets order, the
-    number of its flag pattern among the sorted keys of _blocked, and, per
-    bit, the number of packets that block it.  Gives the empty mask's state,
-    its counts by _blocking, and, per bit of Z(n,d), per packet through it:
-    (packet number, per pattern number the triple (number of the pattern
-    with the bit added, the bits it no longer blocks, the bits it newly
-    blocks), None where the bit is already set or blocked)."""
-    size = d + 2
-    blocked = _blocked(size)
-    patterns = sorted(blocked)
-    number = {r: i for i, r in enumerate(patterns)}
-    steps = [[] for _ in range(comb(n, d + 1))]
-    for j, (members, _) in enumerate(_packets(n, d).values()):
-        for i, k in enumerate(members):
-            row = []
-            for r in patterns:
-                up = r[:i] + ("1",) + r[i + 1:]
-                if r[i] == "1" or up not in blocked:
-                    row.append(None)
-                    continue
-                old = {members[x] for x in blocked[r]}
-                new = {members[x] for x in blocked[up]}
-                row.append((number[up], tuple(sorted(old - new)), tuple(sorted(new - old))))
-            steps[k].append((j, tuple(row)))
-    empty = bytes([number[("0",) * size]]) * comb(n, d + 2)
-    return empty, _blocking(n, d, 0), tuple(map(tuple, steps))
-
-
-@functools.lru_cache(maxsize=None)
-def _through(n: int, d: int) -> tuple:
-    """Per bit of Z(n,d), the n-d-1 packets through it, as _packets gives them."""
-    out = [[] for _ in range(comb(n, d + 1))]
-    for packet in _packets(n, d).values():
-        for k in packet[0]:
-            out[k].append(packet)
+def _toggles(n: int, d: int) -> tuple:
+    """The transition table of the packet state of Z(n,d): per bit, per
+    packet through it, (the packet's offset in a state, its members, per
+    pattern number the triple (number of the pattern with the bit toggled,
+    the positions of the members it no longer blocks, of those it newly
+    blocks), None where the packet blocks the bit).  A row depends only on
+    the bit's position in the packet, so packets share their rows."""
+    table, offset = _blocked(d + 2), comb(n, d + 1)
+    rows = []
+    for i in range(d + 2):
+        row = [None] * (len(table) + 1)
+        for r, (number, old) in table.items():
+            toggled = table.get(r[:i] + ("01"[r[i] == "0"],) + r[i + 1:])
+            if toggled is not None:
+                new = toggled[1]
+                row[number] = (toggled[0], tuple(x for x in old if x not in new),
+                               tuple(x for x in new if x not in old))
+        rows.append(tuple(row))
+    out = [[] for _ in range(offset)]
+    for j, (members, _) in enumerate(_packets(n, d).values(), offset):
+        for k, row in zip(members, rows):
+            out[k].append((j, members, row))
     return tuple(map(tuple, out))
 
 
-def _blocking(n: int, d: int, inv: int) -> bytes | None:
-    """Per bit of the mask inv, the number of packets that block it: whose
-    pattern its toggle leaves neither a prefix nor a suffix.  None when inv
-    itself is not consistent.  The one fresh scan of every packet."""
-    size, table = comb(n, d + 1), _blocked(d + 2)
-    flags, count = _flags(inv, size), bytearray(size)
-    for members, get in _packets(n, d).values():
-        blocked = table.get(get(flags))
-        if blocked is None:
-            return None
+def _toggle(state, through) -> bytearray:
+    """A copy of the packet state with a free bit toggled, through being
+    the bit's row of _toggles: each packet through the bit takes its new
+    pattern, and the members it frees and newly blocks are counted off and
+    on.  The one carry of packet state."""
+    state = bytearray(state)
+    for j, members, row in through:
+        state[j], freed, blocked = row[state[j]]
+        for i in freed:
+            state[members[i]] -= 1
         for i in blocked:
-            count[members[i]] += 1
-    return bytes(count)
+            state[members[i]] += 1
+    return state
 
 
 def _steps(n: int, d: int, inv: int) -> int | None:
@@ -176,52 +176,44 @@ def _steps(n: int, d: int, inv: int) -> int | None:
     every packet in a prefix or a suffix (adding one is a raising flip,
     removing one a lowering flip): the bits _blocking counts no packet
     against.  None when inv itself is not consistent."""
-    count = _blocking(n, d, inv)
-    return None if count is None else _free(count)
+    state = _blocking(n, d, inv)
+    return None if state is None else _free(state)
 
 
-def _state(q: Cubillage) -> tuple[int, bytes]:
-    """q's inversion mask (certified by _mask_of) and its blocking counts,
-    both cached on q; the counts are scanned only for a mask cached
-    without them, as _cubillage_of_mask caches it."""
+def _state(q: Cubillage) -> tuple[int, bytearray]:
+    """q's inversion mask (certified by _mask_of) and its packet state, both
+    cached on q; the state is scanned only for a mask cached without it,
+    as _cubillage_of_mask caches it."""
     inv = _mask_of(q)
-    count = q._cache.get("blocking")
-    if count is None:
-        count = q._cache["blocking"] = _blocking(q.n, q.d, inv)
-    return inv, count
+    state = q._cache.get("packets")
+    if state is None:
+        state = q._cache["packets"] = _blocking(q.n, q.d, inv)
+    return inv, state
 
 
 def _flipped(q: Cubillage, parent: Colors) -> Cubillage | None:
     """q with the parent, a canonical (d+1)-subset of its colors, toggled in
     its inversion set, when no packet blocks it; else None.  The flipped
     cubillage patches a copy of q's roots by _flip and adopts the toggled
-    mask and the counts carried from q's (_state): each packet through the
-    parent takes off what its old pattern blocked and adds what its new one
-    blocks, and no other packet is read."""
-    inv, count = _state(q)
+    mask and the packet state _toggle carries from q's (_state), which
+    reads no packet away from the parent."""
+    inv, state = _state(q)
     colors, n, d = q.colors, q.n, q.d
     contiguous = colors[-1:] == (n,)
     if not contiguous:
         position = {c: i for i, c in enumerate(colors, 1)}
         parent = tuple(position.get(c, 0) for c in parent)
     k = _bits(n, d).get(parent)
-    if k is None or count[k]:
+    if k is None or state[k]:
         return None
-    flags = _flags(inv, len(count))
-    toggled = flags[:k] + "01"[flags[k] == "0"] + flags[k + 1:]
-    table, carried = _blocked(d + 2), bytearray(count)
-    for members, get in _through(n, d)[k]:
-        for i in table[get(flags)]:
-            carried[members[i]] -= 1
-        for i in table[get(toggled)]:
-            carried[members[i]] += 1
     pairs = _flip_rows(n, d, True)[k]
     if not contiguous:
         pairs = [(tuple(colors[x - 1] for x in t), colors[c - 1]) for t, c in pairs]
     roots = dict(q._root_by_type)
     _flip(roots, pairs)
     flipped = Cubillage._adopt(colors, d, roots)
-    flipped._cache["mask"], flipped._cache["blocking"] = inv ^ 1 << k, bytes(carried)
+    flipped._cache["mask"] = inv ^ 1 << k
+    flipped._cache["packets"] = _toggle(state, _toggles(n, d)[k])
     return flipped
 
 
@@ -329,20 +321,20 @@ def _mask_of(q: Cubillage) -> int:
     (else CubillageError, and nothing cached): the type map is exactly the
     d-subsets of the colors, the mask read from the roots is consistent,
     and the root rule gives back every root from it, so q is the cubillage
-    of a consistent inversion set.  The blocking counts of the consistency
-    check are cached beside the mask, for _state."""
+    of a consistent inversion set.  The packet state of the consistency
+    check is cached beside the mask, for _state."""
     if "mask" in q._cache:
         return q._cache["mask"]
     colors, d, roots = q.colors, q.d, q._root_by_type
     if q.n < d or len(roots) != comb(q.n, d) or any(t not in roots for t in subsets(colors, d)):
         raise CubillageError("type map is not a bijection onto the d-subsets of the colors")
     inv = _mask(colors, d, lambda k: k[-1] in roots[k[:-1]])
-    count = _blocking(q.n, d, inv)
-    if count is None:
+    state = _blocking(q.n, d, inv)
+    if state is None:
         raise CubillageError("the inversion set read from the roots is not consistent")
     if any(roots[t] != r for r, t in _cubes(colors, d, inv)):
         raise CubillageError("the roots break the root rule of their inversion set")
-    q._cache["mask"], q._cache["blocking"] = inv, count
+    q._cache["mask"], q._cache["packets"] = inv, state
     return inv
 
 

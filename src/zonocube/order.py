@@ -303,11 +303,11 @@ def find_flips(q: Cubillage) -> tuple[tuple[Colors, str], ...]:
     A parent K, a (d+1)-subset of the colors, is flippable when toggling it
     in the inversion set keeps every packet through K met in a prefix or a
     suffix, that is, when no packet blocks it; the flip raises when K is not
-    an inversion, else it lowers.  Read off the blocking counts q carries
+    an inversion, else it lowers.  Read off the packet state q carries
     (masks._state).  Raises CubillageError when q fails the certificate of
     masks._mask_of."""
-    inv, count = _state(q)
-    free = _free(count)
+    inv, state = _state(q)
+    free = _free(state)
     lowering = set(_sets(q.colors, q.d, free & inv))
     return tuple((parent, "lowering" if parent in lowering else "raising")
                  for parent in _sets(q.colors, q.d, free))
@@ -316,7 +316,7 @@ def find_flips(q: Cubillage) -> tuple[tuple[Colors, str], ...]:
 def apply_flip(q: Cubillage, parent) -> Cubillage:
     """Toggle the parent K in the inversion set: for each c in K, toggle c
     in the root of type K - {c}; no other cube changes.  The result carries
-    its mask and blocking counts (masks._flipped), so flipping or listing
+    its mask and packet state (masks._flipped), so flipping or listing
     the flips of it reads no packet away from K.  Raises ValueError when a
     packet through K blocks it or K is no (d+1)-subset of the colors, and
     CubillageError when q fails the certificate of masks._mask_of."""

@@ -198,19 +198,23 @@ def test_flips_match_capsid_oracle_on_seeded_walks(colors, d):
         q = apply_flip_oracle(q, rng.choice(flips)[0])
 
 
-@pytest.mark.parametrize("colors,d", [(crange(8), 3), (crange(9), 4), ((2, 4, 5, 7, 9, 11), 3)],
-                         ids=["Z8_3", "Z9_4", "C6_3"])
-def test_flips_carry_their_blocking_counts_on_seeded_walks(colors, d):
+@pytest.mark.parametrize("colors,d,start", [(crange(8), 3, standard), (crange(9), 4, standard),
+                                            ((2, 4, 5, 7, 9, 11), 3, standard),
+                                            (crange(8), 3, antistandard)],
+                         ids=["Z8_3", "Z9_4", "C6_3", "Z8_3_antistandard"])
+def test_flips_carry_their_blocking_counts_on_seeded_walks(colors, d, start):
     # the walk steps with apply_flip itself, raising and lowering mixed, so
-    # every cubillage after the first lists its flips from carried counts
+    # every cubillage after the first lists its flips from a carried packet
+    # state; antistandard caches its mask but no state, so its walk opens
+    # with lowering flips
     rng, n = random.Random(len(colors) * 10 + d + 1), len(colors)
-    q, ways = standard(colors, d), set()
+    q, ways = start(colors, d), set()
     outside = colors[:d] + (colors[-1] + 1,)
     for step in range(60):
-        assert step == 0 or "blocking" in q._cache
+        assert step == 0 or "packets" in q._cache
         flips = find_flips(q)
         assert flips == find_flips_oracle(q)
-        assert q._cache["blocking"] == _blocking(n, d, q._cache["mask"])
+        assert q._cache["packets"] == _blocking(n, d, q._cache["mask"])
         listed = {parent for parent, _ in flips}
         for parent in [*subsets(colors, d + 1), outside]:
             if parent not in listed:

@@ -431,7 +431,9 @@ def full_parser_main(argv):
 Z22 = standard(range(1, 3), 2).to_json()
 Z42 = standard(range(1, 5), 2).to_json()
 Z53 = standard(range(1, 6), 3).to_json()
-# one successful call per command, with its stdin
+# one successful call per command, with its stdin, or a function that builds
+# it in the test, so a fault in the code it runs fails the test, not the
+# collection of this module
 PARITY_CALLS = [
     (["standard", "-n", "4", "-d", "2"], ""), (["antistandard", "-n", "4", "-d", "2"], ""),
     (["validate", "-"], Z42), (["spectra"], Z42), (["reduce", "-", "--color", "4"], Z42),
@@ -441,7 +443,7 @@ PARITY_CALLS = [
     (["inversions", "-"], Z42), (["order", "-", "--dot"], Z42),
     (["from-spectra", "--sets", "[[],[1],[1,2]]"], ""),
     (["from-consistent", "--sets", "[[1,2]]", "-n", "3", "-d", "2"], ""),
-    (["from-order", "-"], order_of(standard(range(1, 5), 2)).to_json()),
+    (["from-order", "-"], lambda: order_of(standard(range(1, 5), 2)).to_json()),
     (["enumerate", "-n", "4", "-d", "2", "--cou"], ""), (["poset", "-n", "4", "-d", "2"], ""),
     (["sec", "-"], Z53), (["sec-surjectivity", "-n", "5", "-d", "3"], ""),
     (["check-separated", "-d", "2", "--sets", "[[1,3],[2]]"], ""),
@@ -468,6 +470,7 @@ def test_parity_calls_cover_every_command():
 def test_per_command_parse_matches_the_full_parser(argv, stdin, monkeypatch):
     # help text is wrapped to COLUMNS
     monkeypatch.setenv("COLUMNS", "80")
+    stdin = stdin() if callable(stdin) else stdin
     assert run_inprocess(argv, stdin) == run_inprocess(argv, stdin, full_parser_main)
 
 

@@ -17,7 +17,8 @@ from zonocube.colors import _encode, subsets
 from zonocube.cubillage import (
     Cubillage, CubillageError, ScaleGuardError, antistandard, standard, validate)
 from zonocube.masks import (
-    _cubes, _cubillage_of_mask, _mask, _mask_of, _mask_of_spectra, _walk)
+    _blocking, _cubes, _cubillage_of_mask, _free, _mask, _mask_of, _mask_of_spectra, _toggle,
+    _toggles, _walk)
 from zonocube.order import apply_flip, find_flips
 
 
@@ -202,6 +203,23 @@ def test_carried_search_matches_the_stateless_oracle(n, d):
         assert not listed or any(inv ^ 1 << k in listed for k in range(inv.bit_length())
                                  if inv >> k & 1), inv
         listed.add(inv)
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (6, 3), (7, 4)])
+def test_toggle_carries_the_packet_state_of_every_free_bit(n, d):
+    # raising and lowering: the carried state of a free bit's toggle is the
+    # scanned one, and a bit's blocking count is the number of packets
+    # through it whose row has no transition; _toggle leaves the state it copies
+    size, through = comb(n, d + 1), _toggles(n, d)
+    for inv in _masks(n, d, MAX_STATES):
+        state = _blocking(n, d, inv)
+        free = _free(state)
+        assert free >> size == 0, inv
+        for k in range(size):
+            assert state[k] == sum(row[state[j]] is None for j, _, row in through[k]), (inv, k)
+            if free >> k & 1:
+                assert _toggle(state, through[k]) == _blocking(n, d, inv ^ 1 << k), (inv, k)
+        assert state == _blocking(n, d, inv)
 
 
 def test_state_cap_refuses_exactly_past_the_count():
