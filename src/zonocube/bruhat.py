@@ -94,7 +94,7 @@ def separated_system_count(n: int, d: int) -> int:
     """
     _check_dimensions(n, d)
     _separation_scale_guard(n)
-    peripheral, _, codes = _split(n, d)
+    peripheral, codes = _split(n, d)
     adj = _adjacency(codes, lambda a, b: _blocks(a, b) <= d)
     return _count_cliques(adj, (1 << len(codes)) - 1, _vertex_count(n, d) - len(peripheral))
 

@@ -13,12 +13,11 @@ consistent systems of d-subsets of [n] correspond to membranes of Z(n,d).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from typing import NamedTuple
 
-from .colors import Colors, _blocks, _check_dimension, _check_weak_k, _encode, _failing_pairs
+from .colors import Colors, _blocks, _check_dimension, _check_weak_k, _codes, _encode
 from .colors import _positions, _runs, _weak, colorset, subsets
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
 from .cubillage import _coded, _spectrum_codes, _vertex_count
@@ -137,9 +136,13 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
                            _cubillage_of_mask(colors, d, inv), members)
 
 
-def _check_separated(sets, r: int):
-    for a, b in _failing_pairs(sorted(sets), lambda x, y: _blocks(x, y) > r + 1):
-        raise ValueError(f"{a} and {b} are not {r}-separated")
+def _check_separated(members, codes, r: int):
+    """Refuse the first pair of members, in their listed order, whose codes
+    are not r-separated; codes[i] codes members[i] by position in any color
+    tuple that holds them all."""
+    for (a, x), (b, y) in itertools.combinations(zip(members, codes), 2):
+        if _blocks(x, y) > r + 1:
+            raise ValueError(f"{a} and {b} are not {r}-separated")
 
 
 def _spectrum_dimension(n: int, size: int) -> int | None:
@@ -192,7 +195,8 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
         faces = [(r, t) for t, r in q._root_by_type.items()]
         if _spectrum_codes(_coded(faces, cs)) == codes:
             return q
-    _check_separated(members, d - 1)
+    members = sorted(members)
+    _check_separated(members, _codes(members), d - 1)
     if any(not set(s) <= set(cs) for s in members):
         raise NotRealizableError("spectra leave the color universe")
     # not reached by Galashin's theorem; kept so no input gets a wrong answer
@@ -390,21 +394,41 @@ def _first_clique(non: list[int], mask: int, size: int) -> int | None:
 
 
 @functools.lru_cache(maxsize=None)
-def _split(n: int, d: int) -> tuple[tuple[Colors, ...], tuple[Colors, ...], tuple[int, ...]]:
-    """The peripheral subsets of [n] for dimension d, the other subsets (by
-    size, then lex) and their position codes on 1..n (colors._encode on
-    colors._positions(n)), each made once as a sum of the bits of its colors."""
+def _split(n: int, d: int) -> tuple[tuple[Colors, ...], tuple[int, ...]]:
+    """The peripheral subsets of [n] for dimension d, and the position codes
+    on 1..n (colors._encode on colors._positions(n)) of the other subsets,
+    by size, then lex, each made once as a sum of the bits of its colors."""
     full = (1 << n) - 1
     bits = [1 << i for i in range(n)]  # the codes of the colors 1..n
-    peripheral, others, codes = [], [], []
+    peripheral, codes = [], []
     for k in range(n + 1):
         for x, code in zip(subsets(range(1, n + 1), k), map(sum, subsets(bits, k))):
             if _runs(code) + _runs(full & ~code) <= d:
                 peripheral.append(x)
             else:
-                others.append(x)
                 codes.append(code)
-    return tuple(peripheral), tuple(others), tuple(codes)
+    return tuple(peripheral), tuple(codes)
+
+
+@functools.lru_cache(maxsize=None)
+def _lex(n: int) -> tuple[tuple[Colors, ...], tuple[int, ...]]:
+    """The subsets of [n] in lex order, and per position code (colors._encode
+    on colors._positions(n)) the bit of its subset: the i-th subset in lex
+    order is bit 2^n - 1 - i, so the least set is the highest bit.  Of two
+    masks of as many sets, the higher holds the least set of their
+    symmetric difference, so it lists first when each is read as its sorted
+    tuple of sets; format(mask) reads the sets in lex order."""
+    order = sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), k) for k in range(n + 1)))
+    bit = [0] * len(order)
+    for i, x in enumerate(order):
+        bit[sum(1 << (c - 1) for c in x)] = 1 << (len(order) - 1 - i)
+    return tuple(order), tuple(bit)
+
+
+def _read(sets, mask: int) -> tuple:
+    """The sets at the bits of mask, sets[0] at the highest of len(sets) bits."""
+    return tuple(itertools.compress(sets, format(mask, f"0{len(sets)}b").encode().translate(_DIGITS)))
 
 
 def _adjacency(codes, compatible) -> list[int]:
@@ -471,8 +495,11 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     completions and reports their sizes.  When several completions reach
     the maximum, the two modes report different ones: complete the first
     when each lists its sets by size, then lex, and certify-maximal the last
-    of maximal_completions, the lex-last as a sorted tuple of sets.  Refuses
-    n above MAX_SEPARATION_N with ScaleGuardError before building the graph.
+    of maximal_completions, the lex-last as a sorted tuple of sets.  Each
+    completion is a mask over the kept sets in lex order (_lex), the least
+    set on the highest bit, so the masks sort as ints and each is read back
+    as its sorted tuple of sets in one pass.  Refuses n above
+    MAX_SEPARATION_N with ScaleGuardError before building the graph.
     """
     if mode not in ("complete", "certify-maximal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -480,49 +507,43 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     _separation_scale_guard(n)
     members = sorted({colorset(s) for s in sets})
     _check_inside(members, n)
-    _check_separated(members, d - 1)
-    bound = _vertex_count(n, d)
     codes = [_encode(s, _positions(n)) for s in members]
-    peripheral, others, other_codes = _split(n, d)
-    cands = [(x, c) for x, c in zip(others, other_codes) if c not in codes]
+    _check_separated(members, codes, d - 1)
+    bound = _vertex_count(n, d)
+    _, other_codes = _split(n, d)
+    cands = [c for c in other_codes if c not in codes]
     for s in codes:
-        cands = [(x, c) for x, c in cands if _blocks(c, s) <= d]
-    if mode == "certify-maximal":
-        # Bron-Kerbosch on the candidates by descending set.  Two completions
-        # of one size first differ at the least set of their symmetric
-        # difference, a candidate and so their highest differing bit: the
-        # lex-first has the higher mask, so the masks sort as ints.  Read
-        # highest bit first, a mask lists its candidates in increasing order
-        cands.sort(reverse=True)
-    adj = _adjacency([c for _, c in cands], lambda a, b: _blocks(a, b) <= d)
+        cands = [c for c in cands if _blocks(c, s) <= d]
+    # the kept sets (the peripheral ones, the members and the candidates) on
+    # _lex's bits, then renumbered within the kept sets, which keeps their
+    # order: a completion is the held sets' mask or-ed with a clique's bits
+    lex, bit = _lex(n)
+    peripheral = (1 << len(lex)) - 1 ^ sum(map(bit.__getitem__, other_codes))
+    wide = [bit[c] for c in cands]
+    kept = peripheral | sum(map(bit.__getitem__, codes)) | sum(wide)
+    kept_sets = _read(lex, kept)
+    cand_bits = [1 << (kept & (b - 1)).bit_count() for b in wide]
+    held = (1 << len(kept_sets)) - 1 ^ sum(cand_bits)
+
+    def spread(clique: int) -> int:
+        return held | sum(itertools.compress(cand_bits, bin(clique)[:1:-1].encode().translate(_DIGITS)))
+
+    adj = _adjacency(cands, lambda a, b: _blocks(a, b) <= d)
     full = (1 << len(cands)) - 1
-    base = sorted(set(members).union(peripheral))
     if mode == "complete":
         # the lexicographically first clique with the candidates by size, then lex
-        witness = _first_clique(_complement(adj), full, bound - len(base))
-        completion = None
-        if witness is not None:
-            completion = tuple(sorted(base + [cands[v][0] for v in _bits(witness)]))
+        witness = _first_clique(_complement(adj), full, bound - held.bit_count())
+        completion = None if witness is None else _read(kept_sets, spread(witness))
         return ExtensionReport(n, d, len(members), bound, completion is not None,
                                completion, None, None)
-    masks = _maximal_cliques(adj, full) or [0]
+    masks = [spread(clique) for clique in _maximal_cliques(adj, full) or [0]]
     masks.sort(reverse=True)
     masks.sort(key=int.bit_count)
-    at = [bisect.bisect(base, x) for x, _ in cands]
-    completions = []
-    for mask in masks:  # each candidate spliced into the sorted base at its insertion point
-        out, start = [], 0
-        while mask:
-            v = mask.bit_length() - 1
-            mask ^= 1 << v
-            out += base[start:at[v]]
-            out.append(cands[v][0])
-            start = at[v]
-        completions.append(tuple(out + base[start:]))
-    sizes = tuple(len(c) for c in completions)
+    completions = tuple(_read(kept_sets, mask) for mask in masks)
+    sizes = tuple(map(len, completions))
     return ExtensionReport(n, d, len(members), bound, bound in sizes,
                            completions[-1] if bound in sizes else None,
-                           sizes, tuple(completions))
+                           sizes, completions)
 
 
 def weak_separation_suite(n: int, k: int) -> dict:
@@ -541,7 +562,7 @@ def weak_separation_suite(n: int, k: int) -> dict:
     _check_weak_k(k)
     _separation_scale_guard(n)
     bound = _vertex_count(n, k + 1)
-    peripheral, _, codes = _split(n, k + 1)
+    peripheral, codes = _split(n, k + 1)
     adj = _adjacency(codes, lambda a, b: _weak(a, b, k))
     best = _max_clique(adj, (1 << len(codes)) - 1, _automorphisms(adj, codes, _reflections(n)))
     maximum = len(peripheral) + best

@@ -1,7 +1,9 @@
 import copy
 import functools
 import gc
+import hashlib
 import itertools
+import json
 import os
 import random
 from math import comb
@@ -19,6 +21,9 @@ import zonocube.systems
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import (
     Colors,
+    _codes,
+    _encode,
+    _positions,
     _weak,
     colorset,
     is_r_separated,
@@ -60,8 +65,10 @@ from zonocube.systems import (
     _count_cliques,
     _exists,
     _first_clique,
+    _lex,
     _max_clique,
     _maximal_cliques,
+    _read,
     _reflections,
     _split,
     extension_search,
@@ -346,7 +353,8 @@ def from_spectra_oracle(sets, colors, d: int | None = None) -> Cubillage:
     _check_dimensions(len(cs), d)
     if len(members) != sum(comb(len(cs), j) for j in range(d + 1)):
         raise ValueError("system size is not C(n,<=d)")
-    _check_separated(members, d - 1)
+    ordered = sorted(members)
+    _check_separated(ordered, _codes(ordered), d - 1)
     if any(not set(s) <= set(cs) for s in members):
         raise NotRealizableError("spectra leave the color universe")
     return _from_spectra_oracle(members, cs, d)
@@ -843,11 +851,7 @@ def spectrum_sample(n, d, fraction, rng):
     return rng.sample(spectra, round(fraction * len(spectra)))
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(st.sampled_from([(5, 2), (5, 3), (6, 3), (6, 4), (7, 4)]),
-       st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**32 - 1))
-def test_extension_search_matches_the_tuple_oracle(shape, fraction, seed):
-    n, d = shape
+def check_extension_search_against_the_oracle(n, d, fraction, seed):
     sample = spectrum_sample(n, d, fraction, random.Random(seed))
     completions = extension_oracle(sample, n, d)
     bound = sum(comb(n, i) for i in range(d + 1))
@@ -865,19 +869,95 @@ def test_extension_search_matches_the_tuple_oracle(shape, fraction, seed):
                                       key=lambda c: sorted(c, key=lambda s: (len(s), s)))
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from([(5, 2), (5, 3), (6, 3), (6, 4), (7, 4)]),
+       st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**32 - 1))
+def test_extension_search_matches_the_tuple_oracle(shape, fraction, seed):
+    check_extension_search_against_the_oracle(*shape, fraction, seed)
+
+
+# the bench's separation samples of seed 1 at (8,3) and (8,4), with the number
+# of maximal completions and the sha256 of json.dumps(maximal_completions)
+SEPARATION_SEED_1 = [
+    (3, [[1, 2, 3, 5], [1, 2, 3, 5, 6], [1, 2, 4, 5, 6, 8], [1, 2, 5, 8], [1, 2, 6, 8], [2, 3, 5],
+         [2, 3, 5, 6], [2, 5, 6, 7], [2, 5, 6, 7, 8], [3, 5]],
+     882, "39a1c20579a4b9904e8512a4193a85ffffc1363eb942a9de48e05b1701b3f283"),
+    (3, [[1, 2, 3, 5, 6, 7], [1, 2, 5, 6], [1, 2, 5, 8], [1, 3, 4, 5], [1, 3, 4, 5, 6, 7], [1, 5, 7],
+         [1, 5, 8], [3, 5, 6, 7, 8], [5, 7], [5, 7, 8]],
+     30, "3c4659eb91f4752862ca1a098fd1155acd2dbf6a6a1bc888675da4fced24acf0"),
+    (3, [[1, 2, 4, 5, 8], [1, 2, 5, 7, 8], [1, 2, 5, 8], [1, 3, 4, 5, 6], [1, 4, 5, 6, 7], [1, 5, 6, 7],
+         [1, 5, 8], [2, 3, 5], [3, 4, 5, 7], [5, 7]],
+     102, "157260c4dd3c13c993f9418f6cda9d76abff501bb5a25c169f42d70573ce7ba8"),
+    (3, [[1, 2, 4, 5, 6, 8], [1, 2, 4, 6, 7, 8], [1, 2, 5, 6, 8], [1, 3, 4, 5, 6, 7], [1, 4, 5, 6],
+         [1, 5, 6, 8], [1, 6], [1, 6, 7], [2, 4, 5], [4, 6]],
+     688, "6d4c7d8ce690fc7d497f6aa77780c8d4caca59a19b9857fa5f208468bd59b255"),
+    (4, [[1, 2, 3, 4, 6, 8], [1, 2, 4, 6, 7], [1, 3, 6], [1, 3, 6, 7], [1, 3, 7], [1, 4, 6],
+         [2, 3, 6, 7], [3, 6, 7], [3, 6, 8], [3, 7]],
+     124, "db7b24456452311587f5dd083a675db46180fb0f7c31bddad73dede55a095a73"),
+    (4, [[1, 2, 4, 6, 7], [1, 2, 4, 6, 7, 8], [1, 3, 4, 6, 7, 8], [1, 4, 6], [1, 4, 7, 8], [2, 4],
+         [2, 4, 8], [2, 7], [3, 4, 6, 7], [3, 4, 6, 8]],
+     42, "c283b19dc292b46152a80d8657e17bba966d5ec07100e5b83d6a0edb80b27f57"),
+    (4, [[1, 2, 3, 4, 6, 8], [1, 4, 6], [1, 4, 6, 7], [1, 4, 7], [2, 3, 7], [2, 4], [2, 4, 7], [2, 7],
+         [4, 6], [4, 6, 7]],
+     208, "3323158e5a24767c2f9d423558bb9321008950d6ea58ccf56a4dced8e406b6fe"),
+    (4, [[1, 3, 5, 6], [1, 3, 5, 6, 7, 8], [1, 3, 6], [1, 3, 6, 7, 8], [1, 3, 8], [2, 3, 4, 6],
+         [2, 3, 4, 6, 8], [3, 4, 6], [3, 5, 6], [3, 7]],
+     628, "5e276341d96350ce811200fa32195ea243ed783e5c406e49ea9344794754fb64"),
+]
+
+
+@pytest.mark.parametrize("d, sample, count, digest", SEPARATION_SEED_1)
+def test_maximal_completions_of_the_seeded_separation_samples_are_pinned(d, sample, count, digest):
+    report = extension_search(sample, 8, d, "certify-maximal")
+    assert len(report.maximal_completions) == count
+    assert hashlib.sha256(json.dumps(report.maximal_completions).encode()).hexdigest() == digest
+
+
+def test_separation_refusals_name_the_first_failing_pair_in_lex_order():
+    # (1, 3) and (1, 4) are 1-separated, and both fail against (2,)
+    with pytest.raises(ValueError, match=r"^\(1, 3\) and \(2,\) are not 1-separated$"):
+        extension_search([(2,), (1, 4), (1, 3)], 4, 2)
+    intervals = [(), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3, 4), (3, 4), (4,)]
+    with pytest.raises(ValueError, match=r"^\(1, 3\) and \(2,\) are not 1-separated$"):
+        from_spectra([(2,), (1, 4), (1, 3)] + intervals, crange(4), 2)
+
+
+def test_lex_table_numbers_every_subset_once_least_set_highest():
+    _lex.cache_clear()
+    for n in range(1, 9):
+        order, bit = _lex(n)
+        assert list(order) == sorted(all_subsets(n))
+        assert type(order) is type(bit) is tuple
+        assert all(type(x) is tuple for x in order) and all(type(b) is int for b in bit)
+        assert sorted(bit) == [1 << i for i in range(1 << n)]
+        for i, x in enumerate(order):
+            code = _encode(x, _positions(n))
+            assert bit[code] == 1 << ((1 << n) - 1 - i)
+            assert _read(order, bit[code]) == (x,)
+        rng = random.Random(n)
+        for _ in range(20):
+            chosen = rng.sample(order, rng.randrange(len(order) + 1))
+            mask = sum(bit[_encode(x, _positions(n))] for x in chosen)
+            assert _read(order, mask) == tuple(sorted(chosen))
+    assert _lex.cache_info().currsize == 8
+
+
 def test_split_cache_holds_tuples_and_answers_as_a_fresh_one():
     split = zonocube.systems._split
     split.cache_clear()
+    _lex.cache_clear()
     asked = [(6, 3), (6, 4), (7, 4)]
     for n, d in asked:
         for seed in range(4):
             sample = spectrum_sample(n, d, 0.5, random.Random(seed))
             before = [extension_search(sample, n, d, mode) for mode in ("complete", "certify-maximal")]
     assert split.cache_info().currsize == len(asked)
+    assert _lex.cache_info().currsize == len({n for n, _ in asked})
     split.cache_clear()
+    _lex.cache_clear()
     assert before == [extension_search(sample, n, d, mode) for mode in ("complete", "certify-maximal")]
-    peripheral, others, codes = split(n, d)
-    assert all(type(part) is tuple for part in (peripheral, others, codes, *peripheral, *others))
+    peripheral, codes = split(n, d)
+    assert all(type(part) is tuple for part in (peripheral, codes, *peripheral))
     assert all(type(code) is int for code in codes)
     assert split.cache_info().currsize == 1
 
@@ -968,7 +1048,7 @@ def test_weak_suite_scale_guard():
 
 
 def weak_graph(n, k):
-    codes = _split(n, k + 1)[2]
+    codes = _split(n, k + 1)[1]
     return codes, _adjacency(codes, lambda a, b: _weak(a, b, k))
 
 
@@ -1053,6 +1133,15 @@ def test_slow_pin_count_8_4_matches_the_flip_search():
     steps = zonocube.bruhat._masks(8, 4, zonocube.bruhat.MAX_STATES)
     assert len(steps) == 78032
     assert steps == masks_oracle(8, 4)
+
+
+@slow
+@pytest.mark.parametrize("shape", [(8, 3), (8, 4)])
+def test_slow_pin_extension_search_matches_the_tuple_oracle_at_8(shape):
+    # the oracle lists every clique, so the sparse fractions stay at n <= 7
+    for fraction in (0.5, 0.75, 1.0):
+        for seed in range(4):
+            check_extension_search_against_the_oracle(*shape, fraction, seed)
 
 
 @slow
