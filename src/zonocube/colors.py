@@ -24,6 +24,10 @@ import json
 
 Colors = tuple[int, ...]
 
+# the digits "0" and "1" as the bytes 0 and 1, which itertools.compress reads
+# as false and true: a binary string to its selectors
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+
 
 def colorset(items) -> Colors:
     """Canonicalize an iterable of colors into a strictly increasing tuple."""

@@ -313,19 +313,12 @@ def _sides(t: int, n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _lex(n: int, d: int) -> dict[Colors, int]:
-    """The lex number of each d-subset of the colors 1..n."""
-    return {t: k for k, t in enumerate(subsets(range(1, n + 1), d))}
-
-
 @functools.lru_cache(maxsize=64)
 def _numbering(colors: Colors, d: int) -> dict[Colors, int]:
     """The lex number of each d-subset of the colors, its keys the types in
     lex order: the one numbering of the types that validate, the orders on
-    types and the inversion masks read.  On the colors 1..n it is _lex's."""
-    n = len(colors)
-    return _lex(n, d) if colors[-1:] == (n,) else {t: k for k, t in enumerate(subsets(colors, d))}
+    types and the inversion masks read, for any color tuple."""
+    return {t: k for k, t in enumerate(subsets(colors, d))}
 
 
 @functools.lru_cache(maxsize=64)

@@ -27,13 +27,15 @@ its keys' hashes, so no type tuple is hashed again per cubillage.  Bit
 k of a mask stands for the (d+1)-subset of lex number k, the numbering of
 the types of Z(n,d+1) (cubillage._numbering), and this is the one module
 that reads masks by bit and knows the packet state: its functions take
-and give colored sets.  Tables are cached per (n, d), index colors by
-position and hold bit numbers, never masks, so they stay linear in the
-number of packets; a mask is read through its flags, the string with
-bit k at index k.  Vertex sets reach it as codes of the package's one
-position coder, colors._encode: _mask_of_spectra transposes them once
-into per-color member bitsets and reads each bit of a mask with d+1 ands
-of them.
+and give colored sets.  The packet and root tables are cached per
+(n, d), index colors by position and hold bit numbers, never masks, so
+they stay linear in the number of packets; a mask is read through its
+flags, the string with bit k at index k.  The flip rows (_flip_rows) are
+cached per color tuple, as _numbering is, so a flip on any colors reads
+its parent's bit and the types it patches with no relabelling.  Vertex
+sets reach it as codes of the package's one position coder,
+colors._encode: _mask_of_spectra transposes them once into per-color
+member bitsets and reads each bit of a mask with d+1 ands of them.
 """
 
 from __future__ import annotations
@@ -43,21 +45,19 @@ import itertools
 import operator
 from math import comb
 
-from .colors import Colors, add, is_even, minus, subsets
-from .cubillage import Cubillage, CubillageError, _lex, _numbering
+from .colors import _SELECT, Colors, add, is_even, minus, subsets
+from .cubillage import Cubillage, CubillageError, _numbering
 
 # a state byte to its flag among the free bits: a count of 0 to "1", else
 # "0"; pattern numbers start at 1, so a packet's byte never reads as free
 _UNBLOCKED = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
-# a flag to its selector for itertools.compress: "0" to 0, "1" to 1
-_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
 @functools.lru_cache(maxsize=None)
 def _bits(n: int, d: int) -> dict[Colors, int]:
     """Bit k of an inversion mask stands for the k-th (d+1)-subset of [n] in
     lex order: the lex numbering of the cube types of Z(n,d+1)."""
-    return _lex(n, d + 1)
+    return _numbering(tuple(range(1, n + 1)), d + 1)
 
 
 def _flags(inv: int, size: int) -> str:
@@ -198,22 +198,15 @@ def _flipped(q: Cubillage, parent: Colors) -> Cubillage | None:
     mask and the packet state _toggle carries from q's (_state), which
     reads no packet away from the parent."""
     inv, state = _state(q)
-    colors, n, d = q.colors, q.n, q.d
-    contiguous = colors[-1:] == (n,)
-    if not contiguous:
-        position = {c: i for i, c in enumerate(colors, 1)}
-        parent = tuple(position.get(c, 0) for c in parent)
-    k = _bits(n, d).get(parent)
+    colors, d = q.colors, q.d
+    k = _numbering(colors, d + 1).get(parent)
     if k is None or state[k]:
         return None
-    pairs = _flip_rows(n, d, True)[k]
-    if not contiguous:
-        pairs = [(tuple(colors[x - 1] for x in t), colors[c - 1]) for t, c in pairs]
     roots = dict(q._root_by_type)
-    _flip(roots, pairs)
+    _flip(roots, _flip_rows(colors, d, True)[k])
     flipped = Cubillage._adopt(colors, d, roots)
     flipped._cache["mask"] = inv ^ 1 << k
-    flipped._cache["packets"] = _toggle(state, _toggles(n, d)[k])
+    flipped._cache["packets"] = _toggle(state, _toggles(q.n, d)[k])
     return flipped
 
 
@@ -258,14 +251,15 @@ def _flip(roots, pairs, toggled=_toggled) -> None:
         roots[t] = toggled(roots[t], c)
 
 
-@functools.lru_cache(maxsize=None)
-def _flip_rows(n: int, d: int, by_type: bool = False) -> tuple:
-    """Per bit of an inversion mask of Z(n,d), standing for the (d+1)-subset
-    K, the pairs of _flip on roots in type order: (lex number of the type
-    K - {c}, c) per c in K; with by_type, (the type K - {c}, c) on the keys
-    of _numbering, for a type -> root dict."""
-    key = {t: t if by_type else i for t, i in _bits(n, d - 1).items()}
-    return tuple(tuple((key[minus(k, (c,))], c) for c in k) for k in _bits(n, d))
+@functools.lru_cache(maxsize=64)
+def _flip_rows(colors: Colors, d: int, by_type: bool = False) -> tuple:
+    """Per bit of an inversion mask of Z(colors,d), standing for the
+    (d+1)-subset K, the pairs of _flip on roots in type order: (lex number
+    of the type K - {c}, c) per c in K; with by_type, (the type K - {c}, c)
+    on the keys of _numbering, for a type -> root dict.  Cached per color
+    tuple, as _numbering is."""
+    key = {t: t if by_type else i for t, i in _numbering(colors, d).items()}
+    return tuple(tuple((key[minus(k, (c,))], c) for c in k) for k in _numbering(colors, d + 1))
 
 
 def _walk(n: int, d: int, steps: dict[int, int], tables: bool = False) -> dict:
@@ -279,7 +273,8 @@ def _walk(n: int, d: int, steps: dict[int, int], tables: bool = False) -> dict:
     listed that reaches it and patches the d+1 roots of the flip (_flip).
     Equal roots are one tuple object, so comparing root tuples meets an
     equal root as the same object."""
-    rows, interned, toggled = _flip_rows(n, d, tables), {}, {}
+    colors = tuple(range(1, n + 1))
+    rows, interned, toggled = _flip_rows(colors, d, tables), {}, {}
 
     def toggle(root: Colors, c: int) -> Colors:
         new = toggled.get((root, c))
@@ -288,7 +283,6 @@ def _walk(n: int, d: int, steps: dict[int, int], tables: bool = False) -> dict:
             new = toggled[root, c] = interned.setdefault(new, new)
         return new
 
-    colors = tuple(range(1, n + 1))
     first = tuple(interned.setdefault(r, r) for r in _roots(colors, d, 0))
     out = {0: dict(zip(_numbering(colors, d), first)) if tables else first}
     copy = dict.copy if tables else list

@@ -175,10 +175,11 @@ def _chains(q: Cubillage) -> list[int]:
     roots: the tunnel runs from the front plate of J, rooted at F_J, to its
     back plate, and each cube J ∪ {c} toggles c once on the way, so the
     root of J ∪ {c}, less c, differs from F_J in exactly the colors toggled
-    before it; their count is its slot in the chain."""
+    before it; their count is its slot in the chain.  Roots are coded by
+    position in q's own colors, whatever they are."""
     colors, d, roots = q.colors, q.d, q._root_by_type
     n = len(colors)
-    index = _positions(n) if colors[-1:] == (n,) else {c: k for k, c in enumerate(colors)}
+    index = {c: k for k, c in enumerate(colors)}
     chains = [0] * (comb(n, d - 1) * (n - d + 1))
     for k, (t, rows) in enumerate(zip(_numbering(colors, d), _chain_rows(n, d))):
         r = _encode(roots[t], index)

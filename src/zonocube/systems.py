@@ -17,8 +17,8 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from .colors import Colors, _blocks, _check_dimension, _check_weak_k, _codes, _encode
-from .colors import _positions, _runs, _weak, colorset, subsets
+from .colors import _SELECT, Colors, _blocks, _check_dimension, _check_weak_k, _encode
+from .colors import _failing_pairs, _positions, _runs, _weak, colorset, subsets
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
 from .cubillage import _coded, _spectrum_codes, _vertex_count
 from .masks import _cubes, _cubillage_of_mask, _lift, _mask, _mask_of, _mask_of_spectra
@@ -136,13 +136,11 @@ def from_consistent(sets, n: int, d: int) -> MembraneWitness:
                            _cubillage_of_mask(colors, d, inv), members)
 
 
-def _check_separated(members, codes, r: int):
-    """Refuse the first pair of members, in their listed order, whose codes
-    are not r-separated; codes[i] codes members[i] by position in any color
-    tuple that holds them all."""
-    for (a, x), (b, y) in itertools.combinations(zip(members, codes), 2):
-        if _blocks(x, y) > r + 1:
-            raise ValueError(f"{a} and {b} are not {r}-separated")
+def _check_separated(members, r: int):
+    """Refuse the first pair of members, in their listed order, that are not
+    r-separated (colors._failing_pairs)."""
+    for a, b in _failing_pairs(members, lambda x, y: _blocks(x, y) > r + 1):
+        raise ValueError(f"{a} and {b} are not {r}-separated")
 
 
 def _spectrum_dimension(n: int, size: int) -> int | None:
@@ -196,7 +194,7 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
         if _spectrum_codes(_coded(faces, cs)) == codes:
             return q
     members = sorted(members)
-    _check_separated(members, _codes(members), d - 1)
+    _check_separated(members, d - 1)
     if any(not set(s) <= set(cs) for s in members):
         raise NotRealizableError("spectra leave the color universe")
     # not reached by Galashin's theorem; kept so no input gets a wrong answer
@@ -214,10 +212,6 @@ def _bits(mask: int):
         yield v
 
 
-# the digits "0" and "1" as the bytes 0 and 1, which compress reads as false and true
-_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _relabel(adj: list[int], cand_mask: int, order: list[int]) -> list[int]:
     """Adjacency of the subgraph induced on cand_mask, vertex order[i] as i.
     Each row is the sum of the new bits that its binary digits, lowest
@@ -225,7 +219,7 @@ def _relabel(adj: list[int], cand_mask: int, order: list[int]) -> list[int]:
     bit = [0] * len(adj)
     for i, v in enumerate(order):
         bit[v] = 1 << i
-    return [sum(itertools.compress(bit, bin(adj[v] & cand_mask)[:1:-1].encode().translate(_DIGITS)))
+    return [sum(itertools.compress(bit, bin(adj[v] & cand_mask)[:1:-1].encode().translate(_SELECT)))
             for v in order]
 
 
@@ -428,7 +422,7 @@ def _lex(n: int) -> tuple[tuple[Colors, ...], tuple[int, ...]]:
 
 def _read(sets, mask: int) -> tuple:
     """The sets at the bits of mask, sets[0] at the highest of len(sets) bits."""
-    return tuple(itertools.compress(sets, format(mask, f"0{len(sets)}b").encode().translate(_DIGITS)))
+    return tuple(itertools.compress(sets, format(mask, f"0{len(sets)}b").encode().translate(_SELECT)))
 
 
 def _adjacency(codes, compatible) -> list[int]:
@@ -508,7 +502,7 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     members = sorted({colorset(s) for s in sets})
     _check_inside(members, n)
     codes = [_encode(s, _positions(n)) for s in members]
-    _check_separated(members, codes, d - 1)
+    _check_separated(members, d - 1)
     bound = _vertex_count(n, d)
     _, other_codes = _split(n, d)
     cands = [c for c in other_codes if c not in codes]
@@ -526,7 +520,7 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     held = (1 << len(kept_sets)) - 1 ^ sum(cand_bits)
 
     def spread(clique: int) -> int:
-        return held | sum(itertools.compress(cand_bits, bin(clique)[:1:-1].encode().translate(_DIGITS)))
+        return held | sum(itertools.compress(cand_bits, bin(clique)[:1:-1].encode().translate(_SELECT)))
 
     adj = _adjacency(cands, lambda a, b: _blocks(a, b) <= d)
     full = (1 << len(cands)) - 1

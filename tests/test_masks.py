@@ -19,7 +19,8 @@ from zonocube.cubillage import (
 from zonocube.masks import (
     _blocking, _cubes, _cubillage_of_mask, _free, _mask, _mask_of, _mask_of_spectra, _toggle,
     _toggles, _walk)
-from zonocube.order import apply_flip, find_flips
+from zonocube.order import apply_flip, find_flips, natural_order
+from zonocube.systems import inversions
 
 
 def certified(q):
@@ -191,6 +192,32 @@ def test_extreme_cubillages_come_with_their_masks(colors):
             assert q._cache["mask"] == _mask_of(fresh(q)), (extreme, d)
             seed = len(colors) * 10 + d
             assert walk(q, 12, random.Random(seed)) == walk(fresh(q), 12, random.Random(seed))
+
+
+@pytest.mark.parametrize("n,d,every", [(5, 2, 1), (6, 3, 1), (7, 4, 5)])
+def test_sparse_colors_answer_as_their_contiguous_twin(n, d, every):
+    # the colors 1..n take no path of their own: relabelled onto sparse
+    # colors, a cubillage lists its twin's flips, flips to its twin's flips,
+    # and has its twin's inversions and natural order, all relabelled
+    colors = (2, 4, 5, 7, 9, 11, 12)[:n]
+    name = dict(zip(range(1, n + 1), colors))
+
+    def rename(s):
+        return tuple(name[c] for c in s)
+
+    def renamed(q):
+        return {rename(t): rename(r) for t, r in q._root_by_type.items()}
+
+    for q in list(enumerate_cubillages(n, d))[::every]:
+        p = Cubillage(colors, d, [(rename(c.root), rename(c.type)) for c in q.cubes])
+        assert validate(p) is None
+        flips = find_flips(q)
+        assert find_flips(p) == tuple((rename(k), way) for k, way in flips)
+        for k, _ in flips:
+            assert apply_flip(p, rename(k))._root_by_type == renamed(apply_flip(q, k)), k
+        assert inversions(p) == {rename(k) for k in inversions(q)}
+        assert natural_order(p).relations == tuple(
+            (rename(a), rename(b)) for a, b in natural_order(q).relations)
 
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)])

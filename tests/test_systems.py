@@ -21,7 +21,6 @@ import zonocube.systems
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import (
     Colors,
-    _codes,
     _encode,
     _positions,
     _weak,
@@ -354,7 +353,7 @@ def from_spectra_oracle(sets, colors, d: int | None = None) -> Cubillage:
     if len(members) != sum(comb(len(cs), j) for j in range(d + 1)):
         raise ValueError("system size is not C(n,<=d)")
     ordered = sorted(members)
-    _check_separated(ordered, _codes(ordered), d - 1)
+    _check_separated(ordered, d - 1)
     if any(not set(s) <= set(cs) for s in members):
         raise NotRealizableError("spectra leave the color universe")
     return _from_spectra_oracle(members, cs, d)
