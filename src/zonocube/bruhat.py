@@ -11,7 +11,7 @@ import operator
 from math import comb
 from typing import NamedTuple
 
-from .colors import Colors, _blocks, is_even, minus, subsets
+from .colors import Colors, is_even, minus, subsets
 # unused here, but bench/test_bench.py reaches them as bruhat.colorset and
 # bruhat.find_flips
 from .colors import colorset  # noqa: F401
@@ -20,7 +20,7 @@ from .cubillage import _check_dimensions, _closure, _numbering, _vertex_count
 from .geom import Realization, cyclic_polytope_volume, triangulation_volume, volume_check
 from .masks import _blocking, _cubillage_of_mask, _free, _toggle, _toggles, _walk
 from .order import find_flips  # noqa: F401
-from .systems import _adjacency, _count_cliques, _separation_scale_guard, _split
+from .systems import _count_cliques, _relabel, _relation, _separation_scale_guard, _split
 
 
 # the default state cap of enumerate_cubillages, bruhat_poset and the CLI's --max-states
@@ -95,7 +95,7 @@ def separated_system_count(n: int, d: int) -> int:
     _check_dimensions(n, d)
     _separation_scale_guard(n)
     peripheral, codes = _split(n, d)
-    adj = _adjacency(codes, lambda a, b: _blocks(a, b) <= d)
+    adj = _relabel(_relation(n, d), sum(1 << c for c in codes), codes)
     return _count_cliques(adj, (1 << len(codes)) - 1, _vertex_count(n, d) - len(peripheral))
 
 

@@ -4,7 +4,9 @@ A cubillage of Z(n,d) can be handed around as (a) the system of its vertex
 spectra, (b) its natural order on the d-subsets, an admissible order
 (order.AdmissibleOrder), or (c) its inversion system of (d+1)-subsets.
 This module moves between all three and implements the completion/purity
-searches on separated systems.
+searches on separated systems.  Those searches read their graphs off one
+separation table per (n, d) (_relation): per position code of a subset of
+[n], the codes of the subsets it is compatible with, as one int.
 
 Dimension bookkeeping for inversions: the inversion system of a d-dimensional
 cubillage consists of (d+1)-subsets (parents with antilexicographic packets);
@@ -18,7 +20,7 @@ import itertools
 from typing import NamedTuple
 
 from .colors import _SELECT, Colors, _blocks, _check_dimension, _check_weak_k, _encode
-from .colors import _failing_pairs, _positions, _runs, _weak, colorset, subsets
+from .colors import _failing_pairs, _positions, _runs, colorset, subsets
 from .cubillage import Cubillage, CubillageError, Facet, ScaleGuardError, _check_dimensions
 from .cubillage import _coded, _spectrum_codes, _vertex_count
 from .masks import _cubes, _cubillage_of_mask, _lift, _mask, _mask_of, _mask_of_spectra
@@ -202,7 +204,8 @@ def from_spectra(sets, colors, d: int | None = None) -> Cubillage:
 
 
 # ---------------------------------------------------------------------------
-# clique machinery over bitmask adjacency
+# clique machinery over bitmask adjacency: each search relabels the rows of
+# its separation table (_relation) onto the codes it keeps (_relabel)
 
 
 def _bits(mask: int):
@@ -425,15 +428,69 @@ def _read(sets, mask: int) -> tuple:
     return tuple(itertools.compress(sets, format(mask, f"0{len(sets)}b").encode().translate(_SELECT)))
 
 
-def _adjacency(codes, compatible) -> list[int]:
-    """The bitmask adjacency of compatible among the codes, codes[i] as vertex i."""
-    adj = [0] * len(codes)
-    for i, a in enumerate(codes):
-        for j in range(i + 1, len(codes)):
-            if compatible(a, codes[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+@functools.lru_cache(maxsize=64)
+def _relation(n: int, bound: int, weak: bool = False) -> tuple[int, ...]:
+    """Per position code x of a subset of [n] (as _split's codes), the codes
+    y != x with _blocks(x, y) <= bound, as one int with bit y set.  weak
+    (weak k-separation, bound k + 2 for odd k; colors._weak) keeps a y at
+    exactly bound blocks only when the surrounding side, which owns the
+    first and the last block, is no larger: y with |y| >= |x| when it is
+    x, and |y| <= |x| when it is y.
+
+    One pass of the block-counting automaton builds every row.  It walks a
+    trie over x's bits, lowest first; a node holds, per state, the set of y
+    (a 2^n-bit int) whose labels so far end in it.  A state is 0 before any
+    label, and 2m - 1 + side after m blocks whose last label is on x's side
+    (0) or y's (1); a set that passes bound blocks is dropped.  At color i
+    each set splits on the codes holding bit i: where y agrees with x the
+    state stays, and elsewhere it reads a label on the side holding i.  A
+    leaf's state 0 holds x alone, so no row holds its own code.
+    """
+    size = 1 << n
+    full = (1 << size) - 1
+    cap = min(bound, n)  # two subsets of [n] have at most n blocks
+    states = 2 * cap + 1
+    step = [[None] * states, [None] * states]  # step[side][state], None past the cap
+    for s in range(states):
+        blocks, last = (s + 1) // 2, (s + 1) % 2
+        for side in (0, 1):
+            if s and side == last:
+                step[side][s] = s
+            elif blocks < cap:
+                step[side][s] = 2 * blocks + 1 + side
+    level = [[full] + [0] * (states - 1)]
+    for i in range(n):
+        # the codes holding bit i: 2^i ones above 2^i zeros, every 2^(i+1) codes
+        column = full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i))
+        clear, held = [], []
+        for node in level:
+            low, high = [0] * states, [0] * states  # x's bit i clear, set
+            for s, ys in enumerate(node):
+                if ys:
+                    has = ys & column
+                    low[s] |= ys ^ has
+                    high[s] |= has
+                    t = step[1][s]
+                    if t is not None:
+                        low[t] |= has
+                    t = step[0][s]
+                    if t is not None:
+                        high[t] |= ys ^ has
+            clear.append(low)
+            held.append(high)
+        level = clear + held  # the prefix codes in order: bit i clear first
+    if not weak or bound > n:
+        return tuple(sum(node[1:]) for node in level)
+    by_size = [0] * (n + 1)
+    for y in range(size):
+        by_size[y.bit_count()] |= 1 << y
+    at_most = list(itertools.accumulate(by_size, int.__or__))
+    rows = []
+    for x, node in enumerate(level):
+        m = x.bit_count()
+        at_least = full ^ at_most[m - 1] if m else full
+        rows.append(sum(node[1:-2]) | node[-2] & at_least | node[-1] & at_most[m])
+    return tuple(rows)
 
 
 def _automorphisms(adj: list[int], codes, maps) -> list[list[int]]:
@@ -492,8 +549,11 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     of maximal_completions, the lex-last as a sorted tuple of sets.  Each
     completion is a mask over the kept sets in lex order (_lex), the least
     set on the highest bit, so the masks sort as ints and each is read back
-    as its sorted tuple of sets in one pass.  Refuses n above
-    MAX_SEPARATION_N with ScaleGuardError before building the graph.
+    as its sorted tuple of sets in one pass.  The members' pairwise
+    separation and the candidates are read off the rows of _relation(n, d),
+    one & per member; _check_separated runs only on a refusal, to name the
+    first failing pair.  Refuses n above MAX_SEPARATION_N with
+    ScaleGuardError before building the graph.
     """
     if mode not in ("complete", "certify-maximal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -502,12 +562,15 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     members = sorted({colorset(s) for s in sets})
     _check_inside(members, n)
     codes = [_encode(s, _positions(n)) for s in members]
-    _check_separated(members, d - 1)
+    rows = _relation(n, d)
+    coded = sum(1 << a for a in codes)
+    if any(rows[a] & coded != coded ^ 1 << a for a in codes):
+        _check_separated(members, d - 1)  # names the first failing pair in listed order
     bound = _vertex_count(n, d)
     _, other_codes = _split(n, d)
-    cands = [c for c in other_codes if c not in codes]
-    for s in codes:
-        cands = [c for c in cands if _blocks(c, s) <= d]
+    # the candidates: the other sets in the rows of every member, which hold no member
+    common = functools.reduce(int.__and__, map(rows.__getitem__, codes), -1)
+    cands = [c for c in other_codes if common >> c & 1]
     # the kept sets (the peripheral ones, the members and the candidates) on
     # _lex's bits, then renumbered within the kept sets, which keeps their
     # order: a completion is the held sets' mask or-ed with a clique's bits
@@ -522,7 +585,7 @@ def extension_search(sets, n: int, d: int, mode: str = "complete") -> ExtensionR
     def spread(clique: int) -> int:
         return held | sum(itertools.compress(cand_bits, bin(clique)[:1:-1].encode().translate(_SELECT)))
 
-    adj = _adjacency(cands, lambda a, b: _blocks(a, b) <= d)
+    adj = _relabel(rows, sum(1 << c for c in cands), cands)
     full = (1 << len(cands)) - 1
     if mode == "complete":
         # the lexicographically first clique with the candidates by size, then lex
@@ -557,7 +620,7 @@ def weak_separation_suite(n: int, k: int) -> dict:
     _separation_scale_guard(n)
     bound = _vertex_count(n, k + 1)
     peripheral, codes = _split(n, k + 1)
-    adj = _adjacency(codes, lambda a, b: _weak(a, b, k))
+    adj = _relabel(_relation(n, k + 2, True), sum(1 << c for c in codes), codes)
     best = _max_clique(adj, (1 << len(codes)) - 1, _automorphisms(adj, codes, _reflections(n)))
     maximum = len(peripheral) + best
     return {

@@ -21,6 +21,7 @@ import zonocube.systems
 from zonocube.bruhat import enumerate_cubillages
 from zonocube.colors import (
     Colors,
+    _blocks,
     _encode,
     _positions,
     _weak,
@@ -55,7 +56,6 @@ from zonocube.systems import (
     ScaleGuardError,
     _check_dimensions,
     _beyond,
-    _adjacency,
     _automorphisms,
     _check_separated,
     _complement,
@@ -69,6 +69,7 @@ from zonocube.systems import (
     _maximal_cliques,
     _read,
     _reflections,
+    _relation,
     _split,
     extension_search,
     from_consistent,
@@ -960,6 +961,122 @@ def test_split_cache_holds_tuples_and_answers_as_a_fresh_one():
     assert all(type(code) is int for code in codes)
     assert split.cache_info().currsize == 1
 
+# ---------------------------------------------- separation tables per (n, d)
+
+def adjacency_oracle(codes, compatible):
+    """The bitmask adjacency of compatible among the codes, codes[i] as
+    vertex i, by one call per pair."""
+    adj = [0] * len(codes)
+    for i, a in enumerate(codes):
+        for j in range(i + 1, len(codes)):
+            if compatible(a, codes[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def relation_oracle(n, bound, weak=False):
+    """_relation(n, bound, weak) row by row from the pairwise kernels."""
+    def related(x, y):
+        return _weak(x, y, bound - 2) if weak else _blocks(x, y) <= bound
+
+    return tuple(sum(1 << y for y in range(1 << n) if y != x and related(x, y))
+                 for x in range(1 << n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_relation_rows_match_the_pairwise_kernels_exhaustively(n):
+    for bound in range(1, n + 2):
+        assert _relation(n, bound) == relation_oracle(n, bound)
+    for k in range(1, n + 1, 2):
+        assert _relation(n, k + 2, True) == relation_oracle(n, k + 2, True)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_relation_rows_match_the_pairwise_kernels_at_7_and_8(n):
+    for bound in range(2, 6):
+        assert _relation(n, bound) == relation_oracle(n, bound)
+    for k in (1, 3):
+        assert _relation(n, k + 2, True) == relation_oracle(n, k + 2, True)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_relation_rows_match_the_pairwise_kernels_on_seeded_pairs(n):
+    rng = random.Random(n)
+    tables = {(bound, False): _relation(n, bound) for bound in range(1, n + 2)}
+    tables.update({(k + 2, True): _relation(n, k + 2, True) for k in range(1, n + 1, 2)})
+    for _ in range(20000):
+        x, y = rng.randrange(1 << n), rng.randrange(1 << n)
+        bound, weak = rng.choice(list(tables))
+        want = x != y and (_weak(x, y, bound - 2) if weak else _blocks(x, y) <= bound)
+        assert tables[bound, weak][x] >> y & 1 == want
+
+
+def test_relation_rows_hold_no_self_code_and_the_cache_holds_tuples():
+    _relation.cache_clear()
+    asked = [(n, bound, weak) for n in (1, 5, 8) for bound in (1, 3) for weak in (False, True)]
+    for n, bound, weak in asked:
+        rows = _relation(n, bound, weak)
+        assert type(rows) is tuple and len(rows) == 1 << n
+        assert all(type(row) is int and not row >> x & 1 for x, row in enumerate(rows))
+        assert all(rows[y] >> x & 1 for x, row in enumerate(rows) for y in bits_of(row))
+    assert _relation.cache_info().currsize == len(asked)
+    assert _relation.cache_info().maxsize == 64
+
+
+def extension_graph_oracle(sample, n, d):
+    """The candidates of extension_search on sample and their graph, by
+    pairwise _blocks on the position codes."""
+    codes = [_encode(colorset(s), _positions(n)) for s in sample]
+    cands = [c for c in _split(n, d)[1]
+             if c not in codes and all(_blocks(c, s) <= d for s in codes)]
+    return adjacency_oracle(cands, lambda a, b: _blocks(a, b) <= d)
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (8, 3)])
+def test_weak_suite_reads_the_pairwise_graph(monkeypatch, n, k):
+    seen = []
+    monkeypatch.setattr(zonocube.systems, "_max_clique", lambda adj, *a: seen.append(adj) or 0)
+    weak_separation_suite(n, k)
+    assert seen == [weak_graph(n, k)[1]]
+
+
+@pytest.mark.parametrize("n,d", [(8, 5), (7, 3)])
+def test_separated_system_count_reads_the_pairwise_graph(monkeypatch, n, d):
+    seen = []
+    monkeypatch.setattr(zonocube.bruhat, "_count_cliques", lambda adj, *a: seen.append(adj) or 0)
+    zonocube.bruhat.separated_system_count(n, d)
+    assert seen == [adjacency_oracle(_split(n, d)[1], lambda a, b: _blocks(a, b) <= d)]
+
+
+@pytest.mark.parametrize("d, sample", [(d, sample) for d, sample, _, _ in SEPARATION_SEED_1])
+def test_extension_search_reads_the_pairwise_graph(monkeypatch, d, sample):
+    graphs, complements = [], []
+    monkeypatch.setattr(zonocube.systems, "_maximal_cliques",
+                        lambda adj, full: graphs.append(adj) or [])
+    monkeypatch.setattr(zonocube.systems, "_first_clique",
+                        lambda non, full, size: complements.append(non))
+    extension_search(sample, 8, d, "certify-maximal")
+    extension_search(sample, 8, d, "complete")
+    adj = extension_graph_oracle(sample, 8, d)
+    assert graphs == [adj]
+    assert complements == [_complement(adj)]
+
+
+def test_extension_search_checks_separated_members_on_the_table(monkeypatch):
+    def refuse(members, r):
+        raise AssertionError("the pairwise check ran on separated members")
+
+    monkeypatch.setattr(zonocube.systems, "_check_separated", refuse)
+    triple = [(2, 4, 6), (2, 3, 5), (1, 3, 6)]
+    lifted = triple + [s + (7,) for s in triple]
+    for sets, n, d in [(triple, 6, 4), (triple, 7, 4), (lifted, 7, 5), ([], 5, 2),
+                       (SEPARATION_SEED_1[0][1], 8, 3)]:
+        extension_search(sets, n, d)
+    with pytest.raises(AssertionError, match="pairwise check ran"):
+        extension_search([(1, 3), (2,)], 8, 2)
+
+
 @pytest.mark.parametrize("search", [
     lambda: extension_search([(2, 4, 6), (2, 3, 5), (1, 3, 6)], 7, 4, "complete"),
     lambda: extension_search([(2, 4, 6), (2, 3, 5), (1, 3, 6)], 7, 4, "certify-maximal"),
@@ -1048,7 +1165,7 @@ def test_weak_suite_scale_guard():
 
 def weak_graph(n, k):
     codes = _split(n, k + 1)[1]
-    return codes, _adjacency(codes, lambda a, b: _weak(a, b, k))
+    return codes, adjacency_oracle(codes, lambda a, b: _weak(a, b, k))
 
 
 def reversed_set(x, n):
@@ -1085,7 +1202,7 @@ def test_automorphisms_drops_a_rotation_and_every_map_on_a_flipped_edge():
     # on all subsets of [7] the rotation maps the codes onto the codes, and
     # still not the graph onto itself
     every = list(range(1 << 7))
-    assert _automorphisms(_adjacency(every, lambda a, b: _weak(a, b, 1)), every, [rotate]) == []
+    assert _automorphisms(adjacency_oracle(every, lambda a, b: _weak(a, b, 1)), every, [rotate]) == []
     for n, k in [(7, 1), (7, 3), (8, 5)]:
         codes, adj = weak_graph(n, k)
         perms = _automorphisms(adj, codes, _reflections(n))
