@@ -71,16 +71,16 @@ def enumerate_cubillages(n: int, d: int, max_states: int = MAX_STATES) -> tuple[
 
     The consistent inversion masks come from the raising-flip search _masks,
     which refuses when C(n,d) exceeds MAX_ENUMERATION_TYPES or the state
-    count passes max_states.  masks._walk carries each mask's type -> root
-    dict, in type order, along the search's raising steps.  The masks are
-    sorted canonically by the dict's roots: every cubillage of Z(n,d) has
-    the same types, so that tuple orders as Cubillage.key does.  Each
+    count passes max_states.  masks._walk carries each mask's root ranks
+    and its type -> root dict, in type order, along the search's raising
+    steps.  The masks are sorted canonically by the ranks, which order as
+    the roots in type order do, that is, as Cubillage.key does.  Each
     cubillage then adopts its dict.
     """
-    tables = _walk(n, d, _masks(n, d, max_states), tables=True)
+    walk = _walk(n, d, _masks(n, d, max_states), tables=True)
     colors = tuple(range(1, n + 1))
-    return tuple(_cubillage_of_mask(colors, d, inv, tables[inv])
-                 for inv in sorted(tables, key=lambda inv: tuple(tables[inv].values())))
+    return tuple(_cubillage_of_mask(colors, d, inv, walk[inv][1])
+                 for inv in sorted(walk, key=lambda inv: walk[inv][0]))
 
 
 def separated_system_count(n: int, d: int) -> int:
@@ -108,7 +108,8 @@ class BruhatPoset:
     (Manin-Schechtman 1989; Ziegler, Topology 1993): the covers are the
     raising steps, i.e. the raising flips, and the rank is the inversion
     count.  Elements are indexed in (rank, canonical key) order, the key
-    being the roots in type order as in enumerate_cubillages.  Graded with
+    being the root ranks masks._walk carries, which order as the roots in
+    type order do, as in enumerate_cubillages.  Graded with
     the standard cubillage as unique minimum and the antistandard as unique
     maximum.
 
@@ -120,8 +121,8 @@ class BruhatPoset:
     def __init__(self, n: int, d: int, steps: dict[int, int]):
         self.n = n
         self.d = d
-        roots = _walk(n, d, steps)
-        self.masks = tuple(sorted(steps, key=lambda inv: (inv.bit_count(), roots[inv])))
+        keys = _walk(n, d, steps)
+        self.masks = tuple(sorted(steps, key=lambda inv: (inv.bit_count(), keys[inv])))
         self.ranks = tuple(inv.bit_count() for inv in self.masks)
         index = {inv: i for i, inv in enumerate(self.masks)}
         covers = []
@@ -138,8 +139,8 @@ class BruhatPoset:
         masks, steps = self.masks, dict.fromkeys(self.masks, 0)
         for i, j in self.covers:  # masks in rank order: the walk meets a parent first
             steps[masks[i]] |= masks[j] ^ masks[i]
-        tables, colors = _walk(self.n, self.d, steps, tables=True), tuple(range(1, self.n + 1))
-        return tuple(_cubillage_of_mask(colors, self.d, inv, tables[inv]) for inv in masks)
+        walk, colors = _walk(self.n, self.d, steps, tables=True), tuple(range(1, self.n + 1))
+        return tuple(_cubillage_of_mask(colors, self.d, inv, walk[inv][1]) for inv in masks)
 
     @functools.cached_property
     def _up(self) -> list[int]:
@@ -281,15 +282,15 @@ def _triangulations(n: int, d: int, max_states: int) -> set[tuple[Colors, ...]]:
 def sec_surjectivity_experiment(n: int, d: int, max_states: int = MAX_STATES) -> dict:
     """Compare the image of sec over all cubillages of Z(n,d) with every
     triangulation of C(n,d-1), exactly at every d.  The image is read off
-    the roots masks._walk carries (a simplex is a type with an empty root),
-    so no cubillage is built; the universe comes from _triangulations, each
-    member certified once by the volume identity.  Refuses as _masks does;
-    raises CubillageError on a failed certificate or a slice outside the
-    universe."""
+    the root ranks masks._walk carries (a simplex is a type whose root has
+    rank 0, the empty root), so no cubillage is built; the universe comes
+    from _triangulations, each member certified once by the volume
+    identity.  Refuses as _masks does; raises CubillageError on a failed
+    certificate or a slice outside the universe."""
     colors = tuple(range(1, n + 1))
     types = list(_numbering(colors, d))
-    image = {tuple(itertools.compress(types, map(operator.not_, roots)))
-             for roots in _walk(n, d, _masks(n, d, max_states)).values()}
+    image = {tuple(itertools.compress(types, map(operator.not_, key)))
+             for key in _walk(n, d, _masks(n, d, max_states)).values()}
     universe, realization = _triangulations(n, d, max_states), Realization(colors, d)
     if not all(volume_check(Triangulation(colors, d, t), realization) for t in universe):
         raise CubillageError("a triangulation of the flip search fails the volume identity")

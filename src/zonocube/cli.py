@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -53,7 +54,7 @@ from . import (
 )
 from .bruhat import MAX_STATES, _masks
 from .geom import Realization
-from .masks import _mask_of, _walk
+from .masks import _mask_of, _root_ranks, _walk
 from .order import _plates
 
 
@@ -239,19 +240,31 @@ def cmd_enumerate(args):
         _emit(args, str(len(_masks(args.n, args.d, args.max_states))))
         return
     # enumerate_cubillages' order and JSON, written one cubillage at a time
-    # from the walk's root tuples, sorted before the first byte; none is built
+    # from the walk's root ranks, sorted before the first byte; none is built
     n, d = args.n, args.d
-    roots = sorted(_walk(n, d, _masks(n, d, args.max_states)).values())
-    colors = tuple(range(1, n + 1))
-    types = tuple(_numbering(colors, d))
+    keys = sorted(_walk(n, d, _masks(n, d, args.max_states)).values())
+    head, texts, tail = _cube_texts(n, d)
 
     def chunks():
-        for k, r in enumerate(roots):
-            yield ", " if k else "["
-            yield json.dumps(_data(colors, d, zip(types, r)))
+        for k, key in enumerate(keys):
+            yield (", " if k else "[") + head + ", ".join(map(tuple.__getitem__, texts, key)) + tail
         yield "]\n"
 
     _write(args, chunks())
+
+
+def _cube_texts(n: int, d: int) -> tuple[str, list[tuple[str, ...]], str]:
+    """json.dumps of a cubillage of Z(n,d) in pieces, each cut from
+    json.dumps of _data: the head, the text of each cube per type number
+    and root rank (masks._root_ranks), and the tail.  A cubillage's JSON is
+    the head, its cubes' texts in type order joined by ", ", then the tail."""
+    colors = tuple(range(1, n + 1))
+    empty = json.dumps(_data(colors, d, []))
+    texts = [[json.dumps(_data(colors, d, [(t, r)])) for r in roots]
+             for t, roots in zip(_numbering(colors, d), _root_ranks(n, d)[0])]
+    cut = len(os.path.commonprefix([empty, texts[0][0]]))
+    head, tail = empty[:cut], empty[cut:]
+    return head, [tuple(text[cut:-len(tail)] for text in row) for row in texts], tail
 
 
 def cmd_poset(args):

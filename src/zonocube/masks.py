@@ -17,25 +17,32 @@ search of bruhat._masks carries each mask's state along its raising
 steps, and _flipped, the flip of apply_flip, carries the state _mask_of
 keeps on a cubillage, so no cubillage of a flip walk has its packets
 scanned again.
-The flip rule is written once, in _flip: _flipped patches a copy of its
-input's table with it, and _walk carries the roots of every mask of
-an enumeration along its raising steps, one parent's roots copied and
-d+1 patched per mask, so no mask's roots are read again.  The walk
-carries either root tuples in type order or one type -> root dict per
-mask, which an enumerated cubillage adopts as it is: a dict copy keeps
-its keys' hashes, so no type tuple is hashed again per cubillage.  Bit
-k of a mask stands for the (d+1)-subset of lex number k, the numbering of
-the types of Z(n,d+1) (cubillage._numbering), and this is the one module
-that reads masks by bit and knows the packet state: its functions take
-and give colored sets.  The packet and root tables are cached per
-(n, d), index colors by position and hold bit numbers, never masks, so
-they stay linear in the number of packets; a mask is read through its
-flags, the string with bit k at index k.  The flip rows (_flip_rows) are
-cached per color tuple, as _numbering is, so a flip on any colors reads
-its parent's bit and the types it patches with no relabelling.  Vertex
-sets reach it as codes of the package's one position coder,
-colors._encode: _mask_of_spectra transposes them once into per-color
-member bitsets and reads each bit of a mask with d+1 ands of them.
+The flip rule is written once, in _flip_rows' pairs: _flipped patches a
+copy of its input's table with them (_flip), and _walk carries the roots
+of every mask of an enumeration along its raising steps, one parent's
+roots copied and d+1 patched per mask, so no mask's roots are read again.
+The walk carries each root as its rank among the subsets of the colors
+outside its type, in tuple order (_root_ranks, whose per-bit rows are
+_flip_rows' pairs on ranks): a mask's key is one byte per type, or an
+int per type past n-d = 8, and keys sort as the roots in type order do.
+With tables the walk also carries one type -> root dict per mask, its
+roots the rank table's own objects, which an enumerated cubillage adopts
+as it is: a dict copy keeps its keys' hashes, so no type tuple is hashed
+again per cubillage.  The rank table holds C(n,d) * 2^(n-d) roots, so
+the walk builds it only after the search has passed its caps.
+Bit k of a mask stands for the (d+1)-subset of lex number k, the
+numbering of the types of Z(n,d+1) (cubillage._numbering), and this is
+the one module that reads masks by bit and knows the packet state: its
+functions take and give colored sets.  The packet and root rule tables
+are cached per (n, d), index colors by position and hold bit numbers,
+never masks, so they stay linear in the number of packets; a mask is
+read through its flags, the string with bit k at index k.  The flip rows
+(_flip_rows) are cached per color tuple, as _numbering is, so a flip on
+any colors reads its parent's bit and the types it patches with no
+relabelling.  Vertex sets reach it as codes of the package's one
+position coder, colors._encode: _mask_of_spectra transposes them once
+into per-color member bitsets and reads each bit of a mask with d+1 ands
+of them.
 """
 
 from __future__ import annotations
@@ -203,7 +210,7 @@ def _flipped(q: Cubillage, parent: Colors) -> Cubillage | None:
     if k is None or state[k]:
         return None
     roots = dict(q._root_by_type)
-    _flip(roots, _flip_rows(colors, d, True)[k])
+    _flip(roots, _flip_rows(colors, d)[k])
     flipped = Cubillage._adopt(colors, d, roots)
     flipped._cache["mask"] = inv ^ 1 << k
     flipped._cache["packets"] = _toggle(state, _toggles(q.n, d)[k])
@@ -242,24 +249,49 @@ def _toggled(root: Colors, c: int) -> Colors:
     return minus(root, (c,)) if c in root else add(root, c)
 
 
-def _flip(roots, pairs, toggled=_toggled) -> None:
-    """The flip rule on a root table, in place: toggling a parent K in the
-    inversion set toggles c in the root of the type K - {c}, for each c in
-    K, and changes no other root.  pairs lists (key of K - {c} in roots, c)
-    per c in K; toggled(root, c) is the root with c toggled."""
+def _flip(roots, pairs) -> None:
+    """The flip rule on a type -> root dict, in place: toggling a parent K
+    in the inversion set toggles c in the root of the type K - {c}, for each
+    c in K, and changes no other root.  pairs lists (K - {c}, c) per c in K."""
     for t, c in pairs:
-        roots[t] = toggled(roots[t], c)
+        roots[t] = _toggled(roots[t], c)
 
 
 @functools.lru_cache(maxsize=64)
-def _flip_rows(colors: Colors, d: int, by_type: bool = False) -> tuple:
+def _flip_rows(colors: Colors, d: int) -> tuple:
     """Per bit of an inversion mask of Z(colors,d), standing for the
-    (d+1)-subset K, the pairs of _flip on roots in type order: (lex number
-    of the type K - {c}, c) per c in K; with by_type, (the type K - {c}, c)
-    on the keys of _numbering, for a type -> root dict.  Cached per color
-    tuple, as _numbering is."""
-    key = {t: t if by_type else i for t, i in _numbering(colors, d).items()}
-    return tuple(tuple((key[minus(k, (c,))], c) for c in k) for k in _numbering(colors, d + 1))
+    (d+1)-subset K, the pairs of _flip: (the type K - {c}, c) per c in K,
+    the type being the key object of _numbering, which a root table's
+    lookup meets by identity.  Cached per color tuple, as _numbering is."""
+    types = {t: t for t in _numbering(colors, d)}
+    return tuple(tuple((types[minus(k, (c,))], c) for c in k) for k in _numbering(colors, d + 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _root_ranks(n: int, d: int) -> tuple[tuple, tuple]:
+    """The roots of Z(n,d) by rank.  The root of a type T is a subset of the
+    n-d colors outside T; its rank is its place among those subsets in
+    tuple order, so the empty root has rank 0 and ranks compare as the roots
+    do.  Per type in lex order, the tuple of its possible roots by rank,
+    equal roots one object across types; per bit of an inversion mask, the
+    pairs of _flip (_flip_rows) on ranks: (the number of the type K - {c},
+    per rank the rank with c toggled, the type).  Toggling c depends only
+    on c's place among the colors outside the type, so the types share
+    n-d rank maps, bytes when every rank fits in one."""
+    m, colors = n - d, tuple(range(1, n + 1))
+    freeze = bytes if m <= 8 else tuple
+    order = sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(m), size) for size in range(m + 1)))
+    rank = {s: r for r, s in enumerate(order)}
+    toggles = [freeze(rank[_toggled(s, p)] for s in order) for p in range(m)]
+    numbers, interned, names = _numbering(colors, d), {}, []
+    for t in numbers:
+        outside = minus(colors, t)
+        names.append(tuple(interned.setdefault(r, r)
+                           for r in (tuple(outside[p] for p in s) for s in order)))
+    rows = tuple(tuple((numbers[t], toggles[minus(colors, t).index(c)], t) for t, c in pairs)
+                 for pairs in _flip_rows(colors, d))
+    return tuple(names), rows
 
 
 def _walk(n: int, d: int, steps: dict[int, int], tables: bool = False) -> dict:
@@ -267,34 +299,40 @@ def _walk(n: int, d: int, steps: dict[int, int], tables: bool = False) -> dict:
     maps each mask to its raising steps (the bits whose addition keeps it
     consistent) and lists every mask after one that reaches it by such a
     step, the empty mask first, as bruhat._masks gives them.  Each mask gets
-    a tuple of its roots in type order, or with tables its own type -> root
-    dict, in type order, for Cubillage._adopt.  The empty mask's roots come
-    by the root rule; every other mask copies the roots of the first mask
-    listed that reaches it and patches the d+1 roots of the flip (_flip).
-    Equal roots are one tuple object, so comparing root tuples meets an
-    equal root as the same object."""
+    a key, the ranks of its roots in type order (_root_ranks): bytes when
+    n-d <= 8, else a tuple of ints.  Keys compare as the root tuples in
+    type order do, that is, as Cubillage.key does.  With tables each mask
+    gets the pair (key, its own type -> root dict in type order, for
+    Cubillage._adopt), the roots read from the rank table.  The empty mask's
+    roots come by the root rule; every other mask copies the key (and dict)
+    of the first mask listed that reaches it and patches the d+1 ranks of
+    the flip.  The rank table is built here, after the search that gives
+    steps has passed its caps."""
     colors = tuple(range(1, n + 1))
-    rows, interned, toggled = _flip_rows(colors, d, tables), {}, {}
-
-    def toggle(root: Colors, c: int) -> Colors:
-        new = toggled.get((root, c))
-        if new is None:
-            new = _toggled(root, c)
-            new = toggled[root, c] = interned.setdefault(new, new)
-        return new
-
-    first = tuple(interned.setdefault(r, r) for r in _roots(colors, d, 0))
-    out = {0: dict(zip(_numbering(colors, d), first)) if tables else first}
-    copy = dict.copy if tables else list
+    names, rows = _root_ranks(n, d)
+    copy, freeze = (bytearray, bytes) if n - d <= 8 else (list, tuple)
+    first = freeze(names[i].index(r) for i, r in enumerate(_roots(colors, d, 0)))
+    out = {0: (first, dict(zip(_numbering(colors, d), map(tuple.__getitem__, names, first))))
+           if tables else first}
     for inv, up in steps.items():
         here = out[inv]
         while up:
             b = up & -up
             up ^= b
-            if inv | b not in out:
-                roots = copy(here)
-                _flip(roots, rows[b.bit_length() - 1], toggle)
-                out[inv | b] = roots if tables else tuple(roots)
+            if inv | b in out:
+                continue
+            row = rows[b.bit_length() - 1]
+            if tables:
+                key, table = copy(here[0]), here[1].copy()
+                for i, ranks, t in row:
+                    key[i] = r = ranks[key[i]]
+                    table[t] = names[i][r]
+                out[inv | b] = freeze(key), table
+            else:
+                key = copy(here)
+                for i, ranks, _ in row:
+                    key[i] = ranks[key[i]]
+                out[inv | b] = freeze(key)
     return out
 
 

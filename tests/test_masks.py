@@ -3,6 +3,7 @@ root tables that the flip search carries and that flips patch, and the
 mask read off vertex spectra."""
 
 import io
+import itertools
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,14 +12,14 @@ from math import comb
 import pytest
 from mask_oracles import mask_of_spectra_oracle, masks_oracle
 
-from zonocube.bruhat import MAX_STATES, BruhatPoset, _masks, enumerate_cubillages
+from zonocube.bruhat import MAX_STATES, BruhatPoset, _masks, bruhat_poset, enumerate_cubillages
 from zonocube.cli import main
-from zonocube.colors import _encode, subsets
+from zonocube.colors import _encode, add, minus, subsets
 from zonocube.cubillage import (
     Cubillage, CubillageError, ScaleGuardError, antistandard, standard, validate)
 from zonocube.masks import (
-    _blocking, _cubes, _cubillage_of_mask, _free, _mask, _mask_of, _mask_of_spectra, _toggle,
-    _toggles, _walk)
+    _blocking, _cubes, _cubillage_of_mask, _free, _mask, _mask_of, _mask_of_spectra, _root_ranks,
+    _steps, _toggle, _toggles, _walk)
 from zonocube.order import apply_flip, find_flips, natural_order
 from zonocube.systems import inversions
 
@@ -255,39 +256,121 @@ def test_state_cap_refuses_exactly_past_the_count():
         _masks(6, 2, 907)
 
 
-@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)])
+def decoded(n, d, key):
+    """The roots in type order that a key of _walk stands for."""
+    names = _root_ranks(n, d)[0]
+    return [names[i][r] for i, r in enumerate(key)]
+
+
+WALKED = [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)]
+
+
+@pytest.mark.parametrize("n,d", WALKED)
 def test_walk_gives_every_mask_the_roots_of_the_root_rule(n, d):
     colors, steps = tuple(range(1, n + 1)), _masks(n, d, MAX_STATES)
-    roots = _walk(n, d, steps)
-    assert roots.keys() == steps.keys()
-    for inv, got in roots.items():
-        assert list(got) == [root for root, _ in _cubes(colors, d, inv)], inv
+    keys = _walk(n, d, steps)
+    assert keys.keys() == steps.keys()
+    for inv, key in keys.items():
+        assert type(key) is bytes and len(key) == comb(n, d), inv
+        assert decoded(n, d, key) == [root for root, _ in _cubes(colors, d, inv)], inv
     # the poset's elements come from the same walk over its covers
     poset, types = BruhatPoset(n, d, steps), tuple(subsets(colors, d))
     assert [tuple(q._root_by_type.items()) for q in poset.elements] == [
-        tuple(zip(types, roots[inv])) for inv in poset.masks]
+        tuple(zip(types, decoded(n, d, keys[inv]))) for inv in poset.masks]
 
 
-@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 1)] + [(8, 5)])
+@pytest.mark.parametrize("n,d", WALKED)
 def test_dict_walk_gives_every_mask_its_own_table_of_the_tuple_walk(n, d):
     steps, types = _masks(n, d, MAX_STATES), tuple(subsets(tuple(range(1, n + 1)), d))
-    roots, tables = _walk(n, d, steps), _walk(n, d, steps, tables=True)
-    assert list(tables) == list(roots)
-    assert len({id(table) for table in tables.values()}) == len(tables)
-    for inv, table in tables.items():
-        assert list(table.items()) == list(zip(types, roots[inv])), inv
-    values = [r for table in tables.values() for r in table.values()]
-    assert len({id(r) for r in values}) == len(set(values))
+    keys, walk = _walk(n, d, steps), _walk(n, d, steps, tables=True)
+    assert list(walk) == list(keys)
+    assert len({id(table) for _, table in walk.values()}) == len(walk)
+    names = _root_ranks(n, d)[0]
+    for inv, (key, table) in walk.items():
+        assert key == keys[inv], inv
+        assert list(table.items()) == list(zip(types, decoded(n, d, key))), inv
+        # every root is the rank table's own object
+        assert all(r is names[i][k] for i, (r, k) in enumerate(zip(table.values(), key))), inv
     # enumerate_cubillages adopts the dicts: one table per cubillage, in type order
     qs = enumerate_cubillages(n, d)
-    assert len({id(q._root_by_type) for q in qs}) == len(qs) == len(tables)
+    assert len({id(q._root_by_type) for q in qs}) == len(qs) == len(walk)
     assert all(list(q._root_by_type) == list(types) for q in qs)
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (7, 3), (8, 5), (10, 1), (11, 2)])
+def test_rank_table_lists_every_root_once_in_tuple_order(n, d):
+    colors = tuple(range(1, n + 1))
+    names, rows = _root_ranks(n, d)
+    assert len(names) == comb(n, d) and len(rows) == comb(n, d + 1)
+    for t, roots in zip(subsets(colors, d), names):
+        outside = [c for c in colors if c not in t]
+        assert list(roots) == sorted(
+            s for size in range(len(outside) + 1) for s in itertools.combinations(outside, size))
+        assert roots[0] == ()
+    # each row is _flip's patch on ranks: the rank of the root with c toggled
+    for k, row in zip(subsets(colors, d + 1), rows):
+        assert [(names[i], t) for i, _, t in row] == [
+            (names[list(subsets(colors, d)).index(t)], t) for t in (minus(k, (c,)) for c in k)]
+        for (i, ranks, t), c in zip(row, k):
+            assert [names[i][r] for r in ranks] == [
+                minus(root, (c,)) if c in root else add(root, c) for root in names[i]], (k, c)
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (7, 3), (8, 5)])
 def test_walk_interns_equal_roots(n, d):
-    roots = [r for rs in _walk(n, d, _masks(n, d, MAX_STATES)).values() for r in rs]
-    assert len({id(r) for r in roots}) == len(set(roots))
+    # equal roots of different types are one object of the rank table, and
+    # the dicts of the walk hold no other root objects
+    every = [r for roots in _root_ranks(n, d)[0] for r in roots]
+    assert len({id(r) for r in every}) == len(set(every))
+    walk = _walk(n, d, _masks(n, d, MAX_STATES), tables=True)
+    held = [r for _, table in walk.values() for r in table.values()]
+    assert {id(r) for r in held} <= {id(r) for r in every}
+    assert len({id(r) for r in held}) == len(set(held)) > 1
+
+
+@pytest.mark.parametrize("n,d", WALKED)
+def test_sorting_by_walk_keys_sorts_by_the_root_tuples(n, d):
+    keys = _walk(n, d, _masks(n, d, MAX_STATES))
+    assert sorted(keys, key=keys.get) == sorted(keys, key=lambda inv: decoded(n, d, keys[inv]))
+
+
+def partial_steps(n, d, count):
+    """A hand-built steps dict of _walk: the masks met first by raising
+    steps from the empty mask, each with every raising step, count of them
+    listed, each after a mask that reaches it."""
+    steps, todo = {}, [0]
+    for inv in todo:
+        if len(steps) == count:
+            break
+        steps[inv] = up = _steps(n, d, inv) & ~inv
+        todo += [inv | 1 << k for k in range(up.bit_length()) if up >> k & 1
+                 and inv | 1 << k not in todo]
+    return steps
+
+
+@pytest.mark.parametrize("n,d", [(10, 1), (11, 2)])
+def test_tuple_keys_past_a_byte_follow_the_root_rule_and_the_tuple_order(n, d):
+    # n - d > 8: a rank needs more than one byte, so keys are tuples of ints
+    colors, steps = tuple(range(1, n + 1)), partial_steps(n, d, 60)
+    keys, walk = _walk(n, d, steps), _walk(n, d, steps, tables=True)
+    assert len(keys) > len(steps) and list(walk) == list(keys)
+    assert max(r for key in keys.values() for r in key) > 255
+    for inv, key in keys.items():
+        roots = [root for root, _ in _cubes(colors, d, inv)]
+        assert type(key) is tuple and decoded(n, d, key) == roots, inv
+        assert walk[inv][0] == key and list(walk[inv][1].values()) == roots, inv
+    assert sorted(keys, key=keys.get) == sorted(keys, key=lambda inv: decoded(n, d, keys[inv]))
+
+
+def test_state_cap_refuses_before_the_rank_table_is_built():
+    # the (20,1) table would hold 20 * 2^19 roots; the poset is refused at a
+    # lower cap, as the default one costs 1.6 s a search
+    before = _root_ranks.cache_info()
+    with pytest.raises(ScaleGuardError, match="^state count passed the cap 200000$"):
+        enumerate_cubillages(20, 1)
+    with pytest.raises(ScaleGuardError, match="^state count passed the cap 20000$"):
+        bruhat_poset(20, 1, max_states=20_000)
+    assert _root_ranks.cache_info() == before
 
 
 @pytest.mark.parametrize("colors,d", [(range(1, 9), 3), (range(1, 10), 4),
